@@ -41,14 +41,7 @@ from .linalg import (
     rank_one_projector,
 )
 from .mc import McReport, SweepRow, estimate_expectations, sweep_p0
-from .multiplex import (
-    Scheme,
-    best_scheme,
-    crosstalk,
-    frame_bounds,
-    select_schemes,
-    two_stream_sinr,
-)
+from .multiplex import Scheme, best_scheme, crosstalk, frame_bounds, select_schemes
 from .optimize import (
     OptimizationTrace,
     OptimizerConfig,
@@ -126,7 +119,6 @@ __all__ = [
     "sinr",
     "solve_fidelity",
     "sweep_p0",
-    "two_stream_sinr",
     "verify_cp_properties",
     "worst_case_fidelity",
 ]

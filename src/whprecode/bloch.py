@@ -29,8 +29,8 @@ import numpy as np
 from .errors import DimensionMismatchError, InvalidWeightsError
 from .heisenberg import pauli
 from .linalg import require_hermitian
+from .wssus import ScatteringFunction
 
-QUAD_SUM_TOL = 1e-9
 BLOCH_TOL = 1e-10
 TIE_TOL = 1e-12
 
@@ -65,7 +65,8 @@ class ScatteringQuad:
     """The four shift powers of an L=2 channel, in Pauli order.
 
     p0 weights the identity, p1 the time shift, p2 the joint time-frequency
-    shift, p3 the frequency shift.  Nonnegative, total one within 1e-9.
+    shift, p3 the frequency shift.  Nonnegative, total one within 1e-9:
+    validated as the L=2 scattering function they define.
     """
 
     p0: float
@@ -74,12 +75,7 @@ class ScatteringQuad:
     p3: float
 
     def __post_init__(self) -> None:
-        values = (self.p0, self.p1, self.p2, self.p3)
-        if any(p < 0.0 for p in values):
-            raise InvalidWeightsError(f"weights must be nonnegative, got {values}")
-        total = sum(values)
-        if abs(total - 1.0) > QUAD_SUM_TOL:
-            raise InvalidWeightsError(f"weights must sum to 1 within 1e-9, got {total!r}")
+        object.__setattr__(self, "_function", ScatteringFunction.from_quad(*self.as_tuple()))
 
     @classmethod
     def coerce(cls, p) -> "ScatteringQuad":
@@ -90,10 +86,8 @@ class ScatteringQuad:
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p0, self.p1, self.p2, self.p3)
 
-    def to_scattering_function(self):
-        from .wssus import ScatteringFunction
-
-        return ScatteringFunction.from_quad(*self.as_tuple())
+    def to_scattering_function(self) -> ScatteringFunction:
+        return self._function
 
 
 @dataclass(frozen=True, eq=False)

@@ -40,7 +40,7 @@ from .optimize import (
     brute_force_bloch_oracle,
     fidelity_lower_bound_search,
 )
-from .wssus import ScatteringFunction
+from .wssus import ScatteringFunction, validate_noise_power
 
 _CONFIG_KEYS = ("p", "L", "sigma2", "trials", "samples", "seed", "scattering")
 _DEFAULTS = {"L": 2, "sigma2": 0.1, "trials": 100_000, "samples": 100_000, "seed": 0}
@@ -225,8 +225,12 @@ def parse_config(argv=None) -> RunConfig:
 
     if L < 1:
         violations.append(f"L: must be >= 1, got {L}")
-    if sigma2 < 0.0:
-        violations.append(f"sigma2: must be >= 0, got {sigma2}")
+    try:
+        validate_noise_power(sigma2)
+    except WHPrecodeError as exc:
+        violations.append(f"sigma2: {exc}")
+    if seed < 0:
+        violations.append(f"seed: must be >= 0, got {seed}")
     if args.command in ("simulate", "sweep") and trials < 2:
         violations.append(f"trials: must be >= 2 for '{args.command}', got {trials}")
     if args.command in ("oracle", "general") and samples < 1:
@@ -552,8 +556,12 @@ def main(argv=None) -> int:
         return 3
     rendered = _RENDERERS[cfg.output_format](doc)
     if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8") as fh:
-            fh.write(rendered)
+        try:
+            with open(cfg.output_path, "w", encoding="utf-8") as fh:
+                fh.write(rendered)
+        except OSError as exc:
+            print(f"error: out: {exc}", file=sys.stderr)
+            return 2
     else:
         sys.stdout.write(rendered)
     return 0

@@ -23,6 +23,7 @@ from .wssus import (
     apply_interference,
     channel_fidelity,
     coerce_scheme_shifts,
+    validate_noise_power,
 )
 
 _CHUNK = 1 << 15
@@ -113,8 +114,7 @@ def estimate_expectations(
     """
     if trials < 2:
         raise InvalidWeightsError(f"trials must be >= 2, got {trials}")
-    if sigma2 < 0.0:
-        raise InvalidWeightsError(f"noise power must be >= 0, got {sigma2}")
+    validate_noise_power(sigma2)
     gamma = np.asarray(gamma, dtype=complex).reshape(-1)
     g = np.asarray(g, dtype=complex).reshape(-1)
     for name, v in (("gamma", gamma), ("g", g)):

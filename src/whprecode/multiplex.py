@@ -10,22 +10,16 @@ orthonormal basis and the single-stream mean gain carries over unchanged.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .bloch import optimal_precoder_vector
-from .errors import (
-    DimensionMismatchError,
-    InvalidSchemeError,
-    InvalidWeightsError,
-    NotUnitNormError,
-)
+from .errors import DimensionMismatchError, InvalidSchemeError, NotUnitNormError
 from .heisenberg import PAULI_SHIFTS, shift_operator
 from .wssus import (
     ScatteringFunction,
-    apply_A,
+    apply_interference,
     coerce_scheme_shifts,
     validate_density_operator,
 )
@@ -47,12 +41,7 @@ class Scheme:
     def __post_init__(self) -> None:
         if self.L < 1:
             raise InvalidSchemeError(f"dimension must be >= 1, got {self.L}")
-        reduced = tuple((int(m) % self.L, int(n) % self.L) for m, n in self.shifts)
-        if len(set(reduced)) != len(reduced):
-            raise InvalidSchemeError(f"shifts must be distinct mod {self.L}: {reduced}")
-        if (0, 0) not in reduced:
-            raise InvalidSchemeError("scheme must contain the origin shift (0, 0)")
-        object.__setattr__(self, "shifts", reduced)
+        object.__setattr__(self, "shifts", coerce_scheme_shifts(self.shifts, self.L))
 
     def __iter__(self):
         return iter(self.shifts)
@@ -130,50 +119,13 @@ def best_scheme(C: ScatteringFunction, gamma_proj, g_proj, n: int) -> Scheme:
         raise InvalidSchemeError(f"no crosstalk-free scheme exists for axis {n}")
     gamma_op = validate_density_operator(gamma_proj, C.L)
     g_op = validate_density_operator(g_proj, C.L)
-    mean_out = apply_A(C, gamma_op)
-    levels = []
-    for scheme in candidates:
-        (mu,) = scheme.nonzero_shifts
-        S = shift_operator(C.L, mu)
-        levels.append(complex(np.trace(S @ mean_out @ S.conj().T @ g_op)).real)
+    levels = [
+        complex(np.trace(apply_interference(C, gamma_op, scheme) @ g_op)).real
+        for scheme in candidates
+    ]
     best = min(levels)
     for scheme, level in zip(candidates, levels):
         if level - best <= 1e-12:
             return scheme
     return candidates[0]
 
-
-def two_stream_sinr(
-    C: ScatteringFunction, gamma_proj, g_proj, scheme, sigma2: float
-) -> float:
-    """SINR of either stream of a two-slot scheme.
-
-    Computes Tr(A(Gamma) G) / (sigma2 + Tr(S_mu A(Gamma) S_mu* G)) for the
-    scheme's nonzero shift mu.  The two streams see each other through
-    opposite relative shifts; both interference terms are evaluated and
-    must agree within 1e-12 (guaranteed at L=2, where mu and -mu coincide),
-    so the returned value applies to either stream.  A zero denominator is
-    reported as ``math.inf``.
-    """
-    if sigma2 < 0.0:
-        raise InvalidWeightsError(f"noise power must be >= 0, got {sigma2}")
-    shifts = coerce_scheme_shifts(scheme, C.L)
-    if len(shifts) != 2:
-        raise InvalidSchemeError(f"expected exactly two slots, got {len(shifts)}")
-    (mu,) = [s for s in shifts if s != (0, 0)]
-    gamma_op = validate_density_operator(gamma_proj, C.L)
-    g_op = validate_density_operator(g_proj, C.L)
-    mean_out = apply_A(C, gamma_op)
-    gain = complex(np.trace(mean_out @ g_op)).real
-    S = shift_operator(C.L, mu)
-    interf_first = complex(np.trace(S @ mean_out @ S.conj().T @ g_op)).real
-    interf_second = complex(np.trace(S.conj().T @ mean_out @ S @ g_op)).real
-    if abs(interf_first - interf_second) > 1e-12 * max(1.0, abs(interf_first)):
-        raise InvalidSchemeError(
-            "streams see unequal interference "
-            f"({interf_first!r} vs {interf_second!r}); scheme is not stream-symmetric"
-        )
-    denom = sigma2 + interf_first
-    if denom <= 0.0:
-        return math.inf
-    return float(gain / denom)

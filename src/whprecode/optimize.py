@@ -19,10 +19,12 @@ from .bloch import ScatteringQuad, map_matrix_rep
 from .errors import InvalidWeightsError
 from .wssus import (
     ScatteringFunction,
+    _map_rank_one,
     apply_A,
     apply_interference,
     random_unit_vector,
     validate_density_operator,
+    validate_noise_power,
 )
 
 _BATCH = 1 << 14
@@ -62,23 +64,6 @@ class OptimizationTrace:
     restart_values: tuple[float, ...]
 
 
-def _conjugation_batch(
-    vectors: np.ndarray, weights: np.ndarray, ops: np.ndarray, adjoint: bool = False
-) -> np.ndarray:
-    """Apply X -> sum_k w_k T_k X T_k* to a batch of rank-one projectors.
-
-    ``vectors`` has shape (R, L); T_k is S_k, or S_k* when ``adjoint``.
-    Returns the stacked (R, L, L) outputs.
-    """
-    R, L = vectors.shape
-    out = np.zeros((R, L, L), dtype=complex)
-    for wk, S in zip(weights, ops):
-        T = S.conj().T if adjoint else S
-        shifted = vectors @ T.T  # row r is (T v_r)^T
-        out += wk * np.einsum("ri,rj->rij", shifted, shifted.conj())
-    return out
-
-
 def optimal_receiver(
     C: ScatteringFunction, gamma_proj, scheme, sigma2: float
 ) -> tuple[np.ndarray, float]:
@@ -88,8 +73,7 @@ def optimal_receiver(
     (A(Gamma), C_scheme(Gamma) + sigma2 I); the eigenvalue is the SINR it
     achieves, an upper bound over all unit receive pulses.
     """
-    if sigma2 < 0.0:
-        raise InvalidWeightsError(f"noise power must be >= 0, got {sigma2}")
+    validate_noise_power(sigma2)
     gamma_op = validate_density_operator(gamma_proj, C.L)
     num = apply_A(C, gamma_op)
     den = apply_interference(C, gamma_op, scheme) + sigma2 * np.eye(C.L)
@@ -114,7 +98,7 @@ def alternating_fidelity_max(
     """
     if L != C.L:
         raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
-    weights, ops = C.kraus_operators()
+    forward, adjoint = C.diagonal_blocks()
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     gammas = np.stack(
         [random_unit_vector(np.random.default_rng(s), L) for s in children]
@@ -125,7 +109,7 @@ def alternating_fidelity_max(
     prev = np.full(cfg.restarts, -np.inf)
     converged = np.zeros(cfg.restarts, dtype=bool)
     for _ in range(cfg.max_iters):
-        lam, vecs = np.linalg.eigh(_conjugation_batch(gammas, weights, ops))
+        lam, vecs = np.linalg.eigh(_map_rank_one(forward, gammas))
         receivers = vecs[..., -1]
         obj = lam[..., -1]
         history.append(obj)
@@ -133,15 +117,13 @@ def alternating_fidelity_max(
         if converged.all():
             break
         prev = obj
-        lam_t, vecs_t = np.linalg.eigh(
-            _conjugation_batch(receivers, weights, ops, adjoint=True)
-        )
+        lam_t, vecs_t = np.linalg.eigh(_map_rank_one(adjoint, receivers))
         gammas = vecs_t[..., -1]
         history.append(lam_t[..., -1])
     if len(history) % 2 == 0:
         # Ended on a transmit half-step: refresh receivers so the returned
         # pair is mutually consistent.
-        lam, vecs = np.linalg.eigh(_conjugation_batch(gammas, weights, ops))
+        lam, vecs = np.linalg.eigh(_map_rank_one(forward, gammas))
         receivers = vecs[..., -1]
         history.append(lam[..., -1])
 
@@ -202,7 +184,7 @@ def fidelity_lower_bound_search(
         raise InvalidWeightsError(f"n_samples must be >= 1, got {n_samples}")
     if L != C.L:
         raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
-    weights, ops = C.kraus_operators()
+    forward = C.diagonal_blocks()[0]
     rng = np.random.default_rng(seed)
     best = -np.inf
     remaining = n_samples
@@ -211,8 +193,7 @@ def fidelity_lower_bound_search(
         z = rng.standard_normal((m, L, 2))
         vecs = z[..., 0] + 1j * z[..., 1]
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        outputs = _conjugation_batch(vecs, weights, ops)
-        lam = np.linalg.eigvalsh(outputs)[:, -1]
+        lam = np.linalg.eigvalsh(_map_rank_one(forward, vecs))[:, -1]
         best = max(best, float(np.max(lam)))
         remaining -= m
     return best

@@ -14,10 +14,15 @@ scattering-function container, the map ``A`` and its adjoint, the averaged
 interference map for a multiplexing scheme, the mean gain ("channel
 fidelity") and SINR functionals, per-realization sampling, and a property
 checker for the map's structural identities.
+
+Each of these maps, ``X -> sum_mu w(mu) S_mu X S_mu*`` for a weight grid
+``w``, multiplies every cyclic diagonal ``x_d[n] = X[(n+d) % L, n]`` by a
+circulant block, so one kernel on the diagonals serves them all.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -31,7 +36,7 @@ from .errors import (
     InvalidWeightsError,
     NonHermitianError,
 )
-from .heisenberg import PAULI_SHIFTS, all_shifts, shift_operator
+from .heisenberg import PAULI_SHIFTS, all_shifts, shift_operator, unit_phase
 
 WEIGHT_SUM_TOL = 1e-9
 DENSITY_TRACE_TOL = 1e-10
@@ -62,10 +67,11 @@ class ScatteringFunction:
             raise InvalidWeightsError(
                 f"weights must have shape ({self.L}, {self.L}), got {w.shape}"
             )
-        if np.any(w < 0.0):
-            raise InvalidWeightsError("weights must be nonnegative")
+        # Written so that NaN fails both checks.
+        if not np.all(w >= 0.0):
+            raise InvalidWeightsError("weights must be nonnegative numbers")
         total = float(w.sum())
-        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+        if not abs(total - 1.0) <= WEIGHT_SUM_TOL:
             raise InvalidWeightsError(f"weights must sum to 1 within 1e-9, got {total!r}")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
@@ -80,10 +86,8 @@ class ScatteringFunction:
         w = np.array(weights, dtype=float)
         if w.ndim != 2 or w.shape[0] != w.shape[1]:
             raise InvalidWeightsError(f"weights must be square, got shape {w.shape}")
-        if np.any(w < 0.0):
-            raise InvalidWeightsError("weights must be nonnegative")
         total = float(w.sum())
-        if total <= 0.0:
+        if not total > 0.0:
             raise InvalidWeightsError("weights must have positive total")
         return cls(w.shape[0], w / total)
 
@@ -125,8 +129,20 @@ class ScatteringFunction:
             if self.weights[mu] > 0.0
         )
 
+    def diagonal_blocks(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-diagonal blocks of the map ``A`` and of its adjoint, each (L, L, L)."""
+        cached = getattr(self, "_blocks_cache", None)
+        if cached is None:
+            blocks = _circulant_blocks(self.weights)
+            cached = (blocks, blocks.conj().swapaxes(-1, -2))
+            object.__setattr__(self, "_blocks_cache", cached)
+        return cached
+
     def kraus_operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (weights, shift operators) over the nonzero-weight shifts."""
+        """Stacked (weights, shift operators) over the nonzero-weight shifts.
+
+        The explicit Kraus form of ``A``, kept as the tests' reference.
+        """
         cached = getattr(self, "_kraus_cache", None)
         if cached is None:
             terms = self.nonzero_terms()
@@ -177,13 +193,6 @@ class CpPropertyReport:
     majorization_margin: float
 
 
-def _require_operand(X, L: int) -> np.ndarray:
-    A = linalg.require_square(X, "operand")
-    if A.shape != (L, L):
-        raise DimensionMismatchError(f"operand shape {A.shape} does not match L={L}")
-    return A
-
-
 def coerce_scheme_shifts(scheme, L: int) -> tuple[tuple[int, int], ...]:
     """Normalize a scheme (or iterable of shift pairs) to distinct shifts mod L.
 
@@ -200,6 +209,12 @@ def coerce_scheme_shifts(scheme, L: int) -> tuple[tuple[int, int], ...]:
     if (0, 0) not in reduced:
         raise InvalidSchemeError("scheme must contain the origin shift (0, 0)")
     return reduced
+
+
+def validate_noise_power(sigma2) -> None:
+    """Require a finite noise power sigma2 >= 0 (NaN fails)."""
+    if not 0.0 <= sigma2 < math.inf:
+        raise InvalidWeightsError(f"noise power must be finite and >= 0, got {sigma2}")
 
 
 def validate_density_operator(M, L: int | None = None, rank_one: bool = False) -> np.ndarray:
@@ -226,6 +241,66 @@ def validate_density_operator(M, L: int | None = None, rank_one: bool = False) -
     return A
 
 
+@functools.lru_cache(maxsize=None)
+def _layout(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Index and phase tables of the diagonal kernel at dimension L.
+
+    ``rows[d, n] = (n + d) mod L`` is the row of entry n of cyclic diagonal
+    d, ``lags[n, j] = (n - j) mod L``, and ``phases[mu2, d]`` is
+    exp(2*pi*i*mu2*d/L) from ``unit_phase``, so quarter turns stay exact.
+    """
+    n = np.arange(L)
+    turns = np.array([unit_phase(k, L) for k in range(L)])
+    tables = ((n + n[:, None]) % L, (n[:, None] - n) % L, turns[np.outer(n, n) % L])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _circulant_blocks(w: np.ndarray) -> np.ndarray:
+    """Blocks of  X -> sum_mu w(mu) S_mu X S_mu*  on the cyclic diagonals of X.
+
+    ``B[d][n, j] = c[(n - j) mod L, d]`` with
+    ``c[mu1, d] = sum_mu2 w(mu1, mu2) exp(2*pi*i*mu2*d/L)``.
+    """
+    _, lags, phases = _layout(w.shape[0])
+    return np.ascontiguousarray((w @ phases)[lags].transpose(2, 0, 1))
+
+
+def _map_diagonals(blocks: np.ndarray, diags: np.ndarray) -> np.ndarray:
+    """Multiply each cyclic diagonal by its block; the kernel behind every map.
+
+    ``diags[d, n, k] = X_k[(n + d) % L, n]`` for a stack of K operands X_k.
+    Returns the (K, L, L) stack of outputs.
+    """
+    L = blocks.shape[0]
+    out = np.empty(diags.shape, dtype=complex)
+    out[_layout(L)[0], np.arange(L)] = blocks @ diags
+    return out.transpose(2, 0, 1)
+
+
+def _map_operand(blocks: np.ndarray, X) -> np.ndarray:
+    """The map with these blocks applied to one (L, L) operand."""
+    L = blocks.shape[0]
+    A = linalg.require_square(X, "operand")
+    if A.shape != (L, L):
+        raise DimensionMismatchError(f"operand shape {A.shape} does not match L={L}")
+    diags = A[_layout(L)[0], np.arange(L)]
+    return _map_diagonals(blocks, diags[..., None])[0]
+
+
+def _map_rank_one(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """The map applied to the projectors v v* of the rows of ``vectors``.
+
+    The diagonals come straight from the vectors, so the (R, L, L) stack of
+    projectors is never formed.
+    """
+    vt = vectors.T
+    diags = vt[_layout(vectors.shape[1])[0]]
+    diags *= vt.conj()
+    return _map_diagonals(blocks, diags)
+
+
 def apply_A(C: ScatteringFunction, X) -> np.ndarray:
     """Averaged channel action  sum_mu C(mu) S_mu X S_mu*.
 
@@ -233,12 +308,7 @@ def apply_A(C: ScatteringFunction, X) -> np.ndarray:
     applied to a transmit projector this is the mean received operator
     before equalization.
     """
-    A = _require_operand(X, C.L)
-    w, ops = C.kraus_operators()
-    out = np.zeros_like(A)
-    for wk, S in zip(w, ops):
-        out += wk * (S @ A @ S.conj().T)
-    return out
+    return _map_operand(C.diagonal_blocks()[0], X)
 
 
 def apply_adjoint_A(C: ScatteringFunction, Y) -> np.ndarray:
@@ -247,29 +317,23 @@ def apply_adjoint_A(C: ScatteringFunction, Y) -> np.ndarray:
     Satisfies the pairing Tr(A(X) Y) = Tr(X A*(Y)), which turns the
     receiver-side view of the mean gain into a transmitter-side one.
     """
-    A = _require_operand(Y, C.L)
-    w, ops = C.kraus_operators()
-    out = np.zeros_like(A)
-    for wk, S in zip(w, ops):
-        out += wk * (S.conj().T @ A @ S)
-    return out
+    return _map_operand(C.diagonal_blocks()[1], Y)
 
 
 def apply_interference(C: ScatteringFunction, X, scheme) -> np.ndarray:
     """Averaged interference operator  sum_{mu in scheme, mu != 0} S_mu A(X) S_mu*.
 
     Each occupied slot of the multiplexing scheme other than the origin
-    contributes a shifted copy of the averaged channel output.
+    contributes a shifted copy of the averaged channel output.  Since
+    ``S_nu S_mu`` is ``S_(nu+mu)`` up to a phase, the sum is itself an
+    averaged map, with the scattering function rolled by each slot.
     """
-    shifts = coerce_scheme_shifts(scheme, C.L)
-    AX = apply_A(C, X)
-    out = np.zeros_like(AX)
-    for mu in shifts:
-        if mu == (0, 0):
-            continue
-        S = shift_operator(C.L, mu)
-        out += S @ AX @ S.conj().T
-    return out
+    lags = _layout(C.L)[1]
+    grid = np.zeros((C.L, C.L))
+    for nu1, nu2 in coerce_scheme_shifts(scheme, C.L):
+        if (nu1, nu2) != (0, 0):
+            grid += C.weights[lags[:, nu1]][:, lags[:, nu2]]  # C(mu - nu)
+    return _map_operand(_circulant_blocks(grid), X)
 
 
 def channel_fidelity(C: ScatteringFunction, gamma_proj, g_proj) -> float:
@@ -293,8 +357,7 @@ def sinr(C: ScatteringFunction, gamma_proj, g_proj, scheme, sigma2: float) -> fl
     is reported as ``math.inf`` rather than raising: that case legitimately
     arises for a single noiseless stream.
     """
-    if sigma2 < 0.0:
-        raise InvalidWeightsError(f"noise power must be >= 0, got {sigma2}")
+    validate_noise_power(sigma2)
     gamma_op = validate_density_operator(gamma_proj, C.L)
     g_op = validate_density_operator(g_proj, C.L)
     gain = complex(np.trace(apply_A(C, gamma_op) @ g_op)).real

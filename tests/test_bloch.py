@@ -47,6 +47,8 @@ def test_quad_validation():
         ScatteringQuad(0.4, 0.3, 0.4, 0.1)
     with pytest.raises(InvalidWeightsError):
         ScatteringQuad(1.2, -0.2, 0.0, 0.0)
+    with pytest.raises(InvalidWeightsError):
+        ScatteringQuad(float("nan"), 0.0, 0.0, 1.0)
 
 
 def test_bloch_to_matrix_axis_cases():

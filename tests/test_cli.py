@@ -71,9 +71,13 @@ def test_parse_rejects_unknown_config_key(tmp_path):
         parse_config(["solve", "--config", str(config)])
 
 
-def test_parse_general_requires_scattering():
+def test_parse_general_requires_scattering(tmp_path):
     with pytest.raises(InvalidConfigError, match="scattering:"):
         parse_config(["general", "--L", "4"])
+    config = tmp_path / "nan.json"
+    config.write_text(json.dumps({"scattering": [[float("nan"), 0.0], [0.0, 1.0]]}))
+    with pytest.raises(InvalidConfigError, match="scattering: weights must be nonnegative"):
+        parse_config(["general", "--config", str(config)])
 
 
 def test_parse_general_accepts_quad_at_l2():
@@ -286,3 +290,25 @@ def test_solve_oracle_agreement(capsys):
     oracle = json.loads(oracle_out)
     assert abs(solved - oracle["closed_form"]) <= 1e-12
     assert abs(solved - oracle["oracle_axes"]) <= abs(oracle["gap_axes"]) + 1e-15
+
+
+_QUAD = "0.4,0.3,0.2,0.1"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--p", "nan,0,0,1"],
+        ["oracle", "--p", _QUAD, "--samples", "100", "--seed", "-1"],
+        ["simulate", "--p", _QUAD, "--trials", "100", "--sigma2", "nan"],
+        ["solve", "--p", _QUAD, "--out", "{tmp}/missing-dir/out.json"],
+    ],
+    ids=["nan_weight", "negative_seed", "nan_sigma2", "unwritable_out"],
+)
+def test_contract_holes_exit_two(argv, tmp_path, capsys):
+    argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "missing-dir").exists()

@@ -9,14 +9,7 @@ from whprecode.bloch import optimal_precoder_vector, solve_fidelity
 from whprecode.errors import InvalidSchemeError, NotUnitNormError
 from whprecode.heisenberg import PAULI_SHIFTS, shift_operator
 from whprecode.linalg import rank_one_projector, unit_vector
-from whprecode.multiplex import (
-    Scheme,
-    best_scheme,
-    crosstalk,
-    frame_bounds,
-    select_schemes,
-    two_stream_sinr,
-)
+from whprecode.multiplex import Scheme, best_scheme, crosstalk, frame_bounds, select_schemes
 from whprecode.wssus import ScatteringFunction, apply_A, sinr
 
 NONZERO_SHIFTS = PAULI_SHIFTS[1:]  # (1,0), (1,1), (0,1) in Pauli order 1..3
@@ -117,7 +110,7 @@ def test_two_stream_sinr_worked_example():
     S = shift_operator(2, (0, 1))
     interf = np.trace(S @ apply_A(C, Gamma) @ S.conj().T @ G).real
     expected = 0.7 / (0.1 + interf)
-    got = two_stream_sinr(C, Gamma, G, Scheme(2, ((0, 0), (0, 1))), sigma2=0.1)
+    got = sinr(C, Gamma, G, Scheme(2, ((0, 0), (0, 1))), sigma2=0.1)
     assert abs(got - expected) <= 1e-12
     assert abs(interf - 0.3) <= 1e-12
 
@@ -125,10 +118,10 @@ def test_two_stream_sinr_worked_example():
 def test_two_stream_sinr_orthogonal_streams_identity_channel():
     C = ScatteringFunction.concentrated(2, (0, 0))
     P = rank_one_projector(optimal_precoder_vector(1))
-    value = two_stream_sinr(C, P, P, Scheme(2, ((0, 0), (0, 1))), sigma2=1.0)
+    value = sinr(C, P, P, Scheme(2, ((0, 0), (0, 1))), sigma2=1.0)
     assert abs(value - 1.0) <= 1e-12
     # And noiseless orthogonal streams are interference free.
-    assert two_stream_sinr(C, P, P, Scheme(2, ((0, 0), (0, 1))), sigma2=0.0) == math.inf
+    assert sinr(C, P, P, Scheme(2, ((0, 0), (0, 1))), sigma2=0.0) == math.inf
 
 
 def test_two_stream_sinr_equal_for_both_streams():
@@ -145,14 +138,15 @@ def test_two_stream_sinr_equal_for_both_streams():
         for mu in NONZERO_SHIFTS:
             scheme = Scheme(2, ((0, 0), mu))
             S = shift_operator(2, mu)
-            first = two_stream_sinr(C, Gamma, G, scheme, sigma2=0.2)
-            second = two_stream_sinr(
+            first = sinr(C, Gamma, G, scheme, sigma2=0.2)
+            second = sinr(
                 C, S @ Gamma @ S.conj().T, S @ G @ S.conj().T, scheme, sigma2=0.2
             )
             assert abs(first - second) <= 1e-12 * max(1.0, abs(first))
 
 
 def test_two_stream_sinr_matches_single_stream_formula():
+    # The two-slot SINR is Tr(A(Gamma) G) / (sigma2 + Tr(S_mu A(Gamma) S_mu* G)).
     rng = np.random.default_rng(2)
     for _ in range(20):
         w = rng.random(4)
@@ -162,17 +156,12 @@ def test_two_stream_sinr_matches_single_stream_formula():
         g = unit_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
         Gamma, G = rank_one_projector(gamma), rank_one_projector(g)
         scheme = Scheme(2, ((0, 0), (1, 0)))
-        assert abs(
-            two_stream_sinr(C, Gamma, G, scheme, sigma2=0.3)
-            - sinr(C, Gamma, G, scheme, sigma2=0.3)
-        ) <= 1e-12
-
-
-def test_two_stream_sinr_rejects_wrong_slot_count():
-    C = ScatteringFunction.uniform(2)
-    P = rank_one_projector(np.array([1.0, 0.0]))
-    with pytest.raises(InvalidSchemeError):
-        two_stream_sinr(C, P, P, Scheme(2, ((0, 0), (1, 0), (0, 1))), sigma2=0.1)
+        S = shift_operator(2, (1, 0))
+        mean_out = apply_A(C, Gamma)
+        expected = np.trace(mean_out @ G).real / (
+            0.3 + np.trace(S @ mean_out @ S.conj().T @ G).real
+        )
+        assert abs(sinr(C, Gamma, G, scheme, sigma2=0.3) - expected) <= 1e-12
 
 
 def test_optimal_pair_beats_random_precoders_when_interference_free():
@@ -196,11 +185,11 @@ def test_optimal_pair_beats_random_precoders_when_interference_free():
         S = shift_operator(2, mu)
         interf = np.trace(S @ apply_A(C, Gamma) @ S.conj().T @ G).real
         assert abs(interf) <= 1e-12
-        reference = two_stream_sinr(C, Gamma, G, scheme, sigma2=0.1)
+        reference = sinr(C, Gamma, G, scheme, sigma2=0.1)
         for _ in range(100):
             v = unit_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
             P = rank_one_projector(v)
-            assert two_stream_sinr(C, P, G, scheme, sigma2=0.1) <= reference + 1e-10
+            assert sinr(C, P, G, scheme, sigma2=0.1) <= reference + 1e-10
 
 
 def test_best_scheme_tie_breaks_lexicographically():

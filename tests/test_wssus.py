@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from whprecode.errors import (
     DimensionMismatchError,
@@ -15,6 +18,7 @@ from whprecode.heisenberg import all_shifts, pauli, shift_operator
 from whprecode.linalg import rank_one_projector, unit_vector
 from whprecode.wssus import (
     ScatteringFunction,
+    _map_rank_one,
     apply_A,
     apply_adjoint_A,
     apply_interference,
@@ -39,6 +43,10 @@ def test_weights_validation():
         ScatteringFunction(2, np.full((2, 2), 0.3))
     with pytest.raises(InvalidWeightsError):
         ScatteringFunction(3, np.full((2, 2), 0.25))
+    with pytest.raises(InvalidWeightsError):
+        ScatteringFunction(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))
+    with pytest.raises(InvalidWeightsError):
+        ScatteringFunction.renormalized(np.array([[np.nan, 1.0], [1.0, 1.0]]))
 
 
 def test_renormalized_accepts_sloppy_totals():
@@ -358,3 +366,102 @@ def test_realized_matrix_is_pauli_combination():
         + c[0, 1] * pauli(3)
     )
     np.testing.assert_allclose(H, expected, atol=1e-15)
+
+
+# The kernel against the explicit Kraus sum.  Operand entries have modulus
+# at most 1 and the weights of A sum to 1, so 1e-14 bounds the roundoff of
+# either form; the interference grid sums to the number of interfering
+# slots, which scales its bound.
+KERNEL_ATOL = 1e-14
+_ENTRIES = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+def kraus_reference(C, X, adjoint=False):
+    w, ops = C.kraus_operators()
+    out = np.zeros((C.L, C.L), dtype=complex)
+    for wk, S in zip(w, ops):
+        T = S.conj().T if adjoint else S
+        out += wk * (T @ X @ T.conj().T)
+    return out
+
+
+def kraus_rank_one_reference(C, vectors, adjoint=False):
+    return np.stack([kraus_reference(C, np.outer(v, v.conj()), adjoint) for v in vectors])
+
+
+@st.composite
+def operands(draw, C):
+    X = draw(arrays(complex, (C.L, C.L), elements=_ENTRIES))
+    vectors = draw(arrays(complex, (draw(st.integers(1, 4)), C.L), elements=_ENTRIES))
+    return X, vectors
+
+
+@st.composite
+def channels_and_operands(draw):
+    L = draw(st.integers(2, 8))
+    grid = draw(arrays(float, (L, L), elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
+    if not grid.sum() > 0.0:
+        grid[0, 0] = 1.0
+    C = ScatteringFunction.renormalized(grid)
+    shift = st.tuples(st.integers(0, L - 1), st.integers(0, L - 1))
+    scheme = {(0, 0), *draw(st.lists(shift, max_size=L * L))}
+    return (C, sorted(scheme), *draw(operands(C)))
+
+
+@st.composite
+def single_shift_channels_and_operands(draw):
+    if draw(st.booleans()):
+        C = ScatteringFunction.concentrated(draw(st.integers(2, 8)), (0, 0))
+    else:
+        L = draw(st.sampled_from([2, 4]))
+        mu = (draw(st.integers(0, L - 1)), draw(st.integers(0, L - 1)))
+        C = ScatteringFunction.concentrated(L, mu)
+    return (C, *draw(operands(C)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(channels_and_operands())
+def test_kernel_matches_kraus_reference(case):
+    C, scheme, X, vectors = case
+    np.testing.assert_allclose(apply_A(C, X), kraus_reference(C, X), rtol=0, atol=KERNEL_ATOL)
+    np.testing.assert_allclose(
+        apply_adjoint_A(C, X), kraus_reference(C, X, adjoint=True), rtol=0, atol=KERNEL_ATOL
+    )
+    interference = np.zeros((C.L, C.L), dtype=complex)
+    mean_out = kraus_reference(C, X)
+    for nu in scheme[1:]:
+        S = shift_operator(C.L, nu)
+        interference += S @ mean_out @ S.conj().T
+    np.testing.assert_allclose(
+        apply_interference(C, X, scheme),
+        interference,
+        rtol=0,
+        atol=KERNEL_ATOL * max(1, len(scheme) - 1),
+    )
+    forward, adjoint = C.diagonal_blocks()
+    np.testing.assert_allclose(
+        _map_rank_one(forward, vectors),
+        kraus_rank_one_reference(C, vectors),
+        rtol=0,
+        atol=KERNEL_ATOL,
+    )
+    np.testing.assert_allclose(
+        _map_rank_one(adjoint, vectors),
+        kraus_rank_one_reference(C, vectors, adjoint=True),
+        rtol=0,
+        atol=KERNEL_ATOL,
+    )
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(single_shift_channels_and_operands())
+def test_kernel_is_exact_on_single_shift_channels(case):
+    # Quarter-turn phases and the unit origin tap multiply without rounding.
+    C, X, vectors = case
+    forward, adjoint = C.diagonal_blocks()
+    assert np.array_equal(apply_A(C, X), kraus_reference(C, X))
+    assert np.array_equal(apply_adjoint_A(C, X), kraus_reference(C, X, adjoint=True))
+    assert np.array_equal(_map_rank_one(forward, vectors), kraus_rank_one_reference(C, vectors))
+    assert np.array_equal(
+        _map_rank_one(adjoint, vectors), kraus_rank_one_reference(C, vectors, adjoint=True)
+    )
