@@ -136,12 +136,12 @@ def matrix_to_bloch(X) -> np.ndarray:
     return np.array([complex(np.trace(A @ pauli(i))).real for i in range(4)])
 
 
-def is_on_bloch_manifold(x, tol: float = BLOCH_TOL) -> bool:
-    """True iff x parameterizes a rank-one projector: x0 = 1, |vec(x)| = 1."""
+def is_on_bloch_manifold(x) -> bool:
+    """True iff x parameterizes a rank-one projector: x0 = 1, |vec(x)| = 1 within 1e-10."""
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.shape != (4,):
         return False
-    return abs(v[0] - 1.0) <= tol and abs(np.linalg.norm(v[1:]) - 1.0) <= tol
+    return abs(v[0] - 1.0) <= BLOCH_TOL and abs(np.linalg.norm(v[1:]) - 1.0) <= BLOCH_TOL
 
 
 def map_matrix_rep(p) -> np.ndarray:
@@ -199,14 +199,7 @@ def solve_fidelity(p) -> FidelitySolution:
     2(p0+p_n)-1 is negative (sign(0) is taken as +1, where the objective
     is insensitive to the choice).
     """
-    q = ScatteringQuad.coerce(p)
-    gains = np.array(
-        [
-            2.0 * (q.p0 + q.p1) - 1.0,
-            2.0 * (q.p0 + q.p2) - 1.0,
-            2.0 * (q.p0 + q.p3) - 1.0,
-        ]
-    )
+    gains = 2.0 * np.diag(map_matrix_rep(p))[1:]  # 2(p0 + p_k) - 1, k = 1..3
     mags = np.abs(gains)
     best = float(np.max(mags))
     tied = tuple(k + 1 for k in range(3) if best - mags[k] <= TIE_TOL)

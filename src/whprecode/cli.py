@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
+import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,7 +44,18 @@ from .optimize import (
 from .wssus import ScatteringFunction, validate_noise_power
 
 _CONFIG_KEYS = ("p", "L", "sigma2", "trials", "samples", "seed", "scattering")
-_DEFAULTS = {"L": 2, "sigma2": 0.1, "trials": 100_000, "samples": 100_000, "seed": 0}
+# Number flags as (name, type, default, help): p0..p3 (no default), then the scalars.
+_NUMBER_FLAGS = (
+    ("p0", float, None, "weight of the identity shift"),
+    ("p1", float, None, "weight of the time shift"),
+    ("p2", float, None, "weight of the joint shift"),
+    ("p3", float, None, "weight of the frequency shift"),
+    ("L", int, 2, "signal space dimension"),
+    ("sigma2", float, 0.1, "noise power (default 0.1)"),
+    ("trials", int, 100_000, "Monte Carlo trials (default 1e5)"),
+    ("samples", int, 100_000, "oracle/search samples (default 1e5)"),
+    ("seed", int, 0, "master RNG seed (default 0)"),
+)
 _QUAD_COMMANDS = ("solve", "classify", "oracle", "simulate")
 _CASE_NUMBERS = {
     ChannelClass.NON_DISPERSIVE: 1,
@@ -60,7 +72,7 @@ _CASE_NARRATIVES = {
 }
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class RunConfig:
     """Validated inputs of one invocation."""
 
@@ -84,15 +96,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--p", default=absent, metavar="P0,P1,P2,P3",
                         help="four scattering weights, comma separated")
-    common.add_argument("--p0", type=float, default=absent, help="weight of the identity shift")
-    common.add_argument("--p1", type=float, default=absent, help="weight of the time shift")
-    common.add_argument("--p2", type=float, default=absent, help="weight of the joint shift")
-    common.add_argument("--p3", type=float, default=absent, help="weight of the frequency shift")
-    common.add_argument("--L", type=int, default=absent, help="signal space dimension")
-    common.add_argument("--sigma2", type=float, default=absent, help="noise power (default 0.1)")
-    common.add_argument("--trials", type=int, default=absent, help="Monte Carlo trials (default 1e5)")
-    common.add_argument("--samples", type=int, default=absent, help="oracle/search samples (default 1e5)")
-    common.add_argument("--seed", type=int, default=absent, help="master RNG seed (default 0)")
+    for name, kind, _, text in _NUMBER_FLAGS:
+        common.add_argument(f"--{name}", type=kind, default=absent, help=text)
     common.add_argument("--format", dest="output_format", choices=("json", "csv", "text"),
                         default=absent, help="output format (default json)")
     common.add_argument("--out", default=absent, metavar="PATH", help="write output to PATH")
@@ -120,7 +125,7 @@ def _load_config_file(path: str, violations: list[str]) -> dict:
     except OSError as exc:
         violations.append(f"config: cannot read {path}: {exc}")
         return {}
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         violations.append(f"config: invalid JSON in {path}: {exc}")
         return {}
     if not isinstance(data, dict):
@@ -132,28 +137,43 @@ def _load_config_file(path: str, violations: list[str]) -> dict:
     return data
 
 
-def _merge_scalar(name, flag_value, file_cfg, violations, kind):
-    value = flag_value
+def _config_numbers(raw, kind, ranks):
+    """A config-file value as a ``kind`` number or a float array, or None.
+
+    The one type check for config values: a JSON number (booleans and
+    numeric strings are not numbers) or a rectangular nested list of
+    numbers whose nesting depth is one of ``ranks``.
+    """
+    cells, depth = [raw], 0
+    while depth < max(ranks) and cells and all(isinstance(c, list) for c in cells):
+        if len({len(c) for c in cells}) > 1:
+            return None  # ragged
+        cells, depth = [x for c in cells for x in c], depth + 1
+    if depth not in ranks or not all(
+        isinstance(c, (int, kind)) and not isinstance(c, bool) for c in cells
+    ):
+        return None
+    try:
+        return kind(raw) if depth == 0 else np.array(raw, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        return None
+
+
+def _merge_scalar(name, kind, default, args, file_cfg, violations):
+    value = getattr(args, name, None)
     if value is None and name in file_cfg:
-        raw = file_cfg[name]
-        ok_types = int if kind is int else (int, float)
-        if isinstance(raw, bool) or not isinstance(raw, ok_types):
+        value = _config_numbers(file_cfg[name], kind, (0,))
+        if value is None:
             noun = "an integer" if kind is int else "a number"
-            violations.append(f"{name}: must be {noun}, got {raw!r}")
-        else:
-            value = kind(raw)
-    if value is None:
-        value = _DEFAULTS[name]
-    return value
+            violations.append(f"{name}: must be {noun}, got {file_cfg[name]!r}")
+    return default if value is None else value
 
 
 def _assemble_quad(args, file_cfg, violations) -> ScatteringQuad | None:
     components: list[float | None] = [None, None, None, None]
     if "p" in file_cfg:
-        raw = file_cfg["p"]
-        if not isinstance(raw, list) or len(raw) != 4 or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in raw
-        ):
+        raw = _config_numbers(file_cfg["p"], float, (1,))
+        if raw is None or len(raw) != 4:
             violations.append("p: config value must be a list of four numbers")
         else:
             components = [float(v) for v in raw]
@@ -186,14 +206,14 @@ def _assemble_quad(args, file_cfg, violations) -> ScatteringQuad | None:
 
 
 def _assemble_scattering(file_cfg, L, quad, violations) -> ScatteringFunction | None:
-    raw = file_cfg.get("scattering")
-    if raw is not None:
-        grid = np.asarray(raw, dtype=float)
-        if grid.ndim == 1 and grid.size == L * L:
+    if "scattering" in file_cfg:
+        grid = _config_numbers(file_cfg["scattering"], float, (1, 2))
+        if grid is not None and grid.shape == (L * L,):
             grid = grid.reshape(L, L)
-        if grid.shape != (L, L):
+        if grid is None or grid.shape != (L, L):
+            got = repr(file_cfg["scattering"]) if grid is None else f"shape {grid.shape}"
             violations.append(
-                f"scattering: must be an {L}x{L} grid (nested or flat row-major), got shape {grid.shape}"
+                f"scattering: must be an {L}x{L} grid (nested or flat row-major), got {got}"
             )
             return None
         try:
@@ -217,11 +237,10 @@ def parse_config(argv=None) -> RunConfig:
     config_path = getattr(args, "config", None)
     file_cfg = _load_config_file(config_path, violations) if config_path else {}
 
-    L = _merge_scalar("L", getattr(args, "L", None), file_cfg, violations, int)
-    sigma2 = _merge_scalar("sigma2", getattr(args, "sigma2", None), file_cfg, violations, float)
-    trials = _merge_scalar("trials", getattr(args, "trials", None), file_cfg, violations, int)
-    samples = _merge_scalar("samples", getattr(args, "samples", None), file_cfg, violations, int)
-    seed = _merge_scalar("seed", getattr(args, "seed", None), file_cfg, violations, int)
+    L, sigma2, trials, samples, seed = (
+        _merge_scalar(name, kind, default, args, file_cfg, violations)
+        for name, kind, default, _ in _NUMBER_FLAGS[4:]
+    )
 
     if L < 1:
         violations.append(f"L: must be >= 1, got {L}")
@@ -286,8 +305,6 @@ def _family_flags(quad: ScatteringQuad) -> tuple[bool, bool]:
 def _cmd_solve(cfg: RunConfig) -> dict:
     solution = solve_fidelity(cfg.quad)
     return {
-        "command": "solve",
-        "p": [float(v) for v in cfg.quad.as_tuple()],
         "fidelity": solution.fidelity,
         "n_star": solution.n_star,
         "sign": solution.sign,
@@ -314,8 +331,6 @@ def _cmd_classify(cfg: RunConfig) -> dict:
     if best:
         narrative += "; off-origin power on one axis (gain-maximizing family for this p0)"
     return {
-        "command": "classify",
-        "p": [float(v) for v in cfg.quad.as_tuple()],
         "channel_class": channel_class.value,
         "case": case,
         "narrative": narrative,
@@ -330,8 +345,6 @@ def _cmd_oracle(cfg: RunConfig) -> dict:
     with_axes = brute_force_bloch_oracle(cfg.quad, cfg.samples, include_axes=True, seed=cfg.seed)
     random_only = brute_force_bloch_oracle(cfg.quad, cfg.samples, include_axes=False, seed=cfg.seed)
     return {
-        "command": "oracle",
-        "p": [float(v) for v in cfg.quad.as_tuple()],
         "samples": cfg.samples,
         "seed": cfg.seed,
         "closed_form": closed,
@@ -361,8 +374,6 @@ def _cmd_simulate(cfg: RunConfig) -> dict:
         seed=cfg.seed,
     )
     return {
-        "command": "simulate",
-        "p": [float(v) for v in cfg.quad.as_tuple()],
         "sigma2": cfg.sigma2,
         "trials": report.trials,
         "seed": report.seed,
@@ -386,19 +397,10 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
     grid = [i / 100.0 for i in range(101)]
     rows = sweep_p0(grid, trials=cfg.trials, seed=cfg.seed)
     return {
-        "command": "sweep",
         "trials": cfg.trials,
         "seed": cfg.seed,
         "points": len(rows),
-        "rows": [
-            {
-                "p0": row.p0,
-                "fidelity": row.fidelity,
-                "mc_gain": row.mc_gain,
-                "stderr": row.stderr,
-            }
-            for row in rows
-        ],
+        "rows": [dataclasses.asdict(row) for row in rows],
     }
 
 
@@ -407,7 +409,6 @@ def _cmd_general(cfg: RunConfig) -> dict:
     lower = fidelity_lower_bound_search(C, cfg.L, cfg.samples, seed=cfg.seed)
     trace = alternating_fidelity_max(C, cfg.L, OptimizerConfig(seed=cfg.seed))
     return {
-        "command": "general",
         "L": cfg.L,
         "samples": cfg.samples,
         "seed": cfg.seed,
@@ -434,8 +435,16 @@ _COMMANDS = {
 
 
 def dispatch(cfg: RunConfig) -> dict:
-    """Run the configured command and return its report document."""
-    return _COMMANDS[cfg.command](cfg)
+    """Run the configured command and return its report document.
+
+    The document starts with the command name and, for the L=2 commands,
+    the weights it ran on.
+    """
+    doc = {"command": cfg.command}
+    if cfg.command in _QUAD_COMMANDS:
+        doc["p"] = [float(v) for v in cfg.quad.as_tuple()]
+    doc.update(_COMMANDS[cfg.command](cfg))
+    return doc
 
 
 def _fmt(value) -> str:
@@ -443,13 +452,17 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return f"{value:.12g}"
+    if isinstance(value, (list, tuple)):
+        return "[" + ", ".join(_fmt(v) for v in value) + "]"
     return str(value)
 
 
 def _canonical(value):
-    if isinstance(value, bool):
-        return value
     if isinstance(value, float):
+        if math.isnan(value):
+            raise FloatingPointError("NaN in the report")
+        if math.isinf(value):
+            return _fmt(value)  # "inf" or "-inf", as in the CSV and text formats
         return float(f"{value:.12g}")
     if isinstance(value, dict):
         return {k: _canonical(v) for k, v in value.items()}
@@ -459,53 +472,52 @@ def _canonical(value):
 
 
 def render_json(doc: dict) -> str:
-    """Canonical JSON: sorted keys, floats at 12 significant digits."""
-    return json.dumps(_canonical(doc), sort_keys=True, indent=2) + "\n"
+    """Canonical JSON: sorted keys, floats at 12 significant digits, infinities as "inf"."""
+    return json.dumps(_canonical(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _flatten_for_csv(doc: dict) -> dict:
-    flat = {}
-    for key, value in doc.items():
-        if key in ("command", "rows"):
-            continue
-        if key == "p":
-            for i, v in enumerate(value):
-                flat[f"p{i}"] = _fmt(v)
-        elif key in ("precoder", "equalizer"):
-            flat[key] = ";".join(f"{re:.12g}{im:+.12g}j" for re, im in value)
-        elif key == "scheme":
-            flat[key] = "|".join(f"{m},{n}" for m, n in value)
-        elif key == "schemes":
-            flat[key] = " ".join(
-                "|".join(f"{m},{n}" for m, n in scheme) for scheme in value
-            )
-        elif key in ("tied", "x_opt", "y_opt"):
-            flat[key] = "|".join(_fmt(v) for v in value)
-        elif key == "scattering":
-            flat[key] = "|".join(_fmt(v) for row in value for v in row)
-        elif key == "alternating":
-            flat["alternating_best"] = _fmt(value["best_value"])
-            flat["alternating_converged"] = _fmt(value["converged"])
-            flat["restarts"] = _fmt(value["restarts"])
-        else:
-            flat[key] = _fmt(value)
-    return flat
+def _joined(sep, item=_fmt):
+    return lambda value: sep.join(map(item, value))
+
+
+_complex_cell = _joined(";", "{0[0]:.12g}{0[1]:+.12g}j".format)
+_shift_cell = _joined("|", "{0[0]},{0[1]}".format)
+# How each report field becomes CSV cells: one cell, or a dict of named
+# cells.  Fields not listed here are one cell formatted by _fmt.
+_CSV_CELLS = {
+    "command": lambda value: {},
+    "p": lambda value: {f"p{i}": _fmt(v) for i, v in enumerate(value)},
+    "precoder": _complex_cell,
+    "equalizer": _complex_cell,
+    "scheme": _shift_cell,
+    "schemes": _joined(" ", _shift_cell),
+    "tied": _joined("|"),
+    "x_opt": _joined("|"),
+    "y_opt": _joined("|"),
+    "scattering": _joined("|", _joined("|")),
+    "alternating": lambda value: {
+        "alternating_best": _fmt(value["best_value"]),
+        "alternating_converged": _fmt(value["converged"]),
+        "restarts": _fmt(value["restarts"]),
+    },
+}
+
+
+def _csv_row(record: dict) -> dict:
+    row = {}
+    for key, value in record.items():
+        cells = _CSV_CELLS.get(key, _fmt)(value)
+        row.update(cells if isinstance(cells, dict) else {key: cells})
+    return row
 
 
 def render_csv(doc: dict) -> str:
-    """Fixed per-command columns; sweep emits one row per grid point."""
+    """Fixed per-command columns: one row, or one per grid point for sweep."""
+    rows = [_csv_row(record) for record in doc.get("rows", [doc])]
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    if doc["command"] == "sweep":
-        writer.writerow(["p0", "fidelity", "mc_gain", "stderr"])
-        for row in doc["rows"]:
-            writer.writerow(
-                [_fmt(row["p0"]), _fmt(row["fidelity"]), _fmt(row["mc_gain"]), _fmt(row["stderr"])]
-            )
-    else:
-        flat = _flatten_for_csv(doc)
-        writer.writerow(list(flat))
-        writer.writerow(list(flat.values()))
+    writer.writerow(list(rows[0]))
+    writer.writerows(row.values() for row in rows)
     return buffer.getvalue()
 
 
@@ -522,16 +534,10 @@ def render_text(doc: dict) -> str:
                 )
         elif isinstance(value, dict):
             for sub_key, sub_value in value.items():
-                lines.append(f"{key}.{sub_key}: {_fmt_nested(sub_value)}")
+                lines.append(f"{key}.{sub_key}: {_fmt(sub_value)}")
         else:
-            lines.append(f"{key}: {_fmt_nested(value)}")
+            lines.append(f"{key}: {_fmt(value)}")
     return "\n".join(lines) + "\n"
-
-
-def _fmt_nested(value) -> str:
-    if isinstance(value, (list, tuple)):
-        return "[" + ", ".join(_fmt_nested(v) for v in value) + "]"
-    return _fmt(value)
 
 
 _RENDERERS = {"json": render_json, "csv": render_csv, "text": render_text}
@@ -547,14 +553,13 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
     try:
-        doc = dispatch(cfg)
+        rendered = _RENDERERS[cfg.output_format](dispatch(cfg))
     except WHPrecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    rendered = _RENDERERS[cfg.output_format](doc)
     if cfg.output_path:
         try:
             with open(cfg.output_path, "w", encoding="utf-8") as fh:

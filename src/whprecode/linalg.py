@@ -3,8 +3,8 @@
 Thin, contract-enforcing wrappers over LAPACK via numpy: an ordinary
 hermitian eigensolver, the hermitian-definite generalized eigenproblem
 (solved by Cholesky reduction) that the receiver optimizer needs, and
-rank-one projectors.  Dimensions in this package are tiny (L <= 8), so
-robustness and clear failure modes win over speed.
+rank-one projectors.  Operators here are small (the benchmark runs L up
+to 32), so robustness and clear failure modes win over speed.
 """
 
 from __future__ import annotations
@@ -29,12 +29,14 @@ def require_square(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def require_hermitian(M, tol: float = HERMITIAN_TOL, name: str = "matrix") -> np.ndarray:
-    """Return M as a complex array, raising if max|M - M*| exceeds tol."""
+def require_hermitian(M, name: str = "matrix") -> np.ndarray:
+    """Return M as a complex array, raising if max|M - M*| exceeds 1e-12."""
     A = require_square(M, name)
     defect = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
-    if defect > tol:
-        raise NonHermitianError(f"{name} is not hermitian (defect {defect:.3e} > {tol:.1e})")
+    if defect > HERMITIAN_TOL:
+        raise NonHermitianError(
+            f"{name} is not hermitian (defect {defect:.3e} > {HERMITIAN_TOL:.1e})"
+        )
     return A
 
 

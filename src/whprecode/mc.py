@@ -20,7 +20,9 @@ from .heisenberg import shift_operator
 from .linalg import rank_one_projector
 from .wssus import (
     ScatteringFunction,
-    apply_interference,
+    _interference_level,
+    _rayleigh_taps,
+    _sinr_ratio,
     channel_fidelity,
     coerce_scheme_shifts,
     validate_noise_power,
@@ -82,10 +84,6 @@ class _RunningMoments:
         return math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
 
 
-def _ratio(num: float, denom: float) -> float:
-    return math.inf if denom <= 0.0 else num / denom
-
-
 def _inner(a, b) -> complex:
     # Plain left-to-right complex arithmetic: BLAS dot kernels may use FMA,
     # which breaks the exact cancellation that orthogonal pulses rely on
@@ -126,7 +124,6 @@ def estimate_expectations(
     interferers = [mu for mu in shifts if mu != (0, 0)]
 
     terms = C.nonzero_terms()
-    tap_weights = np.array([w for _, w in terms])
     # Coupling of each channel tap into the reference slot and into the
     # shifted transmit pulses occupying the other slots.
     gain_coupling = np.array(
@@ -139,27 +136,20 @@ def estimate_expectations(
             interf_coupling[i, j] = _inner(g, shift_operator(C.L, mu) @ shifted)
 
     rng = np.random.default_rng(seed)
-    scale = np.sqrt(tap_weights / 2.0)
     gain_stats = _RunningMoments()
     interf_stats = _RunningMoments()
     remaining = trials
     while remaining > 0:
         m = min(remaining, _CHUNK)
-        z = rng.standard_normal((m, len(terms), 2))
-        taps = (z[..., 0] + 1j * z[..., 1]) * scale
+        taps = _rayleigh_taps(C, rng, (m,))
         gain_stats.add_chunk(np.abs(taps @ gain_coupling) ** 2)
-        if interferers:
-            interf_stats.add_chunk(np.sum(np.abs(taps @ interf_coupling) ** 2, axis=1))
-        else:
-            interf_stats.add_chunk(np.zeros(m))
+        interf_stats.add_chunk(np.sum(np.abs(taps @ interf_coupling) ** 2, axis=1))
         remaining -= m
 
     gamma_op = rank_one_projector(gamma / np.linalg.norm(gamma))
     g_op = rank_one_projector(g / np.linalg.norm(g))
     analytic_gain = channel_fidelity(C, gamma_op, g_op)
-    analytic_interf = float(
-        complex(np.trace(apply_interference(C, gamma_op, shifts) @ g_op)).real
-    )
+    analytic_interf = _interference_level(C, gamma_op, g_op, shifts)
     return McReport(
         trials=trials,
         seed=seed,
@@ -170,8 +160,8 @@ def estimate_expectations(
         stderr_interf=interf_stats.stderr(),
         analytic_gain=analytic_gain,
         analytic_interf=analytic_interf,
-        sinr_empirical=_ratio(gain_stats.mean, sigma2 + interf_stats.mean),
-        sinr_analytic=_ratio(analytic_gain, sigma2 + analytic_interf),
+        sinr_empirical=_sinr_ratio(gain_stats.mean, sigma2, interf_stats.mean),
+        sinr_analytic=_sinr_ratio(analytic_gain, sigma2, analytic_interf),
     )
 
 

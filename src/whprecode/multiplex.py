@@ -19,7 +19,7 @@ from .errors import DimensionMismatchError, InvalidSchemeError, NotUnitNormError
 from .heisenberg import PAULI_SHIFTS, shift_operator
 from .wssus import (
     ScatteringFunction,
-    apply_interference,
+    _interference_level,
     coerce_scheme_shifts,
     validate_density_operator,
 )
@@ -119,10 +119,7 @@ def best_scheme(C: ScatteringFunction, gamma_proj, g_proj, n: int) -> Scheme:
         raise InvalidSchemeError(f"no crosstalk-free scheme exists for axis {n}")
     gamma_op = validate_density_operator(gamma_proj, C.L)
     g_op = validate_density_operator(g_proj, C.L)
-    levels = [
-        complex(np.trace(apply_interference(C, gamma_op, scheme) @ g_op)).real
-        for scheme in candidates
-    ]
+    levels = [_interference_level(C, gamma_op, g_op, scheme) for scheme in candidates]
     best = min(levels)
     for scheme, level in zip(candidates, levels):
         if level - best <= 1e-12:

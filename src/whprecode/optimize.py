@@ -19,6 +19,7 @@ from .bloch import ScatteringQuad, map_matrix_rep
 from .errors import InvalidWeightsError
 from .wssus import (
     ScatteringFunction,
+    _complex_gaussian,
     _map_rank_one,
     apply_A,
     apply_interference,
@@ -129,12 +130,13 @@ def alternating_fidelity_max(
 
     finals = history[-1]
     best = int(np.argmax(finals))
+    # The gain is at most 1; clip roundoff above it, as channel_fidelity does.
     return OptimizationTrace(
-        objective_history=tuple(float(h[best]) for h in history),
+        objective_history=tuple(min(1.0, float(h[best])) for h in history),
         converged=bool(converged[best]),
-        best_value=float(finals[best]),
+        best_value=min(1.0, float(finals[best])),
         best_pair=(gammas[best].copy(), receivers[best].copy()),
-        restart_values=tuple(float(v) for v in finals),
+        restart_values=tuple(min(1.0, float(v)) for v in finals),
     )
 
 
@@ -190,10 +192,9 @@ def fidelity_lower_bound_search(
     remaining = n_samples
     while remaining > 0:
         m = min(remaining, _BATCH)
-        z = rng.standard_normal((m, L, 2))
-        vecs = z[..., 0] + 1j * z[..., 1]
+        vecs = _complex_gaussian(rng, (m, L))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         lam = np.linalg.eigvalsh(_map_rank_one(forward, vecs))[:, -1]
         best = max(best, float(np.max(lam)))
         remaining -= m
-    return best
+    return min(1.0, best)

@@ -217,12 +217,8 @@ def validate_noise_power(sigma2) -> None:
         raise InvalidWeightsError(f"noise power must be finite and >= 0, got {sigma2}")
 
 
-def validate_density_operator(M, L: int | None = None, rank_one: bool = False) -> np.ndarray:
-    """Check trace one, hermiticity and positive semidefiniteness of M.
-
-    With ``rank_one=True`` additionally requires Tr(M^2) = 1, i.e. M is an
-    orthogonal projector onto a single pulse.
-    """
+def validate_density_operator(M, L: int | None = None) -> np.ndarray:
+    """Check trace one, hermiticity and positive semidefiniteness of M."""
     try:
         A = linalg.require_hermitian(M, name="density operator")
     except (DimensionMismatchError, NonHermitianError) as exc:
@@ -234,10 +230,6 @@ def validate_density_operator(M, L: int | None = None, rank_one: bool = False) -
         raise InvalidDensityOperatorError(f"trace must be 1 within 1e-10, got {trace!r}")
     if np.linalg.eigvalsh(A)[0] < -DENSITY_EIG_TOL:
         raise InvalidDensityOperatorError("density operator must be positive semidefinite")
-    if rank_one:
-        purity = complex(np.trace(A @ A)).real
-        if abs(purity - 1.0) > DENSITY_TRACE_TOL:
-            raise InvalidDensityOperatorError(f"Tr(M^2) must be 1 for rank one, got {purity!r}")
     return A
 
 
@@ -361,24 +353,44 @@ def sinr(C: ScatteringFunction, gamma_proj, g_proj, scheme, sigma2: float) -> fl
     gamma_op = validate_density_operator(gamma_proj, C.L)
     g_op = validate_density_operator(g_proj, C.L)
     gain = complex(np.trace(apply_A(C, gamma_op) @ g_op)).real
-    interference = complex(np.trace(apply_interference(C, gamma_op, scheme) @ g_op)).real
+    return _sinr_ratio(gain, sigma2, _interference_level(C, gamma_op, g_op, scheme))
+
+
+def _interference_level(C: ScatteringFunction, gamma_op, g_op, scheme) -> float:
+    """Averaged interference Tr(C_scheme(Gamma) G) of validated operators."""
+    return complex(np.trace(apply_interference(C, gamma_op, scheme) @ g_op)).real
+
+
+def _sinr_ratio(gain: float, sigma2: float, interference: float) -> float:
+    """gain / (sigma2 + interference), ``math.inf`` when the denominator is zero."""
     denom = sigma2 + interference
-    if denom <= 0.0:
-        return math.inf
-    return float(gain / denom)
+    return math.inf if denom <= 0.0 else float(gain / denom)
+
+
+def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Array of x + iy with x, y independent standard normals: the one complex draw."""
+    z = rng.standard_normal((*shape, 2))
+    return z[..., 0] + 1j * z[..., 1]
+
+
+def _rayleigh_taps(C: ScatteringFunction, rng: np.random.Generator, shape=()) -> np.ndarray:
+    """Rayleigh taps  sqrt(C(mu)/2) (x + iy)  over ``C.nonzero_terms()``, last axis.
+
+    Each tap is circularly symmetric complex Gaussian with E|tap|^2 = C(mu).
+    """
+    weights = np.array([w for _, w in C.nonzero_terms()])
+    return _complex_gaussian(rng, (*shape, weights.size)) * np.sqrt(weights / 2.0)
 
 
 def random_unit_vector(rng: np.random.Generator, L: int) -> np.ndarray:
     """Unit vector uniform on the complex sphere in C^L."""
-    z = rng.standard_normal((L, 2))
-    v = z[:, 0] + 1j * z[:, 1]
+    v = _complex_gaussian(rng, (L,))
     return v / np.linalg.norm(v)
 
 
 def random_density_operator(rng: np.random.Generator, L: int) -> np.ndarray:
     """Random trace-one positive semidefinite matrix (normalized Wishart)."""
-    z = rng.standard_normal((L, L, 2))
-    G = z[..., 0] + 1j * z[..., 1]
+    G = _complex_gaussian(rng, (L, L))
     W = G @ G.conj().T
     W = (W + W.conj().T) / 2.0  # BLAS products are not bitwise symmetric
     return W / np.trace(W).real
@@ -432,12 +444,8 @@ def sample_realization(C: ScatteringFunction, rng) -> ChannelRealization:
     """
     gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     coeffs = np.zeros((C.L, C.L), dtype=complex)
-    terms = C.nonzero_terms()
-    if terms:
-        z = gen.standard_normal((len(terms), 2))
-        taps = (z[:, 0] + 1j * z[:, 1]) / np.sqrt(2.0)
-        for (mu, weight), tap in zip(terms, taps):
-            coeffs[mu] = np.sqrt(weight) * tap
+    for (mu, _), tap in zip(C.nonzero_terms(), _rayleigh_taps(C, gen)):
+        coeffs[mu] = tap
     return ChannelRealization(C.L, coeffs)
 
 

@@ -1,9 +1,13 @@
 """Tests for the command line front end."""
 
+import contextlib
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whprecode.cli import main, parse_config, render_json
 from whprecode.errors import InvalidConfigError
@@ -213,15 +217,35 @@ def test_general_uniform_l4(capsys, tmp_path):
     assert abs(doc["lower_bound"] - 0.25) <= 1e-9
 
 
+def strict_json(text):
+    """Parse JSON, rejecting the NaN and Infinity tokens that JSON lacks."""
+
+    def reject(token):
+        raise ValueError(f"non-JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def test_json_round_trip_is_stable(capsys):
     for argv in (
         ["solve", "--p", "0.4,0.3,0.2,0.1"],
         ["oracle", "--p", "0.1,0.2,0.3,0.4", "--samples", "500"],
         ["simulate", "--p", "0.25,0.25,0.25,0.25", "--trials", "100"],
+        ["simulate", "--p", "1,0,0,0", "--sigma2", "0", "--trials", "100"],
     ):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
-        assert render_json(json.loads(out)) == out
+        assert render_json(strict_json(out)) == out
+
+
+def test_infinite_sinr_renders_as_inf_token(capsys):
+    for fmt, token in (("json", '"inf"'), ("csv", "inf"), ("text", "inf")):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--p", "1,0,0,0", "--sigma2", "0", "--trials", "100",
+            "--format", fmt,
+        )
+        assert code == 0
+        assert token in out
 
 
 def test_out_flag_writes_file(tmp_path, capsys):
@@ -274,11 +298,17 @@ def test_numerical_failure_exits_three(monkeypatch, capsys):
     def explode(cfg):
         raise np.linalg.LinAlgError("synthetic failure")
 
-    monkeypatch.setitem(cli._COMMANDS, "solve", explode)
-    code = cli.main(["solve", "--p", "1,0,0,0"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert "numerical failure" in captured.err
+    def report_nan(cfg):
+        return {"fidelity": float("nan")}
+
+    for command in (explode, report_nan):
+        monkeypatch.setitem(cli._COMMANDS, "solve", command)
+        code = cli.main(["solve", "--p", "1,0,0,0"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ")
+        assert captured.err.count("\n") == 1
 
 
 def test_solve_oracle_agreement(capsys):
@@ -293,22 +323,127 @@ def test_solve_oracle_agreement(capsys):
 
 
 _QUAD = "0.4,0.3,0.2,0.1"
+_GENERAL_CONFIG = ["general", "--config", "{tmp}/cfg.json"]
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, config",
     [
-        ["solve", "--p", "nan,0,0,1"],
-        ["oracle", "--p", _QUAD, "--samples", "100", "--seed", "-1"],
-        ["simulate", "--p", _QUAD, "--trials", "100", "--sigma2", "nan"],
-        ["solve", "--p", _QUAD, "--out", "{tmp}/missing-dir/out.json"],
+        (["solve", "--p", "nan,0,0,1"], None),
+        (["oracle", "--p", _QUAD, "--samples", "100", "--seed", "-1"], None),
+        (["simulate", "--p", _QUAD, "--trials", "100", "--sigma2", "nan"], None),
+        (["solve", "--p", _QUAD, "--out", "{tmp}/missing-dir/out.json"], None),
+        (_GENERAL_CONFIG, {"scattering": "abc", "L": 2}),
+        (_GENERAL_CONFIG, {"scattering": {"a": 1}, "L": 2}),
+        (_GENERAL_CONFIG, {"scattering": [[0.5, 0.5], [0]], "L": 2}),
+        (["solve", "--config", "{tmp}/cfg.json"], b'{"p": [1, 0, 0, 0], "L": "\xff"}'),
+        (_GENERAL_CONFIG, {"scattering": [[True, False], [False, False]], "L": 2}),
+        (_GENERAL_CONFIG, {"scattering": [["1", "0"], ["0", "0"]], "L": 2}),
+        (["solve", "--config", "{tmp}/cfg.json"], {"p": [True, False, False, False]}),
+        (["solve", "--config", "{tmp}/cfg.json"], {"p": ["1", "0", "0", "0"]}),
     ],
-    ids=["nan_weight", "negative_seed", "nan_sigma2", "unwritable_out"],
+    ids=[
+        "nan_weight", "negative_seed", "nan_sigma2", "unwritable_out",
+        "scattering_string", "scattering_object", "scattering_ragged", "config_not_utf8",
+        "scattering_booleans", "scattering_numeric_strings", "p_booleans",
+        "p_numeric_strings",
+    ],
 )
-def test_contract_holes_exit_two(argv, tmp_path, capsys):
+def test_contract_holes_exit_two(argv, config, tmp_path, capsys):
+    if config is not None:
+        raw = config if isinstance(config, bytes) else json.dumps(config).encode()
+        (tmp_path / "cfg.json").write_bytes(raw)
     argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert not (tmp_path / "missing-dir").exists()
+
+
+# The CLI contract over whole input spaces: random argv over the real flags
+# and random config files.  Counts and L stay small so each run is quick;
+# each flag value is garbage one time in four.
+_JUNK = st.sampled_from(["nan", "inf", "-inf", "-1", "0", "1e309", "", "abc", "1,2", "0x10"])
+_QUADS = ["0.4,0.3,0.2,0.1", "1,0,0,0", "0.25,0.25,0.25,0.25", "0,0.5,0,0.5"]
+
+
+def _pool(*values):
+    return st.one_of(st.sampled_from(values), st.sampled_from(values), st.sampled_from(values), _JUNK)
+
+
+_FLAG_VALUES = {
+    "--p": _pool(*_QUADS, "nan,0,0,1", "1,0,0", "0.5,0.5,0.5,-0.5"),
+    **{f"--p{i}": _pool("0", "0.25", "0.5", "1") for i in range(4)},
+    "--L": _pool("1", "2", "3", "6"),
+    "--sigma2": _pool("0", "0.1", "2", "1e-300"),
+    "--trials": _pool("1", "2", "37", "2000"),
+    "--samples": _pool("1", "37", "2000"),
+    "--seed": _pool("0", "7", str(2**64)),
+    "--format": _pool("json", "csv", "text"),
+}
+_COMMAND_NAMES = ["solve", "classify", "oracle", "simulate", "sweep", "general"]
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 2000) | st.floats() | st.text(max_size=4),
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=3), children, max_size=3),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _grids(draw):
+    L = draw(st.integers(1, 4))
+    w = draw(st.lists(st.floats(0.0, 1.0), min_size=L * L, max_size=L * L))
+    total = sum(w)
+    if not total > 0.0:
+        w[0], total = 1.0, 1.0
+    w = [v / total for v in w]
+    return w if draw(st.booleans()) else [w[i * L:(i + 1) * L] for i in range(L)]
+
+
+_CONFIG_VALUES = {
+    "p": _JSON | st.sampled_from([[0.4, 0.3, 0.2, 0.1], [1, 0, 0, 0], [0.25] * 4]),
+    "L": _JSON | st.integers(1, 6),
+    "sigma2": _JSON,
+    "trials": _JSON,
+    "samples": _JSON,
+    "seed": _JSON | st.integers(-1, 2**70),
+    "scattering": _JSON | _grids(),
+    "unknown": _JSON,
+}
+_CONFIGS = st.one_of(
+    st.fixed_dictionaries({}, optional=_CONFIG_VALUES).map(json.dumps).map(str.encode),
+    _JSON.map(json.dumps).map(str.encode),
+    st.binary(max_size=12),
+)
+
+
+@st.composite
+def _invocations(draw):
+    # Bounded counts and valid weights up front (flags override the count
+    # defaults of 1e5 and any config value); later flags may replace them.
+    count = st.sampled_from(["2", "37", "500", "2000"])
+    argv = [draw(st.sampled_from(_COMMAND_NAMES)), "--trials", draw(count), "--samples", draw(count)]
+    argv += ["--p", draw(st.sampled_from(_QUADS))]
+    for flag in draw(st.lists(st.sampled_from([*_FLAG_VALUES, "--config"]), max_size=3)):
+        argv += [flag, "{config}" if flag == "--config" else draw(_FLAG_VALUES[flag])]
+    return argv, draw(_CONFIGS)
+
+
+@settings(max_examples=200)
+@given(_invocations())
+def test_cli_contract_holds_for_any_input(tmp_path_factory, invocation):
+    argv, config = invocation
+    path = tmp_path_factory.getbasetemp() / "property-config.json"
+    path.write_bytes(config)
+    argv = [str(path) if arg == "{config}" else arg for arg in argv]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 3)
+    assert "Traceback" not in err.getvalue()
+    if code != 0:
+        assert out.getvalue() == ""
+    elif [v for f, v in zip(argv, argv[1:]) if f == "--format"][-1:] in ([], ["json"]):
+        strict_json(out.getvalue())

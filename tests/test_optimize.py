@@ -95,6 +95,18 @@ def test_alternating_identity_channel_converges_immediately():
         assert abs(trace.best_value - 1.0) <= 1e-12
 
 
+@pytest.mark.parametrize("L", [1, 2, 3, 4, 5])
+def test_identity_channel_results_capped_at_one(L):
+    # Roundoff in the unit pulses can push the top eigenvalue past 1; the
+    # gain is at most 1, so both optimizers clip what they return.
+    C = ScatteringFunction.concentrated(L, (0, 0))
+    assert fidelity_lower_bound_search(C, L, 10) == 1.0
+    trace = alternating_fidelity_max(C, L, OptimizerConfig())
+    assert trace.best_value == 1.0
+    assert max(trace.restart_values) == 1.0
+    assert max(trace.objective_history) == 1.0
+
+
 def test_alternating_reaches_closed_form_worked_example():
     C = ScatteringFunction.from_quad(0.4, 0.3, 0.2, 0.1)
     trace = alternating_fidelity_max(

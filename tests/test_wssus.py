@@ -419,7 +419,7 @@ def single_shift_channels_and_operands(draw):
     return (C, *draw(operands(C)))
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(channels_and_operands())
 def test_kernel_matches_kraus_reference(case):
     C, scheme, X, vectors = case
@@ -453,7 +453,7 @@ def test_kernel_matches_kraus_reference(case):
     )
 
 
-@settings(max_examples=150, deadline=None, database=None)
+@settings(max_examples=150)
 @given(single_shift_channels_and_operands())
 def test_kernel_is_exact_on_single_shift_channels(case):
     # Quarter-turn phases and the unit origin tap multiply without rounding.
