@@ -156,10 +156,19 @@ def map_matrix_rep(p) -> np.ndarray:
     )
 
 
+def _axis_index(n) -> int:
+    """The Pauli axis index n as an int; ValueError unless n is an integer in 1..3.
+
+    Python and numpy integers pass; booleans, floats and anything else do not.
+    """
+    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 1 <= n <= 3:
+        return int(n)
+    raise ValueError(f"axis index must be an integer in 1..3, got {n!r}")
+
+
 def axis_unit_vector(n: int, sign: int = +1) -> np.ndarray:
     """Unit pulse whose projector is (sigma_0 + sign*sigma_n)/2, n in 1..3."""
-    if n not in (1, 2, 3):
-        raise ValueError(f"axis index must be in 1..3, got {n}")
+    n = _axis_index(n)
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     table = _AXIS_PLUS if sign > 0 else _AXIS_MINUS
@@ -168,8 +177,7 @@ def axis_unit_vector(n: int, sign: int = +1) -> np.ndarray:
 
 def optimal_projectors(n: int, sign: int = +1) -> tuple[np.ndarray, np.ndarray]:
     """Transmit/receive projector pair ((sigma_0+sigma_n)/2, (sigma_0+sign*sigma_n)/2)."""
-    if n not in (1, 2, 3):
-        raise ValueError(f"axis index must be in 1..3, got {n}")
+    n = _axis_index(n)
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     X = 0.5 * (pauli(0) + pauli(n))
@@ -185,8 +193,7 @@ def optimal_precoder_vector(n: int) -> np.ndarray:
     "-" orientation of the projector pair; both orientations attain the
     same gain and ``optimal_projectors`` exposes either.
     """
-    if n not in (1, 2, 3):
-        raise ValueError(f"axis index must be in 1..3, got {n}")
+    n = _axis_index(n)
     return axis_unit_vector(n, _TABLE_SIGNS[n - 1])
 
 
@@ -271,6 +278,5 @@ def best_case_fidelity(p0: float, k: int) -> float:
     """
     if not 0.0 <= p0 <= 1.0:
         raise InvalidWeightsError(f"p0 must lie in [0, 1], got {p0}")
-    if k not in (1, 2, 3):
-        raise ValueError(f"axis index must be in 1..3, got {k}")
+    _axis_index(k)
     return 1.0

@@ -10,11 +10,12 @@ orthonormal basis and the single-stream mean gain carries over unchanged.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import optimal_precoder_vector
+from .bloch import _axis_index, optimal_precoder_vector
 from .errors import DimensionMismatchError, InvalidSchemeError, NotUnitNormError
 from .heisenberg import PAULI_SHIFTS, shift_operator
 from .wssus import (
@@ -96,17 +97,20 @@ def select_schemes(n: int) -> list[Scheme]:
     shifts whose Pauli index differs from n.  For the frequency-flat pulse
     (n=1) this selects the frequency shift, i.e. frequency-division
     multiplexing; for the time-localized pulse (n=3) the time shift.
-    Results are ordered lexicographically by shift.
+    Results are ordered lexicographically by shift.  The table is built
+    once per axis and process; each call returns a fresh list.
     """
-    if n not in (1, 2, 3):
-        raise ValueError(f"axis index must be in 1..3, got {n}")
+    return list(_zero_crosstalk_schemes(_axis_index(n)))
+
+
+@functools.cache
+def _zero_crosstalk_schemes(n: int) -> tuple[Scheme, ...]:
     x = optimal_precoder_vector(n)
-    candidates = sorted(PAULI_SHIFTS[1:])
-    return [
+    return tuple(
         Scheme(2, ((0, 0), mu))
-        for mu in candidates
+        for mu in sorted(PAULI_SHIFTS[1:])
         if abs(crosstalk(x, mu)) <= CROSSTALK_TOL
-    ]
+    )
 
 
 def best_scheme(C: ScatteringFunction, gamma_proj, g_proj, n: int) -> Scheme:

@@ -140,6 +140,19 @@ def alternating_fidelity_max(
     )
 
 
+def _sampled_max(score, n_samples: int, seed: int) -> float:
+    """Largest ``score(rng, m)`` entry over n_samples draws, taken in batches.
+
+    One generator seeded with ``seed`` feeds every batch of at most _BATCH
+    draws, so the result depends only on (seed, n_samples).
+    """
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    for start in range(0, n_samples, _BATCH):
+        best = max(best, float(np.max(score(rng, min(_BATCH, n_samples - start)))))
+    return best
+
+
 def brute_force_bloch_oracle(
     p, n_samples: int, include_axes: bool = True, seed: int = 0
 ) -> float:
@@ -156,19 +169,17 @@ def brute_force_bloch_oracle(
         raise InvalidWeightsError(f"n_samples must be >= 1, got {n_samples}")
     quad = ScatteringQuad.coerce(p)
     b = np.diag(map_matrix_rep(quad))[1:]
-    rng = np.random.default_rng(seed)
-    best = 0.0
-    if include_axes:
-        best = float(np.max(np.abs(b)))
-    remaining = n_samples
-    while remaining > 0:
-        m = min(remaining, _BATCH)
+
+    def gains(rng, m):
         x = rng.standard_normal((m, 3))
         norms = np.linalg.norm(x, axis=1)
         norms[norms == 0.0] = 1.0
         x /= norms[:, None]
-        best = max(best, float(np.max(np.sqrt((x * x) @ (b * b)))))
-        remaining -= m
+        return np.sqrt((x * x) @ (b * b))
+
+    best = _sampled_max(gains, n_samples, seed)
+    if include_axes:
+        best = max(best, float(np.max(np.abs(b))))
     return 0.5 + best
 
 
@@ -187,14 +198,10 @@ def fidelity_lower_bound_search(
     if L != C.L:
         raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
     forward = C.diagonal_blocks()[0]
-    rng = np.random.default_rng(seed)
-    best = -np.inf
-    remaining = n_samples
-    while remaining > 0:
-        m = min(remaining, _BATCH)
+
+    def gains(rng, m):
         vecs = _complex_gaussian(rng, (m, L))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        lam = np.linalg.eigvalsh(_map_rank_one(forward, vecs))[:, -1]
-        best = max(best, float(np.max(lam)))
-        remaining -= m
-    return min(1.0, best)
+        return np.linalg.eigvalsh(_map_rank_one(forward, vecs))[:, -1]
+
+    return min(1.0, _sampled_max(gains, n_samples, seed))

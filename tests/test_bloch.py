@@ -263,6 +263,23 @@ def test_optimal_projectors_index_range():
         optimal_projectors(1, 0)
 
 
+_AXIS_FUNCTIONS = [
+    axis_unit_vector,
+    lambda n: optimal_projectors(n, +1),
+    optimal_precoder_vector,
+    lambda n: best_case_fidelity(0.5, n),
+]
+
+
+@pytest.mark.parametrize("fn", _AXIS_FUNCTIONS)
+def test_axis_index_must_be_an_integer_in_range(fn):
+    for bad in (0, 4, -1, 1.0, 2.5, np.float64(3.0), True, "1", None):
+        with pytest.raises(ValueError, match="axis index"):
+            fn(bad)
+    for n in (1, 2, 3):
+        assert np.array_equal(np.asarray(fn(n)), np.asarray(fn(np.int64(n))))
+
+
 def test_precoder_table_and_fourier_images():
     F = fourier_matrix(2)
     x1 = optimal_precoder_vector(1)

@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from whprecode.cli import main, parse_config, render_json
+from whprecode import cli
+from whprecode.cli import dispatch, main, parse_config, render_json
 from whprecode.errors import InvalidConfigError
+from whprecode.optimize import brute_force_bloch_oracle
 
 
 def run_cli(capsys, *argv):
@@ -320,6 +322,69 @@ def test_solve_oracle_agreement(capsys):
     oracle = json.loads(oracle_out)
     assert abs(solved - oracle["closed_form"]) <= 1e-12
     assert abs(solved - oracle["oracle_axes"]) <= abs(oracle["gap_axes"]) + 1e-15
+
+
+def _reuse_argvs(config):
+    argvs = [
+        ["--help"],
+        ["oracle", "--help"],
+        [],
+        ["--format", "xml", "solve", "--p", "1,0,0,0"],
+        ["solve", "--nope", "1"],
+        ["solve", "--p", "0.4,0.3,0.4,0.1"],
+        ["--p", "0.4,0.3,0.2,0.1", "--format", "csv", "solve"],
+        ["--seed", "4", "oracle", "--samples", "300", "--p", "0.1,0.2,0.3,0.4"],
+        ["--config", config, "simulate", "--trials", "200"],
+        ["general", "--config", config, "--seed", "2"],
+    ]
+    commands = {
+        "solve": ["--p", "0.4,0.3,0.2,0.1"],
+        "classify": ["--p", "0.1,0.3,0.3,0.3"],
+        "oracle": ["--p", "0.3,0.3,0.25,0.15", "--samples", "500"],
+        "simulate": ["--p", "0.4,0.3,0.2,0.1", "--trials", "200", "--seed", "5"],
+        "sweep": ["--trials", "20"],
+        "general": ["--p", "0.4,0.3,0.2,0.1", "--samples", "200"],
+    }
+    for command, args in commands.items():
+        for fmt in ("json", "csv", "text"):
+            argvs.append([command, *args, "--format", fmt])
+    return argvs
+
+
+def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"p": [0.1, 0.2, 0.3, 0.4], "samples": 300}))
+    argvs = _reuse_argvs(str(config))
+    reused = [run_cli(capsys, *argv) for argv in argvs]
+    for argv, result in zip(argvs, reused):
+        cli._build_parser.cache_clear()
+        assert run_cli(capsys, *argv) == result, argv
+    codes = {code for code, _, _ in reused}
+    assert codes == {0, 2}
+
+
+def test_main_builds_the_parser_once(capsys):
+    cli._build_parser.cache_clear()
+    for argv in (["solve", "--p", "1,0,0,0"], ["classify", "--nope"], ["--help"]) * 3:
+        main(argv)
+    capsys.readouterr()
+    assert cli._build_parser.cache_info().misses == 1
+
+
+@pytest.mark.parametrize("seed", [0, 3, 17])
+def test_oracle_command_matches_direct_oracle_calls(seed):
+    for quad in ("0.4,0.3,0.2,0.1", "0.25,0.25,0.25,0.25", "0,0.5,0,0.5", "0.1,0.6,0.2,0.1"):
+        for samples in (1, 7, 2000, 20000):
+            doc = dispatch(parse_config(
+                ["oracle", "--p", quad, "--samples", str(samples), "--seed", str(seed)]
+            ))
+            p = [float(v) for v in quad.split(",")]
+            with_axes = brute_force_bloch_oracle(p, samples, include_axes=True, seed=seed)
+            random_only = brute_force_bloch_oracle(p, samples, include_axes=False, seed=seed)
+            assert doc["oracle_axes"] == with_axes
+            assert doc["oracle_random"] == random_only
+            assert doc["gap_axes"] == doc["closed_form"] - with_axes
+            assert doc["gap_random"] == doc["closed_form"] - random_only
 
 
 _QUAD = "0.4,0.3,0.2,0.1"

@@ -9,6 +9,7 @@ from whprecode.bloch import optimal_precoder_vector, solve_fidelity
 from whprecode.errors import InvalidSchemeError, NotUnitNormError
 from whprecode.heisenberg import PAULI_SHIFTS, shift_operator
 from whprecode.linalg import rank_one_projector, unit_vector
+from whprecode import multiplex
 from whprecode.multiplex import Scheme, best_scheme, crosstalk, frame_bounds, select_schemes
 from whprecode.wssus import ScatteringFunction, apply_A, sinr
 
@@ -87,6 +88,28 @@ def test_select_schemes(n, expected):
     assert [s.nonzero_shifts[0] for s in schemes] == expected
     with pytest.raises(ValueError):
         select_schemes(0)
+
+
+def test_select_schemes_returns_a_fresh_list_each_call():
+    first = select_schemes(1)
+    expected = list(first)
+    first.append(Scheme(2, ((0, 0), (1, 0))))
+    first.reverse()
+    second = select_schemes(1)
+    assert second == expected
+    assert second is not first
+    assert select_schemes(np.int64(1)) == expected
+
+
+@pytest.mark.parametrize("bad", [0, 4, 1.0, 2.0, np.float64(3.0), True, "1", None])
+def test_select_schemes_rejects_non_axis_whatever_is_cached(bad):
+    multiplex._zero_crosstalk_schemes.cache_clear()
+    with pytest.raises(ValueError, match="axis index"):
+        select_schemes(bad)
+    for n in (1, 2, 3):
+        select_schemes(n)
+    with pytest.raises(ValueError, match="axis index"):
+        select_schemes(bad)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

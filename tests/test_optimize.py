@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from whprecode.bloch import solve_fidelity
+from whprecode.bloch import ScatteringQuad, solve_fidelity
 from whprecode.errors import InvalidWeightsError, SingularDenominatorError
 from whprecode.linalg import rank_one_projector, unit_vector
 from whprecode.optimize import (
@@ -177,6 +179,27 @@ def test_oracle_sandwich():
         assert no_axes <= closed + 1e-12
         assert no_axes <= with_axes + 1e-12
         assert abs(with_axes - closed) <= 1e-12
+
+
+_WEIGHT = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+
+
+@settings(max_examples=100)
+@given(st.lists(_WEIGHT, min_size=4, max_size=4), st.integers(0, 2**32 - 1))
+def test_closed_form_bounds_every_numerical_route(weights, seed):
+    total = sum(weights)
+    quad = ScatteringQuad.coerce([w / total for w in weights] if total > 0 else [1, 0, 0, 0])
+    closed = solve_fidelity(quad).fidelity
+    random_only = brute_force_bloch_oracle(quad, 300, include_axes=False, seed=seed)
+    with_axes = brute_force_bloch_oracle(quad, 300, include_axes=True, seed=seed)
+    alternating = alternating_fidelity_max(
+        quad.to_scattering_function(), 2, OptimizerConfig(restarts=4, seed=seed)
+    )
+    assert random_only <= closed + 1e-12
+    assert with_axes <= closed + 1e-12
+    assert alternating.best_value <= closed + 1e-12
+    # The axes add the candidate 1/2 + max_k |b_k|, the closed form to the last bit.
+    assert with_axes == max(closed, random_only)
 
 
 def test_oracle_random_sampling_approaches_closed_form():

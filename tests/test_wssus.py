@@ -397,12 +397,18 @@ def operands(draw, C):
 
 
 @st.composite
-def channels_and_operands(draw):
-    L = draw(st.integers(2, 8))
+def scattering_functions(draw, min_L=2):
+    L = draw(st.integers(min_L, 8))
     grid = draw(arrays(float, (L, L), elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
     if not grid.sum() > 0.0:
         grid[0, 0] = 1.0
-    C = ScatteringFunction.renormalized(grid)
+    return ScatteringFunction.renormalized(grid)
+
+
+@st.composite
+def channels_and_operands(draw):
+    C = draw(scattering_functions())
+    L = C.L
     shift = st.tuples(st.integers(0, L - 1), st.integers(0, L - 1))
     scheme = {(0, 0), *draw(st.lists(shift, max_size=L * L))}
     return (C, sorted(scheme), *draw(operands(C)))
@@ -465,3 +471,13 @@ def test_kernel_is_exact_on_single_shift_channels(case):
     assert np.array_equal(
         _map_rank_one(adjoint, vectors), kraus_rank_one_reference(C, vectors, adjoint=True)
     )
+
+
+@settings(max_examples=100)
+@given(scattering_functions(min_L=1), st.integers(0, 2**32 - 1))
+def test_cp_properties_hold_for_any_channel(C, seed):
+    report = verify_cp_properties(C, samples=4, seed=seed)
+    assert report.unital_violation <= 1e-12
+    assert report.trace_violation <= 1e-12
+    assert report.hermiticity_violation <= 1e-12
+    assert report.majorization_margin >= -1e-10
