@@ -12,7 +12,6 @@ from .bloch import (
     ChannelClass,
     FidelitySolution,
     ScatteringQuad,
-    best_case_fidelity,
     bloch_to_matrix,
     classify_channel,
     is_on_bloch_manifold,
@@ -34,12 +33,8 @@ from .errors import (
     SingularDenominatorError,
     WHPrecodeError,
 )
-from .heisenberg import fourier_matrix, pauli, shift_operator
-from .linalg import (
-    hermitian_eigensystem,
-    max_generalized_eigenpair,
-    rank_one_projector,
-)
+from .heisenberg import pauli, shift_operator
+from .linalg import max_generalized_eigenpair, rank_one_projector
 from .mc import McReport, SweepRow, estimate_expectations, sweep_p0
 from .multiplex import Scheme, best_scheme, crosstalk, frame_bounds, select_schemes
 from .optimize import (
@@ -51,15 +46,12 @@ from .optimize import (
     optimal_receiver,
 )
 from .wssus import (
-    ChannelRealization,
     CpPropertyReport,
     ScatteringFunction,
     apply_A,
     apply_adjoint_A,
     apply_interference,
     channel_fidelity,
-    realize_channel_matrix,
-    sample_realization,
     sinr,
     verify_cp_properties,
 )
@@ -68,7 +60,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelClass",
-    "ChannelRealization",
     "CpPropertyReport",
     "DimensionMismatchError",
     "FidelitySolution",
@@ -91,7 +82,6 @@ __all__ = [
     "apply_A",
     "apply_adjoint_A",
     "apply_interference",
-    "best_case_fidelity",
     "best_scheme",
     "bloch_to_matrix",
     "brute_force_bloch_oracle",
@@ -100,9 +90,7 @@ __all__ = [
     "crosstalk",
     "estimate_expectations",
     "fidelity_lower_bound_search",
-    "fourier_matrix",
     "frame_bounds",
-    "hermitian_eigensystem",
     "is_on_bloch_manifold",
     "map_matrix_rep",
     "matrix_to_bloch",
@@ -112,8 +100,6 @@ __all__ = [
     "optimal_receiver",
     "pauli",
     "rank_one_projector",
-    "realize_channel_matrix",
-    "sample_realization",
     "select_schemes",
     "shift_operator",
     "sinr",

@@ -268,15 +268,3 @@ def worst_case_fidelity(p0: float) -> float:
     if not 0.0 <= p0 <= 1.0:
         raise InvalidWeightsError(f"p0 must lie in [0, 1], got {p0}")
     return 0.5 + (2.0 / 3.0) * abs(p0 - 0.25)
-
-
-def best_case_fidelity(p0: float, k: int) -> float:
-    """Mean-gain optimum when the off-origin power sits on a single axis.
-
-    Concentrating (1-p0) on axis k makes the channel single-dispersive:
-    the gain is 1 for every p0, attained with the axis-k pulse.
-    """
-    if not 0.0 <= p0 <= 1.0:
-        raise InvalidWeightsError(f"p0 must lie in [0, 1], got {p0}")
-    _axis_index(k)
-    return 1.0

@@ -67,17 +67,6 @@ def pauli(i: int) -> np.ndarray:
     return _PAULI[i].copy()
 
 
-def fourier_matrix(L: int) -> np.ndarray:
-    """Unitary DFT matrix with entries exp(-2*pi*i*m*n/L)/sqrt(L)."""
-    if L < 1:
-        raise ValueError(f"dimension must be >= 1, got {L}")
-    F = np.empty((L, L), dtype=complex)
-    for m in range(L):
-        for n in range(L):
-            F[m, n] = unit_phase(m * n, L).conjugate()
-    return F / np.sqrt(L)
-
-
 def all_shifts(L: int) -> tuple[tuple[int, int], ...]:
     """All L*L shift indices in row-major (mu1, mu2) order."""
     return tuple((m, n) for m in range(L) for n in range(L))

@@ -1,10 +1,10 @@
 """Dense hermitian linear algebra for the small operators used here.
 
-Thin, contract-enforcing wrappers over LAPACK via numpy: an ordinary
-hermitian eigensolver, the hermitian-definite generalized eigenproblem
-(solved by Cholesky reduction) that the receiver optimizer needs, and
-rank-one projectors.  Operators here are small (the benchmark runs L up
-to 32), so robustness and clear failure modes win over speed.
+Thin, contract-enforcing wrappers over LAPACK via numpy: the hermitian and
+unit-norm checks, the hermitian-definite generalized eigenproblem (solved
+by Cholesky reduction) that the receiver optimizer needs, and rank-one
+projectors.  Operators here are small (the benchmark runs L up to 32), so
+robustness and clear failure modes win over speed.
 """
 
 from __future__ import annotations
@@ -30,8 +30,10 @@ def require_square(M, name: str = "matrix") -> np.ndarray:
 
 
 def require_hermitian(M, name: str = "matrix") -> np.ndarray:
-    """Return M as a complex array, raising if max|M - M*| exceeds 1e-12."""
+    """Return M as a complex array, raising unless M is finite and max|M - M*| <= 1e-12."""
     A = require_square(M, name)
+    if not np.isfinite(A).all():
+        raise NonHermitianError(f"{name} has a NaN or infinite entry")
     defect = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
     if defect > HERMITIAN_TOL:
         raise NonHermitianError(
@@ -49,14 +51,13 @@ def unit_vector(v) -> np.ndarray:
     return x / norm
 
 
-def hermitian_eigensystem(M) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (real, ascending) and orthonormal eigenvectors of hermitian M.
-
-    Returns ``(w, V)`` with ``M @ V[:, i] == w[i] * V[:, i]``.
-    """
-    A = require_hermitian(M)
-    w, V = np.linalg.eigh(A)
-    return w, V
+def require_unit_vector(v, name: str = "vector") -> np.ndarray:
+    """Return v flattened to complex, raising unless its norm is 1 within 1e-12 (NaN fails)."""
+    x = np.asarray(v, dtype=complex).reshape(-1)
+    norm = float(np.linalg.norm(x))
+    if not abs(norm - 1.0) <= 1e-12:
+        raise NotUnitNormError(f"{name} norm {norm!r} is not 1 within 1e-12")
+    return x
 
 
 def max_generalized_eigenpair(A, B) -> tuple[float, np.ndarray]:
@@ -88,7 +89,5 @@ def max_generalized_eigenpair(A, B) -> tuple[float, np.ndarray]:
 
 def rank_one_projector(v) -> np.ndarray:
     """Orthogonal projector v v* onto a unit-norm vector."""
-    x = np.asarray(v, dtype=complex).reshape(-1)
-    if abs(np.linalg.norm(x) - 1.0) > 1e-12:
-        raise NotUnitNormError(f"vector norm {np.linalg.norm(x):.15f} is not 1 within 1e-12")
+    x = require_unit_vector(v)
     return np.outer(x, x.conj())

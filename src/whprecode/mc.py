@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import solve_fidelity, worst_case_fidelity
-from .errors import InvalidWeightsError, NotUnitNormError
+from .bloch import ScatteringQuad, solve_fidelity
+from .errors import InvalidWeightsError
 from .heisenberg import shift_operator
-from .linalg import rank_one_projector
+from .linalg import rank_one_projector, require_unit_vector
 from .wssus import (
     ScatteringFunction,
     _interference_level,
@@ -113,13 +113,11 @@ def estimate_expectations(
     if trials < 2:
         raise InvalidWeightsError(f"trials must be >= 2, got {trials}")
     validate_noise_power(sigma2)
-    gamma = np.asarray(gamma, dtype=complex).reshape(-1)
-    g = np.asarray(g, dtype=complex).reshape(-1)
+    gamma = require_unit_vector(gamma, "gamma")
+    g = require_unit_vector(g, "g")
     for name, v in (("gamma", gamma), ("g", g)):
         if v.shape != (C.L,):
             raise InvalidWeightsError(f"{name} must be a length-{C.L} vector")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise NotUnitNormError(f"{name} must have unit norm within 1e-12")
     shifts = coerce_scheme_shifts(scheme, C.L)
     interferers = [mu for mu in shifts if mu != (0, 0)]
 
@@ -175,10 +173,10 @@ def sweep_p0(grid, trials: int, seed: int = 0) -> list[SweepRow]:
     """
     rows = []
     for i, p0 in enumerate(grid):
-        worst_case_fidelity(p0)  # range check, same [0, 1] contract
         rest = (1.0 - p0) / 3.0
-        solution = solve_fidelity((p0, rest, rest, rest))
-        C = ScatteringFunction.from_quad(p0, rest, rest, rest)
+        quad = ScatteringQuad(p0, rest, rest, rest)
+        solution = solve_fidelity(quad)
+        C = quad.to_scattering_function()
         row_seed = int(np.random.SeedSequence([int(seed), i]).generate_state(1)[0])
         report = estimate_expectations(
             C,

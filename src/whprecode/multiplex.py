@@ -16,8 +16,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import _axis_index, optimal_precoder_vector
-from .errors import DimensionMismatchError, InvalidSchemeError, NotUnitNormError
+from .errors import DimensionMismatchError, InvalidSchemeError
 from .heisenberg import PAULI_SHIFTS, shift_operator
+from .linalg import require_unit_vector
 from .wssus import (
     ScatteringFunction,
     _interference_level,
@@ -62,10 +63,7 @@ def crosstalk(x, mu: tuple[int, int]) -> complex:
     double-shift relation for the circular pulse carries a phase ``i``
     that matters for equalization.
     """
-    v = np.asarray(x, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(v)
-    if abs(norm - 1.0) > 1e-12:
-        raise NotUnitNormError(f"pulse norm {norm!r} is not 1 within 1e-12")
+    v = require_unit_vector(x, "pulse")
     S = shift_operator(v.shape[0], mu)
     return complex(np.vdot(v, S @ v))
 

@@ -12,7 +12,7 @@ which is unital, trace preserving, hermiticity preserving and spectrum
 flattening (its output is majorized by its input).  This module holds the
 scattering-function container, the map ``A`` and its adjoint, the averaged
 interference map for a multiplexing scheme, the mean gain ("channel
-fidelity") and SINR functionals, per-realization sampling, and a property
+fidelity") and SINR functionals, the Rayleigh tap sampler, and a property
 checker for the map's structural identities.
 
 Each of these maps, ``X -> sum_mu w(mu) S_mu X S_mu*`` for a weight grid
@@ -77,21 +77,6 @@ class ScatteringFunction:
         object.__setattr__(self, "weights", w)
 
     @classmethod
-    def renormalized(cls, weights) -> "ScatteringFunction":
-        """Build from nonnegative weights, rescaling so they sum to one.
-
-        Convenience for hand-entered decimals that miss the normalization
-        by more than the 1e-9 construction tolerance.
-        """
-        w = np.array(weights, dtype=float)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise InvalidWeightsError(f"weights must be square, got shape {w.shape}")
-        total = float(w.sum())
-        if not total > 0.0:
-            raise InvalidWeightsError("weights must have positive total")
-        return cls(w.shape[0], w / total)
-
-    @classmethod
     def from_quad(cls, p0: float, p1: float, p2: float, p3: float) -> "ScatteringFunction":
         """L=2 scattering function from the four per-shift powers.
 
@@ -114,12 +99,6 @@ class ScatteringFunction:
         w = np.zeros((L, L))
         w[mu[0] % L, mu[1] % L] = 1.0
         return cls(L, w)
-
-    def as_quad(self) -> tuple[float, float, float, float]:
-        """The (p0, p1, p2, p3) view of an L=2 scattering function."""
-        if self.L != 2:
-            raise DimensionMismatchError(f"quad view requires L=2, got L={self.L}")
-        return tuple(float(self.weights[m, n]) for m, n in PAULI_SHIFTS)
 
     def nonzero_terms(self) -> tuple[tuple[tuple[int, int], float], ...]:
         """(shift, weight) pairs with strictly positive weight, row-major order."""
@@ -151,28 +130,6 @@ class ScatteringFunction:
             cached = (w, ops)
             object.__setattr__(self, "_kraus_cache", cached)
         return cached
-
-
-@dataclass(frozen=True, eq=False)
-class ChannelRealization:
-    """One draw of the random spreading coefficients Sigma(mu).
-
-    ``coeffs[mu1, mu2]`` multiplies the shift ``S_(mu1, mu2)`` in the
-    channel matrix; entries are exactly zero wherever the generating
-    scattering function carries no power.
-    """
-
-    L: int
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=complex)
-        if c.shape != (self.L, self.L):
-            raise DimensionMismatchError(
-                f"coeffs must have shape ({self.L}, {self.L}), got {c.shape}"
-            )
-        c.setflags(write=False)
-        object.__setattr__(self, "coeffs", c)
 
 
 @dataclass(frozen=True)
@@ -226,9 +183,10 @@ def validate_density_operator(M, L: int | None = None) -> np.ndarray:
     if L is not None and A.shape != (L, L):
         raise InvalidDensityOperatorError(f"density operator shape {A.shape}, expected L={L}")
     trace = complex(np.trace(A)).real
-    if abs(trace - 1.0) > DENSITY_TRACE_TOL:
+    # Written so that NaN fails each check.
+    if not abs(trace - 1.0) <= DENSITY_TRACE_TOL:
         raise InvalidDensityOperatorError(f"trace must be 1 within 1e-10, got {trace!r}")
-    if np.linalg.eigvalsh(A)[0] < -DENSITY_EIG_TOL:
+    if not np.linalg.eigvalsh(A)[0] >= -DENSITY_EIG_TOL:
         raise InvalidDensityOperatorError("density operator must be positive semidefinite")
     return A
 
@@ -376,7 +334,9 @@ def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nd
 def _rayleigh_taps(C: ScatteringFunction, rng: np.random.Generator, shape=()) -> np.ndarray:
     """Rayleigh taps  sqrt(C(mu)/2) (x + iy)  over ``C.nonzero_terms()``, last axis.
 
-    Each tap is circularly symmetric complex Gaussian with E|tap|^2 = C(mu).
+    Each tap is circularly symmetric complex Gaussian with E|tap|^2 = C(mu),
+    independent of the others; zero-power shifts get no tap at all.  The
+    draw is deterministic given the generator's state.
     """
     weights = np.array([w for _, w in C.nonzero_terms()])
     return _complex_gaussian(rng, (*shape, weights.size)) * np.sqrt(weights / 2.0)
@@ -431,29 +391,3 @@ def verify_cp_properties(C: ScatteringFunction, samples: int, seed: int = 0) -> 
         hermiticity_violation=herm_violation,
         majorization_margin=margin,
     )
-
-
-def sample_realization(C: ScatteringFunction, rng) -> ChannelRealization:
-    """Draw spreading coefficients with E|Sigma(mu)|^2 = C(mu).
-
-    Each nonzero-weight tap is an independent circularly symmetric complex
-    Gaussian (the classical Rayleigh assumption; the statistics fix only
-    the second moments).  Zero-weight taps stay exactly zero.  ``rng`` is
-    an explicit ``numpy.random.Generator`` (or a seed for one), so the
-    draw is deterministic given the state passed in.
-    """
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    coeffs = np.zeros((C.L, C.L), dtype=complex)
-    for (mu, _), tap in zip(C.nonzero_terms(), _rayleigh_taps(C, gen)):
-        coeffs[mu] = tap
-    return ChannelRealization(C.L, coeffs)
-
-
-def realize_channel_matrix(realization: ChannelRealization) -> np.ndarray:
-    """Channel matrix H = sum_mu Sigma(mu) S_mu of one realization."""
-    H = np.zeros((realization.L, realization.L), dtype=complex)
-    for mu in all_shifts(realization.L):
-        c = realization.coeffs[mu]
-        if c != 0:
-            H += c * shift_operator(realization.L, mu)
-    return H

@@ -7,7 +7,6 @@ from whprecode.bloch import (
     ChannelClass,
     ScatteringQuad,
     axis_unit_vector,
-    best_case_fidelity,
     bloch_to_matrix,
     classify_channel,
     is_on_bloch_manifold,
@@ -19,7 +18,7 @@ from whprecode.bloch import (
     worst_case_fidelity,
 )
 from whprecode.errors import InvalidWeightsError, NonHermitianError
-from whprecode.heisenberg import fourier_matrix, pauli
+from whprecode.heisenberg import pauli
 from whprecode.linalg import rank_one_projector
 from whprecode.wssus import ScatteringFunction, apply_A
 
@@ -267,7 +266,6 @@ _AXIS_FUNCTIONS = [
     axis_unit_vector,
     lambda n: optimal_projectors(n, +1),
     optimal_precoder_vector,
-    lambda n: best_case_fidelity(0.5, n),
 ]
 
 
@@ -281,7 +279,7 @@ def test_axis_index_must_be_an_integer_in_range(fn):
 
 
 def test_precoder_table_and_fourier_images():
-    F = fourier_matrix(2)
+    F = np.fft.fft(np.eye(2), norm="ortho")  # unitary DFT, exp(-2 pi i m n / L) / sqrt(L)
     x1 = optimal_precoder_vector(1)
     np.testing.assert_allclose(x1, np.array([1, 1]) / np.sqrt(2), atol=0)
     np.testing.assert_allclose(F @ x1, [1, 0], atol=1e-15)
@@ -357,13 +355,8 @@ def test_best_case_formula_and_solver():
     for p0, k in [(0.3, 1), (1.0, 2), (0.5, 2), (0.0, 3)] + [
         (float(rng.random()), int(rng.integers(1, 4))) for _ in range(20)
     ]:
-        assert best_case_fidelity(p0, k) == 1.0
         rest = [0.0, 0.0, 0.0]
         rest[k - 1] = 1.0 - p0
         sol = solve_fidelity((p0, *rest))
         assert abs(sol.fidelity - 1.0) <= 1e-12
         assert k in sol.tied
-    with pytest.raises(InvalidWeightsError):
-        best_case_fidelity(-0.1, 1)
-    with pytest.raises(ValueError):
-        best_case_fidelity(0.5, 0)

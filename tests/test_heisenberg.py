@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from whprecode.heisenberg import (
-    PAULI_SHIFTS,
-    all_shifts,
-    fourier_matrix,
-    pauli,
-    shift_operator,
-)
+from whprecode.heisenberg import PAULI_SHIFTS, all_shifts, pauli, shift_operator
 
 # The four L=2 operators written out: identity, sample swap, sign flip on
 # the second bin, and the combined swap-and-flip.
@@ -108,19 +102,7 @@ def test_pauli_index_range():
         pauli(-1)
 
 
-def test_fourier_matrix_l2():
-    F = fourier_matrix(2)
-    expected = np.array([[1, 1], [1, -1]]) / np.sqrt(2.0)
-    np.testing.assert_allclose(F, expected, atol=0)
-
-
-@pytest.mark.parametrize("L", [1, 2, 3, 4, 7, 8])
-def test_fourier_unitary(L):
-    F = fourier_matrix(L)
-    np.testing.assert_allclose(F @ F.conj().T, np.eye(L), atol=1e-12)
-
-
 def test_fourier_conjugation_swaps_time_and_frequency_shift():
-    F = fourier_matrix(2)
+    F = np.fft.fft(np.eye(2), norm="ortho")  # unitary DFT, exp(-2 pi i m n / L) / sqrt(L)
     lhs = F @ shift_operator(2, (1, 0)) @ F.conj().T
     np.testing.assert_allclose(lhs, shift_operator(2, (0, 1)), atol=1e-15)

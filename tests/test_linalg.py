@@ -1,4 +1,4 @@
-"""Tests for the hermitian eigensolvers and projectors."""
+"""Tests for the generalized eigensolver, projectors and input checks."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,14 @@ from whprecode.errors import (
     NonHermitianError,
     NotUnitNormError,
     SingularDenominatorError,
+    WHPrecodeError,
 )
 from whprecode.heisenberg import pauli
-from whprecode.linalg import (
-    hermitian_eigensystem,
-    max_generalized_eigenpair,
-    rank_one_projector,
-    unit_vector,
-)
+from whprecode.linalg import max_generalized_eigenpair, rank_one_projector, unit_vector
+from whprecode.mc import estimate_expectations
+from whprecode.multiplex import best_scheme, crosstalk
+from whprecode.optimize import optimal_receiver
+from whprecode.wssus import ScatteringFunction, channel_fidelity, sinr
 
 
 def random_hermitian(rng, L):
@@ -36,45 +36,21 @@ def quadratic_eigenvalues(M):
     return (a + c - disc) / 2.0, (a + c + disc) / 2.0
 
 
-def test_diagonal_pauli_spectrum():
-    w, V = hermitian_eigensystem(pauli(3))
-    np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)
-
-
-def test_sigma1_spectrum_and_vectors():
-    w, V = hermitian_eigensystem(pauli(1))
-    np.testing.assert_allclose(w, [-1.0, 1.0], atol=1e-12)
-    # Eigenvectors are (1, -1)/sqrt2 and (1, 1)/sqrt2 up to phase.
-    for i, ref in enumerate([np.array([1, -1]) / np.sqrt(2), np.array([1, 1]) / np.sqrt(2)]):
-        overlap = abs(np.vdot(ref, V[:, i]))
-        assert abs(overlap - 1.0) <= 1e-10
-
-
 def test_random_2x2_matches_quadratic_formula():
     rng = np.random.default_rng(7)
     for _ in range(200):
         M = random_hermitian(rng, 2)
-        w, _ = hermitian_eigensystem(M)
-        lo, hi = quadratic_eigenvalues(M)
-        np.testing.assert_allclose(w, [lo, hi], atol=1e-10)
-
-
-@pytest.mark.parametrize("L", [2, 3, 5, 8])
-def test_eigensystem_reconstruction(L):
-    rng = np.random.default_rng(L)
-    for _ in range(20):
-        M = random_hermitian(rng, L)
-        w, V = hermitian_eigensystem(M)
-        assert np.all(np.diff(w) >= -1e-12)
-        np.testing.assert_allclose(V.conj().T @ V, np.eye(L), atol=1e-10)
-        np.testing.assert_allclose((V * w) @ V.conj().T, M, atol=1e-10)
-        for i in range(L):
-            np.testing.assert_allclose(M @ V[:, i], w[i] * V[:, i], atol=1e-10)
+        lam, _ = max_generalized_eigenpair(M, np.eye(2))
+        _, hi = quadratic_eigenvalues(M)
+        assert abs(lam - hi) <= 1e-10
 
 
 def test_eigensystem_rejects_non_hermitian():
+    non_hermitian = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(NonHermitianError):
-        hermitian_eigensystem(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        max_generalized_eigenpair(non_hermitian, np.eye(2))
+    with pytest.raises(NonHermitianError):
+        max_generalized_eigenpair(np.eye(2), np.eye(2) + non_hermitian)
 
 
 def test_generalized_identity_denominator_is_ordinary():
@@ -93,8 +69,7 @@ def test_generalized_reduces_to_ordinary(L):
     for _ in range(20):
         A = random_hermitian(rng, L)
         lam, v = max_generalized_eigenpair(A, np.eye(L))
-        w, _ = hermitian_eigensystem(A)
-        assert abs(lam - w[-1]) <= 1e-12
+        assert abs(lam - np.linalg.eigvalsh(A)[-1]) <= 1e-12
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -167,3 +142,48 @@ def test_projector_properties_random():
 def test_projector_rejects_non_unit():
     with pytest.raises(NotUnitNormError):
         rank_one_projector([1.0, 1.0])
+
+
+# A NaN or infinite entry must fail every vector and operator check, wherever
+# it sits: comparisons with NaN are False, so a check written ``x > tol``
+# would let it through.
+_NON_FINITE = {
+    "nan": (np.array([np.nan, 0.0]), np.array([[np.nan, 0.0], [0.0, 1.0]])),
+    "inf": (np.array([np.inf, 0.0]), np.array([[np.inf, 0.0], [0.0, 1.0]])),
+    "nan_off_diagonal": (
+        np.array([0.6, complex(0.0, np.nan)]),
+        np.array([[0.5, np.nan], [np.nan, 0.5]]),
+    ),
+    "inf_off_diagonal": (
+        np.array([0.6, complex(0.0, np.inf)]),
+        np.array([[0.5, np.inf], [np.inf, 0.5]]),
+    ),
+}
+_C2 = ScatteringFunction.from_quad(0.4, 0.3, 0.2, 0.1)
+_HALF = np.eye(2) / 2.0
+_E0 = np.array([1.0, 0.0])
+_CHECKED_CALLS = {
+    "rank_one_projector": lambda v, M: rank_one_projector(v),
+    "crosstalk": lambda v, M: crosstalk(v, (1, 0)),
+    "estimate_expectations": lambda v, M: estimate_expectations(
+        _C2, v, _E0, [(0, 0)], sigma2=0.1, trials=10
+    ),
+    "channel_fidelity": lambda v, M: channel_fidelity(_C2, M, _HALF),
+    "sinr": lambda v, M: sinr(_C2, M, _HALF, [(0, 0), (0, 1)], 0.1),
+    "optimal_receiver": lambda v, M: optimal_receiver(_C2, M, [(0, 0), (1, 0)], 0.1),
+    "best_scheme": lambda v, M: best_scheme(_C2, M, _HALF, 1),
+    "max_generalized_eigenpair_numerator": lambda v, M: max_generalized_eigenpair(
+        M, np.eye(2)
+    ),
+    "max_generalized_eigenpair_denominator": lambda v, M: max_generalized_eigenpair(
+        np.eye(2), M
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", list(_NON_FINITE))
+@pytest.mark.parametrize("call", list(_CHECKED_CALLS))
+def test_non_finite_vectors_and_operators_are_rejected(call, kind):
+    vector, operator = _NON_FINITE[kind]
+    with pytest.raises(WHPrecodeError):
+        _CHECKED_CALLS[call](vector, operator)

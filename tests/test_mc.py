@@ -146,3 +146,9 @@ def test_sweep_mc_column_tracks_analytic():
 def test_sweep_deterministic():
     grid = [0.0, 0.5, 1.0]
     assert sweep_p0(grid, trials=500, seed=9) == sweep_p0(grid, trials=500, seed=9)
+
+
+@pytest.mark.parametrize("p0", [1.2, -0.1, np.nan, 1.0 + 1e-12])
+def test_sweep_rejects_origin_power_outside_unit_interval(p0):
+    with pytest.raises(InvalidWeightsError):
+        sweep_p0([0.5, p0], trials=2, seed=0)

@@ -19,13 +19,12 @@ from whprecode.linalg import rank_one_projector, unit_vector
 from whprecode.wssus import (
     ScatteringFunction,
     _map_rank_one,
+    _rayleigh_taps,
     apply_A,
     apply_adjoint_A,
     apply_interference,
     channel_fidelity,
     random_density_operator,
-    realize_channel_matrix,
-    sample_realization,
     sinr,
     verify_cp_properties,
 )
@@ -45,14 +44,6 @@ def test_weights_validation():
         ScatteringFunction(3, np.full((2, 2), 0.25))
     with pytest.raises(InvalidWeightsError):
         ScatteringFunction(2, np.array([[np.nan, 0.0], [0.0, 1.0]]))
-    with pytest.raises(InvalidWeightsError):
-        ScatteringFunction.renormalized(np.array([[np.nan, 1.0], [1.0, 1.0]]))
-
-
-def test_renormalized_accepts_sloppy_totals():
-    C = ScatteringFunction.renormalized(np.array([[2.0, 1.0], [1.0, 0.0]]))
-    assert abs(C.weights.sum() - 1.0) <= 1e-15
-    assert C.weights[0, 0] == 0.5
 
 
 def test_from_quad_places_weights_in_pauli_order():
@@ -61,7 +52,6 @@ def test_from_quad_places_weights_in_pauli_order():
     assert C.weights[1, 0] == 0.3  # time shift
     assert C.weights[1, 1] == 0.2  # joint shift
     assert C.weights[0, 1] == 0.1  # frequency shift
-    assert C.as_quad() == (0.4, 0.3, 0.2, 0.1)
 
 
 @pytest.mark.parametrize("L", [2, 3, 4])
@@ -311,61 +301,36 @@ def test_cp_report_identity_channel_is_exact():
 
 
 def test_realization_zero_weights_give_exact_zeros():
+    # Zero-power shifts are never drawn: one tap per nonzero weight.
     C = ScatteringFunction.from_quad(0.7, 0.0, 0.3, 0.0)
-    r = sample_realization(C, np.random.default_rng(0))
-    assert r.coeffs[1, 0] == 0.0
-    assert r.coeffs[0, 1] == 0.0
-    assert r.coeffs[0, 0] != 0.0
+    taps = _rayleigh_taps(C, np.random.default_rng(0))
+    assert [mu for mu, _ in C.nonzero_terms()] == [(0, 0), (1, 1)]
+    assert taps.shape == (2,)
+    assert np.all(taps != 0.0)
 
 
 def test_realization_deterministic_given_seed():
     C = ScatteringFunction.uniform(2)
-    r1 = sample_realization(C, np.random.default_rng(42))
-    r2 = sample_realization(C, np.random.default_rng(42))
-    assert np.array_equal(r1.coeffs, r2.coeffs)
+    t1 = _rayleigh_taps(C, np.random.default_rng(42), (5,))
+    t2 = _rayleigh_taps(C, np.random.default_rng(42), (5,))
+    assert t1.shape == (5, 4)
+    assert np.array_equal(t1, t2)
 
 
 def test_realization_second_moments():
     C = ScatteringFunction.from_quad(0.4, 0.3, 0.2, 0.1)
-    rng = np.random.default_rng(2024)
     n = 100_000
-    acc = np.zeros((2, 2))
-    cross = 0.0 + 0.0j
-    for _ in range(n):
-        r = sample_realization(C, rng)
-        acc += np.abs(r.coeffs) ** 2
-        cross += r.coeffs[0, 0] * np.conj(r.coeffs[1, 0])
-    mean_power = acc / n
-    for mu, w in C.nonzero_terms():
+    taps = _rayleigh_taps(C, np.random.default_rng(2024), (n,))
+    weights = [w for _, w in C.nonzero_terms()]
+    mean_power = np.mean(np.abs(taps) ** 2, axis=0)
+    for i, w in enumerate(weights):
         stderr = w / math.sqrt(n)  # Var|z|^2 = w^2 for complex normal z
-        assert abs(mean_power[mu] - w) <= 4.0 * stderr
+        assert abs(mean_power[i] - w) <= 4.0 * stderr
     # Distinct taps are uncorrelated.
-    cross_stderr = math.sqrt(0.4 * 0.3) / math.sqrt(n)
-    assert abs(cross / n) <= 4.0 * cross_stderr
-
-
-def test_realized_matrix_single_taps():
-    C0 = ScatteringFunction.concentrated(2, (0, 0))
-    H0 = realize_channel_matrix(sample_realization(C0, np.random.default_rng(1)))
-    np.testing.assert_allclose(H0 / H0[0, 0], np.eye(2), atol=1e-15)
-
-    r = sample_realization(ScatteringFunction.concentrated(2, (1, 0)), np.random.default_rng(2))
-    H = realize_channel_matrix(r)
-    np.testing.assert_allclose(H / r.coeffs[1, 0], np.array([[0, 1], [1, 0]]), atol=1e-15)
-
-
-def test_realized_matrix_is_pauli_combination():
-    C = ScatteringFunction.from_quad(0.4, 0.3, 0.2, 0.1)
-    r = sample_realization(C, np.random.default_rng(3))
-    H = realize_channel_matrix(r)
-    c = r.coeffs
-    expected = (
-        c[0, 0] * pauli(0)
-        + c[1, 0] * pauli(1)
-        + c[1, 1] * (1j * pauli(2))
-        + c[0, 1] * pauli(3)
-    )
-    np.testing.assert_allclose(H, expected, atol=1e-15)
+    for i in range(len(weights)):
+        for j in range(i):
+            cross = np.mean(taps[:, i] * np.conj(taps[:, j]))
+            assert abs(cross) <= 4.0 * math.sqrt(weights[i] * weights[j] / n)
 
 
 # The kernel against the explicit Kraus sum.  Operand entries have modulus
@@ -402,7 +367,7 @@ def scattering_functions(draw, min_L=2):
     grid = draw(arrays(float, (L, L), elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
     if not grid.sum() > 0.0:
         grid[0, 0] = 1.0
-    return ScatteringFunction.renormalized(grid)
+    return ScatteringFunction(L, grid / grid.sum())
 
 
 @st.composite
