@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DimensionMismatchError, InvalidWeightsError
 from .heisenberg import pauli
-from .linalg import require_hermitian
+from .linalg import require_finite, require_hermitian
 from .wssus import ScatteringFunction
 
 BLOCH_TOL = 1e-10
@@ -122,6 +122,7 @@ def bloch_to_matrix(x) -> np.ndarray:
     v = np.asarray(x, dtype=float).reshape(-1)
     if v.shape != (4,):
         raise DimensionMismatchError(f"expected a real 4-vector, got shape {v.shape}")
+    require_finite(v, "Bloch vector")
     out = np.zeros((2, 2), dtype=complex)
     for i in range(4):
         out += 0.5 * v[i] * pauli(i)

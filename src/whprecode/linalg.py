@@ -16,6 +16,7 @@ from .errors import (
     NonHermitianError,
     NotUnitNormError,
     SingularDenominatorError,
+    WHPrecodeError,
 )
 
 HERMITIAN_TOL = 1e-12
@@ -27,6 +28,13 @@ def require_square(M, name: str = "matrix") -> np.ndarray:
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {A.shape}")
     return A
+
+
+def require_finite(x: np.ndarray, name: str) -> np.ndarray:
+    """Return x, raising unless every entry is finite (NaN and +-inf fail)."""
+    if not np.isfinite(x).all():
+        raise WHPrecodeError(f"{name} has a NaN or infinite entry")
+    return x
 
 
 def require_hermitian(M, name: str = "matrix") -> np.ndarray:

@@ -18,7 +18,7 @@ import numpy as np
 from .bloch import _axis_index, optimal_precoder_vector
 from .errors import DimensionMismatchError, InvalidSchemeError
 from .heisenberg import PAULI_SHIFTS, shift_operator
-from .linalg import require_unit_vector
+from .linalg import require_finite, require_unit_vector
 from .wssus import (
     ScatteringFunction,
     _interference_level,
@@ -74,7 +74,10 @@ def frame_bounds(vectors) -> tuple[float, float]:
     A family of L vectors in C^L is an orthonormal basis exactly when both
     bounds equal one.
     """
-    vecs = [np.asarray(v, dtype=complex).reshape(-1) for v in vectors]
+    vecs = [
+        require_finite(np.asarray(v, dtype=complex).reshape(-1), "frame vector")
+        for v in vectors
+    ]
     if not vecs:
         raise DimensionMismatchError("frame_bounds requires at least one vector")
     dim = vecs[0].shape[0]

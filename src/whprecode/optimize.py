@@ -84,6 +84,44 @@ def optimal_receiver(
     return g, lam
 
 
+def _half_step_operands(C: ScatteringFunction) -> tuple:
+    """Operands of ``A`` and ``A*`` for _top_eigenpairs, chosen once per call.
+
+    ``A(v v*)`` has rank at most T, the number of nonzero taps, so with
+    T < L the top eigenpair comes from a T x T Gram matrix on the tap
+    frame; otherwise the L x L map from the diagonal blocks is as cheap.
+    """
+    if np.count_nonzero(C.weights) < C.L:
+        return C.tap_frame()
+    return C.diagonal_blocks()
+
+
+def _top_eigenpairs(operand, pulses: np.ndarray, eigenvectors: bool = True):
+    """Top eigenvalue, and unit eigenvector, of the map applied to each ``v v*``.
+
+    ``operand`` is a tap frame ``(rows, coef)`` or a stack of diagonal
+    blocks (see _half_step_operands); ``pulses`` holds K unit pulses as rows.
+    Returns the (K,) top eigenvalues, with the (K, L) eigenvectors unless
+    ``eigenvectors`` is false.
+    """
+    if isinstance(operand, tuple):
+        rows, coef = operand
+        frame = pulses[:, rows] * coef  # (K, T, L): rows W_t, map(v v*) = W^T conj(W)
+        gram = frame.conj() @ frame.swapaxes(-1, -2)
+        if not eigenvectors:
+            return np.linalg.eigvalsh(gram)[:, -1]
+        lam, u = np.linalg.eigh(gram)
+        top = lam[:, -1]
+        # W^T u is an eigenvector of norm sqrt(top); top >= Tr(gram)/T = 1/T.
+        vec = (u[:, None, :, -1] @ frame)[:, 0] / np.sqrt(top)[:, None]
+        return top, vec
+    mapped = _map_rank_one(operand, pulses)
+    if not eigenvectors:
+        return np.linalg.eigvalsh(mapped)[:, -1]
+    lam, v = np.linalg.eigh(mapped)
+    return lam[:, -1], v[..., -1]
+
+
 def alternating_fidelity_max(
     C: ScatteringFunction, L: int, cfg: OptimizerConfig
 ) -> OptimizationTrace:
@@ -96,10 +134,14 @@ def alternating_fidelity_max(
     per-restart substreams of the master seed) are run in lockstep and the
     best is returned.  A restart counts as converged once its full-cycle
     objective increment drops to ``cfg.tol`` or below.
+
+    With T nonzero taps, each half step is a T x T Gram eigenproblem when
+    T < L and an L x L one otherwise; the path is fixed once per call and
+    changes only the cost of a step, not the iteration.
     """
     if L != C.L:
         raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
-    forward, adjoint = C.diagonal_blocks()
+    forward, adjoint = _half_step_operands(C)
     children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
     gammas = np.stack(
         [random_unit_vector(np.random.default_rng(s), L) for s in children]
@@ -110,23 +152,19 @@ def alternating_fidelity_max(
     prev = np.full(cfg.restarts, -np.inf)
     converged = np.zeros(cfg.restarts, dtype=bool)
     for _ in range(cfg.max_iters):
-        lam, vecs = np.linalg.eigh(_map_rank_one(forward, gammas))
-        receivers = vecs[..., -1]
-        obj = lam[..., -1]
+        obj, receivers = _top_eigenpairs(forward, gammas)
         history.append(obj)
         converged |= obj - prev <= cfg.tol
         if converged.all():
             break
         prev = obj
-        lam_t, vecs_t = np.linalg.eigh(_map_rank_one(adjoint, receivers))
-        gammas = vecs_t[..., -1]
-        history.append(lam_t[..., -1])
+        obj_t, gammas = _top_eigenpairs(adjoint, receivers)
+        history.append(obj_t)
     if len(history) % 2 == 0:
         # Ended on a transmit half-step: refresh receivers so the returned
         # pair is mutually consistent.
-        lam, vecs = np.linalg.eigh(_map_rank_one(forward, gammas))
-        receivers = vecs[..., -1]
-        history.append(lam[..., -1])
+        obj, receivers = _top_eigenpairs(forward, gammas)
+        history.append(obj)
 
     finals = history[-1]
     best = int(np.argmax(finals))
@@ -191,17 +229,19 @@ def fidelity_lower_bound_search(
     Samples unit precoders uniformly on the complex sphere and records the
     largest top eigenvalue of A applied to their projectors; a valid lower
     bound on the gain supremum (and at most 1, since the map is unital and
-    trace preserving).
+    trace preserving).  The top eigenvalue comes from the T x T tap Gram
+    matrix when the channel has T < L nonzero taps, as in
+    alternating_fidelity_max.
     """
     if n_samples < 1:
         raise InvalidWeightsError(f"n_samples must be >= 1, got {n_samples}")
     if L != C.L:
         raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
-    forward = C.diagonal_blocks()[0]
+    forward = _half_step_operands(C)[0]
 
     def gains(rng, m):
         vecs = _complex_gaussian(rng, (m, L))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        return np.linalg.eigvalsh(_map_rank_one(forward, vecs))[:, -1]
+        return _top_eigenpairs(forward, vecs, eigenvectors=False)
 
     return min(1.0, _sampled_max(gains, n_samples, seed))

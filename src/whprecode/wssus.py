@@ -17,7 +17,9 @@ checker for the map's structural identities.
 
 Each of these maps, ``X -> sum_mu w(mu) S_mu X S_mu*`` for a weight grid
 ``w``, multiplies every cyclic diagonal ``x_d[n] = X[(n+d) % L, n]`` by a
-circulant block, so one kernel on the diagonals serves them all.
+circulant block, so one kernel on the diagonals serves them all.  On a
+rank-one operand ``v v*`` the map ``A`` is also a sum of T outer products
+``sqrt(C(mu)) S_mu v``, one per nonzero tap; ``tap_frame()`` indexes them.
 """
 
 from __future__ import annotations
@@ -115,6 +117,26 @@ class ScatteringFunction:
             blocks = _circulant_blocks(self.weights)
             cached = (blocks, blocks.conj().swapaxes(-1, -2))
             object.__setattr__(self, "_blocks_cache", cached)
+        return cached
+
+    def tap_frame(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
+        """Tap frames of ``A`` and of its adjoint, each ``(rows, coef)`` of shape (T, L).
+
+        Over the T nonzero taps, ``W = v[rows] * coef`` stacks the vectors
+        ``sqrt(C(mu)) S_mu v`` (first frame) or ``sqrt(C(mu)) S_mu* v``
+        (second), so the map applied to ``v v*`` is ``W^T conj(W)``.
+        """
+        cached = getattr(self, "_frame_cache", None)
+        if cached is None:
+            rows, lags, phases = _layout(self.L)
+            mu1, mu2 = np.nonzero(self.weights > 0.0)
+            amp = np.sqrt(self.weights[mu1, mu2])[:, None]
+            # (S_mu v)[m] = w^(mu2 m) v[m - mu1], (S_mu* v)[j] = w^-(mu2 (j + mu1)) v[j + mu1].
+            forward = (lags[:, mu1].T, amp * phases[mu2])
+            back = rows[mu1]
+            adjoint = (back, amp * phases[mu2[:, None], back].conj())
+            cached = (forward, adjoint)
+            object.__setattr__(self, "_frame_cache", cached)
         return cached
 
     def kraus_operators(self) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from whprecode.bloch import (
     solve_fidelity,
     worst_case_fidelity,
 )
-from whprecode.errors import InvalidWeightsError, NonHermitianError
+from whprecode.errors import InvalidWeightsError, NonHermitianError, WHPrecodeError
 from whprecode.heisenberg import pauli
 from whprecode.linalg import rank_one_projector
 from whprecode.wssus import ScatteringFunction, apply_A
@@ -58,6 +58,15 @@ def test_bloch_to_matrix_axis_cases():
     np.testing.assert_allclose(
         bloch_to_matrix([1, 1, 0, 0]), np.full((2, 2), 0.5).astype(complex), atol=0
     )
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [0, 1, 2, 3])
+def test_bloch_to_matrix_rejects_non_finite(index, value):
+    x = [1.0, 0.0, 0.0, 1.0]
+    x[index] = value
+    with pytest.raises(WHPrecodeError, match="NaN or infinite"):
+        bloch_to_matrix(x)
 
 
 def test_matrix_to_bloch_inverse_cases():

@@ -313,6 +313,26 @@ def test_numerical_failure_exits_three(monkeypatch, capsys):
         assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--p", "0.4,0.3,0.2,0.1"],
+        ["--help"],
+        ["solve", "--p", "0.4,0.3,0.4,0.1"],
+        ["solve", "--bogus"],
+        ["general", "--p", "0.4,0.3,0.2,0.1", "--samples", "50"],
+    ],
+)
+def test_console_script_exits_with_main_code(monkeypatch, capsys, argv):
+    # The installed ``whprecode`` script calls cli.run, which reads sys.argv.
+    expected = main(list(argv))
+    monkeypatch.setattr("sys.argv", ["whprecode", *argv])
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == expected
+    assert expected in (0, 2)
+
+
 def test_solve_oracle_agreement(capsys):
     _, solve_out, _ = run_cli(capsys, "solve", "--p", "0.3,0.3,0.25,0.15")
     _, oracle_out, _ = run_cli(

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from whprecode.bloch import optimal_precoder_vector, solve_fidelity
-from whprecode.errors import InvalidSchemeError, NotUnitNormError
+from whprecode.errors import InvalidSchemeError, NotUnitNormError, WHPrecodeError
 from whprecode.heisenberg import PAULI_SHIFTS, shift_operator
 from whprecode.linalg import rank_one_projector, unit_vector
 from whprecode import multiplex
@@ -73,6 +73,12 @@ def test_frame_bounds_colliding_pair():
     pair = [x3, shift_operator(2, (0, 1)) @ x3]
     lo, hi = frame_bounds(pair)
     assert abs(lo - 0.0) <= 1e-12 and abs(hi - 2.0) <= 1e-12
+
+
+@pytest.mark.parametrize("vectors", [[[math.nan, 0]], [[math.inf, 0], [0, 1]]])
+def test_frame_bounds_rejects_non_finite_entries(vectors):
+    with pytest.raises(WHPrecodeError, match="NaN or infinite"):
+        frame_bounds(vectors)
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from whprecode import optimize
 from whprecode.bloch import ScatteringQuad, solve_fidelity
 from whprecode.errors import InvalidWeightsError, SingularDenominatorError
 from whprecode.linalg import rank_one_projector, unit_vector
@@ -15,7 +16,7 @@ from whprecode.optimize import (
     fidelity_lower_bound_search,
     optimal_receiver,
 )
-from whprecode.wssus import ScatteringFunction, apply_A, sinr
+from whprecode.wssus import ScatteringFunction, _map_rank_one, apply_A, sinr
 
 
 def random_scattering(rng, L):
@@ -246,3 +247,67 @@ def test_lower_bound_search_reproducible():
     a = fidelity_lower_bound_search(C, 3, 2000, seed=99)
     b = fidelity_lower_bound_search(C, 3, 2000, seed=99)
     assert a == b
+
+
+def sparse_scattering(rng, L, taps):
+    """Random weights on ``taps`` distinct shifts of the L x L grid."""
+    w = np.zeros(L * L)
+    w[rng.choice(L * L, taps, replace=False)] = rng.uniform(0.05, 1.0, taps)
+    return ScatteringFunction(L, (w / w.sum()).reshape(L, L))
+
+
+@st.composite
+def sparse_channels_and_pulses(draw):
+    L = draw(st.integers(2, 12))
+    taps = draw(st.lists(st.integers(0, L * L - 1), min_size=1, max_size=L - 1, unique=True))
+    grid = np.zeros(L * L)
+    grid[taps] = draw(st.lists(st.floats(1e-9, 1.0), min_size=len(taps), max_size=len(taps)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pulses = rng.standard_normal((3, L)) + 1j * rng.standard_normal((3, L))
+    pulses /= np.linalg.norm(pulses, axis=1)[:, None]
+    return ScatteringFunction(L, (grid / grid.sum()).reshape(L, L)), pulses
+
+
+@settings(max_examples=150)
+@given(sparse_channels_and_pulses())
+def test_tap_gram_matches_the_diagonal_kernel(case):
+    # With fewer taps than dimensions, each half-step is solved on the tap
+    # Gram matrix; the L x L map from the diagonal blocks is the reference.
+    C, pulses = case
+    assert optimize._half_step_operands(C) is C.tap_frame()
+    for frame, blocks in zip(C.tap_frame(), C.diagonal_blocks()):
+        top, vecs = optimize._top_eigenpairs(frame, pulses)
+        lam, ref = np.linalg.eigh(_map_rank_one(blocks, pulses))
+        np.testing.assert_allclose(top, lam[:, -1], rtol=0, atol=1e-12)
+        values = optimize._top_eigenpairs(frame, pulses, eigenvectors=False)
+        np.testing.assert_allclose(values, lam[:, -1], rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0, atol=1e-12)
+        for gap, a, b in zip(lam[:, -1] - lam[:, -2], vecs, ref[..., -1]):
+            if gap > 1e-6:
+                assert abs(np.vdot(a, b)) >= 1 - 1e-9
+
+
+def test_dense_channels_keep_the_diagonal_kernel():
+    rng = np.random.default_rng(8)
+    for L, taps in ((1, 1), (2, 2), (3, 3), (4, 16)):
+        C = sparse_scattering(rng, L, taps)
+        assert optimize._half_step_operands(C) is C.diagonal_blocks()
+
+
+@pytest.mark.parametrize("L", [2, 3, 5, 8])
+@pytest.mark.parametrize("taps", ["one", "L-1"])
+def test_optimizers_on_the_tap_gram_match_the_kernel_path(monkeypatch, L, taps):
+    rng = np.random.default_rng(L)
+    if taps == "one":
+        C = ScatteringFunction.concentrated(L, (int(rng.integers(L)), int(rng.integers(L))))
+    else:
+        C = sparse_scattering(rng, L, L - 1)
+    cfg = OptimizerConfig(restarts=8, seed=L)
+    gram = alternating_fidelity_max(C, L, cfg), fidelity_lower_bound_search(C, L, 500, seed=L)
+    monkeypatch.setattr(optimize, "_half_step_operands", lambda C: C.diagonal_blocks())
+    kernel = alternating_fidelity_max(C, L, cfg), fidelity_lower_bound_search(C, L, 500, seed=L)
+    assert len(gram[0].objective_history) == len(kernel[0].objective_history)
+    assert gram[0].converged == kernel[0].converged
+    np.testing.assert_allclose(gram[0].restart_values, kernel[0].restart_values, rtol=0, atol=1e-12)
+    assert abs(gram[0].best_value - kernel[0].best_value) <= 1e-12
+    assert abs(gram[1] - kernel[1]) <= 1e-12

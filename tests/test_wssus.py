@@ -354,6 +354,19 @@ def kraus_rank_one_reference(C, vectors, adjoint=False):
     return np.stack([kraus_reference(C, np.outer(v, v.conj()), adjoint) for v in vectors])
 
 
+def kraus_images(C, v, adjoint=False):
+    """Rows sqrt(C(mu)) S_mu v (or S_mu* v) over the nonzero taps."""
+    w, ops = C.kraus_operators()
+    if adjoint:
+        ops = ops.conj().swapaxes(-1, -2)
+    return np.sqrt(w)[:, None] * (ops @ v)
+
+
+def tap_frame_images(C, v):
+    """The rows ``v[rows] * coef`` of both tap frames."""
+    return [v[rows] * coef for rows, coef in C.tap_frame()]
+
+
 @st.composite
 def operands(draw, C):
     X = draw(arrays(complex, (C.L, C.L), elements=_ENTRIES))
@@ -422,6 +435,12 @@ def test_kernel_matches_kraus_reference(case):
         rtol=0,
         atol=KERNEL_ATOL,
     )
+    for v in vectors:
+        forward_images, adjoint_images = tap_frame_images(C, v)
+        np.testing.assert_allclose(forward_images, kraus_images(C, v), rtol=0, atol=KERNEL_ATOL)
+        np.testing.assert_allclose(
+            adjoint_images, kraus_images(C, v, adjoint=True), rtol=0, atol=KERNEL_ATOL
+        )
 
 
 @settings(max_examples=150)
@@ -436,6 +455,10 @@ def test_kernel_is_exact_on_single_shift_channels(case):
     assert np.array_equal(
         _map_rank_one(adjoint, vectors), kraus_rank_one_reference(C, vectors, adjoint=True)
     )
+    for v in vectors:
+        forward_images, adjoint_images = tap_frame_images(C, v)
+        assert np.array_equal(forward_images, kraus_images(C, v))
+        assert np.array_equal(adjoint_images, kraus_images(C, v, adjoint=True))
 
 
 @settings(max_examples=100)
