@@ -22,6 +22,7 @@ from .wssus import (
     ScatteringFunction,
     _interference_level,
     _rayleigh_taps,
+    _require_count,
     _sinr_ratio,
     channel_fidelity,
     coerce_scheme_shifts,
@@ -110,8 +111,7 @@ def estimate_expectations(
     coefficients and run vectorized in chunks; the result is deterministic
     given the seed.
     """
-    if trials < 2:
-        raise InvalidWeightsError(f"trials must be >= 2, got {trials}")
+    trials = _require_count(trials, "trials", 2)
     validate_noise_power(sigma2)
     gamma = require_unit_vector(gamma, "gamma")
     g = require_unit_vector(g, "g")

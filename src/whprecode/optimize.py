@@ -21,6 +21,7 @@ from .wssus import (
     ScatteringFunction,
     _complex_gaussian,
     _map_rank_one,
+    _require_count,
     apply_A,
     apply_interference,
     random_unit_vector,
@@ -203,8 +204,7 @@ def brute_force_bloch_oracle(
     the closed form and equals it when ``include_axes`` injects the three
     coordinate axes, where the optima sit.
     """
-    if n_samples < 1:
-        raise InvalidWeightsError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _require_count(n_samples, "n_samples", 1)
     quad = ScatteringQuad.coerce(p)
     b = np.diag(map_matrix_rep(quad))[1:]
 
@@ -233,8 +233,7 @@ def fidelity_lower_bound_search(
     matrix when the channel has T < L nonzero taps, as in
     alternating_fidelity_max.
     """
-    if n_samples < 1:
-        raise InvalidWeightsError(f"n_samples must be >= 1, got {n_samples}")
+    n_samples = _require_count(n_samples, "n_samples", 1)
     if L != C.L:
         raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
     forward = _half_step_operands(C)[0]

@@ -196,6 +196,19 @@ def validate_noise_power(sigma2) -> None:
         raise InvalidWeightsError(f"noise power must be finite and >= 0, got {sigma2}")
 
 
+def _require_count(n, name: str, minimum: int) -> int:
+    """Return n as an int, raising unless it is an integer >= minimum.
+
+    Python and numpy integers pass; bool, float and str fail, so a count is
+    never rounded or read from a flag.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InvalidWeightsError(f"{name} must be an integer, got {n!r}")
+    if n < minimum:
+        raise InvalidWeightsError(f"{name} must be >= {minimum}, got {n}")
+    return int(n)
+
+
 def validate_density_operator(M, L: int | None = None) -> np.ndarray:
     """Check trace one, hermiticity and positive semidefiniteness of M."""
     try:
@@ -348,9 +361,14 @@ def _sinr_ratio(gain: float, sigma2: float, interference: float) -> float:
 
 
 def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Array of x + iy with x, y independent standard normals: the one complex draw."""
-    z = rng.standard_normal((*shape, 2))
-    return z[..., 0] + 1j * z[..., 1]
+    """Array of x + iy with x, y independent standard normals: the one complex draw.
+
+    A writable complex view of one ``(*shape, 2)`` float draw, pairs read as
+    (x, y), so no complex temporary is built and callers may scale it in
+    place.  Its bits equal the arithmetic form ``z[..., 0] + 1j * z[..., 1]``,
+    whose added zero parts are exact.
+    """
+    return rng.standard_normal((*shape, 2)).view(complex)[..., 0]
 
 
 def _rayleigh_taps(C: ScatteringFunction, rng: np.random.Generator, shape=()) -> np.ndarray:
@@ -358,10 +376,14 @@ def _rayleigh_taps(C: ScatteringFunction, rng: np.random.Generator, shape=()) ->
 
     Each tap is circularly symmetric complex Gaussian with E|tap|^2 = C(mu),
     independent of the others; zero-power shifts get no tap at all.  The
-    draw is deterministic given the generator's state.
+    draw is deterministic given the generator's state.  Scaling the draw in
+    place runs the same complex multiply as the product
+    ``(x + iy) * sqrt(C(mu)/2)``, so the taps equal it bit for bit.
     """
     weights = np.array([w for _, w in C.nonzero_terms()])
-    return _complex_gaussian(rng, (*shape, weights.size)) * np.sqrt(weights / 2.0)
+    taps = _complex_gaussian(rng, (*shape, weights.size))
+    taps *= np.sqrt(weights / 2.0)
+    return taps
 
 
 def random_unit_vector(rng: np.random.Generator, L: int) -> np.ndarray:
@@ -386,8 +408,7 @@ def verify_cp_properties(C: ScatteringFunction, samples: int, seed: int = 0) -> 
     violation fields at roundoff level and the majorization margin above
     -1e-10.
     """
-    if samples < 1:
-        raise InvalidWeightsError(f"samples must be >= 1, got {samples}")
+    samples = _require_count(samples, "samples", 1)
     rng = np.random.default_rng(seed)
     eye = np.eye(C.L, dtype=complex)
     unital = float(np.max(np.abs(apply_A(C, eye) - eye)))

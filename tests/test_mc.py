@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from whprecode import mc
 from whprecode.bloch import optimal_precoder_vector, solve_fidelity, worst_case_fidelity
 from whprecode.errors import InvalidWeightsError
 from whprecode.heisenberg import shift_operator
@@ -152,3 +153,47 @@ def test_sweep_deterministic():
 def test_sweep_rejects_origin_power_outside_unit_interval(p0):
     with pytest.raises(InvalidWeightsError):
         sweep_p0([0.5, p0], trials=2, seed=0)
+
+
+def _chunk_loop_moments(C, gamma, g, scheme, trials, seed):
+    # The chunk loop as first written: taps built as x + 1j*y, then a
+    # complex product with the per-tap scale, one chunk of at most _CHUNK
+    # trials at a time.
+    terms = C.nonzero_terms()
+    interferers = [nu for nu in scheme if nu != (0, 0)]
+    gain_coupling = np.array([mc._inner(g, shift_operator(C.L, mu) @ gamma) for mu, _ in terms])
+    interf_coupling = np.array(
+        [
+            [mc._inner(g, shift_operator(C.L, mu) @ (shift_operator(C.L, nu) @ gamma))
+             for nu in interferers]
+            for mu, _ in terms
+        ],
+        dtype=complex,
+    )
+    scale = np.sqrt(np.array([w for _, w in terms]) / 2.0)
+    rng = np.random.default_rng(seed)
+    gain_stats, interf_stats = mc._RunningMoments(), mc._RunningMoments()
+    remaining = trials
+    while remaining > 0:
+        m = min(remaining, mc._CHUNK)
+        z = rng.standard_normal((m, len(terms), 2))
+        taps = (z[..., 0] + 1j * z[..., 1]) * scale
+        gain_stats.add_chunk(np.abs(taps @ gain_coupling) ** 2)
+        interf_stats.add_chunk(np.sum(np.abs(taps @ interf_coupling) ** 2, axis=1))
+        remaining -= m
+    return gain_stats.mean, interf_stats.mean, gain_stats.stderr(), interf_stats.stderr()
+
+
+@pytest.mark.parametrize("interferers", [0, 1, 3])
+@pytest.mark.parametrize(
+    "trials", [2, mc._CHUNK - 1, mc._CHUNK, mc._CHUNK + 1, 2 * mc._CHUNK + 1]
+)
+def test_moments_equal_the_first_chunk_loop_exactly(trials, interferers):
+    C = ScatteringFunction.from_quad(0.4, 0.3, 0.2, 0.1)
+    rng = np.random.default_rng(trials + interferers)
+    gamma = unit_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    g = unit_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    scheme = [(0, 0), (1, 0), (0, 1), (1, 1)][: interferers + 1]
+    report = estimate_expectations(C, gamma, g, scheme, sigma2=0.1, trials=trials, seed=77)
+    moments = (report.mean_gain, report.mean_interf, report.stderr_gain, report.stderr_interf)
+    assert moments == _chunk_loop_moments(C, gamma, g, scheme, trials, seed=77)

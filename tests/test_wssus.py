@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -16,8 +16,11 @@ from whprecode.errors import (
 )
 from whprecode.heisenberg import all_shifts, pauli, shift_operator
 from whprecode.linalg import rank_one_projector, unit_vector
+from whprecode.mc import estimate_expectations
+from whprecode.optimize import brute_force_bloch_oracle, fidelity_lower_bound_search
 from whprecode.wssus import (
     ScatteringFunction,
+    _complex_gaussian,
     _map_rank_one,
     _rayleigh_taps,
     apply_A,
@@ -375,8 +378,8 @@ def operands(draw, C):
 
 
 @st.composite
-def scattering_functions(draw, min_L=2):
-    L = draw(st.integers(min_L, 8))
+def scattering_functions(draw, min_L=2, max_L=8):
+    L = draw(st.integers(min_L, max_L))
     grid = draw(arrays(float, (L, L), elements=st.one_of(st.just(0.0), st.floats(0.0, 1.0))))
     if not grid.sum() > 0.0:
         grid[0, 0] = 1.0
@@ -469,3 +472,62 @@ def test_cp_properties_hold_for_any_channel(C, seed):
     assert report.trace_violation <= 1e-12
     assert report.hermiticity_violation <= 1e-12
     assert report.majorization_margin >= -1e-10
+
+
+def _bits(a: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@settings(max_examples=100)
+@given(
+    scattering_functions(min_L=1, max_L=6),
+    st.sampled_from([(), (1,), (7, 3)]),
+    st.integers(0, 2**32 - 1),
+)
+# A tap of power 5e-324 halves to a zero scale: the zero products keep their signs too.
+@example(ScatteringFunction.from_quad(1.0, 5e-324, 0.0, 0.0), (7, 3), 0)
+def test_complex_draws_keep_the_arithmetic_form_bits(C, batch, seed):
+    # The arithmetic forms the samplers replaced: x + 1j*y, then a complex
+    # product with the per-tap scale.  Both must match to the last bit (the
+    # uint64 view tells -0.0 from 0.0) and leave the generator in one state.
+    weights = np.array([w for _, w in C.nonzero_terms()])
+    shape = (*batch, weights.size)
+    reference = np.random.default_rng(seed)
+    z = reference.standard_normal((*shape, 2))
+    draw = z[..., 0] + 1j * z[..., 1]
+    taps = draw * np.sqrt(weights / 2.0)
+
+    rng = np.random.default_rng(seed)
+    assert np.array_equal(_bits(_complex_gaussian(rng, shape)), _bits(draw))
+    rng_taps = np.random.default_rng(seed)
+    assert np.array_equal(_bits(_rayleigh_taps(C, rng_taps, batch)), _bits(taps))
+    state = reference.bit_generator.state
+    assert rng.bit_generator.state == state == rng_taps.bit_generator.state
+
+
+_Q = (0.4, 0.3, 0.2, 0.1)
+_C2 = ScatteringFunction.from_quad(*_Q)
+_X = unit_vector([1.0, 1.0])
+_COUNTED_SAMPLERS = {
+    "estimate_expectations": (
+        2,
+        lambda n: estimate_expectations(_C2, _X, _X, [(0, 0)], sigma2=0.1, trials=n, seed=1),
+    ),
+    "brute_force_bloch_oracle": (1, lambda n: brute_force_bloch_oracle(_Q, n, seed=1)),
+    "fidelity_lower_bound_search": (1, lambda n: fidelity_lower_bound_search(_C2, 2, n, seed=1)),
+    "verify_cp_properties": (1, lambda n: verify_cp_properties(_C2, n, seed=1)),
+}
+
+
+@pytest.mark.parametrize("sampler", sorted(_COUNTED_SAMPLERS))
+@pytest.mark.parametrize("count", [2.5, 100.0, np.float64(1e4), True, np.True_, "3", None, 0, -1])
+def test_sample_counts_must_be_integers_at_or_above_the_minimum(sampler, count):
+    with pytest.raises(InvalidWeightsError):
+        _COUNTED_SAMPLERS[sampler][1](count)
+
+
+@pytest.mark.parametrize("sampler", sorted(_COUNTED_SAMPLERS))
+@pytest.mark.parametrize("make", [int, np.int32, np.int64, np.uint16])
+def test_numpy_integer_counts_act_as_python_ints(sampler, make):
+    minimum, call = _COUNTED_SAMPLERS[sampler]
+    assert call(make(minimum + 3)) == call(minimum + 3)
