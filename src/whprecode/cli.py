@@ -57,7 +57,6 @@ _NUMBER_FLAGS = (
     ("samples", int, 100_000, "oracle/search samples (default 1e5)"),
     ("seed", int, 0, "master RNG seed (default 0)"),
 )
-_QUAD_COMMANDS = ("solve", "classify", "oracle", "simulate")
 _CASE_NUMBERS = {
     ChannelClass.NON_DISPERSIVE: 1,
     ChannelClass.SINGLE_DISPERSIVE: 2,
@@ -113,12 +112,8 @@ def _build_parser() -> argparse.ArgumentParser:
         parents=[common],
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    sub.add_parser("solve", parents=[common], help="closed-form optimal pulses and schemes")
-    sub.add_parser("classify", parents=[common], help="qualitative channel regime")
-    sub.add_parser("oracle", parents=[common], help="closed form vs brute-force cross-check")
-    sub.add_parser("simulate", parents=[common], help="Monte Carlo link verification")
-    sub.add_parser("sweep", parents=[common], help="evenly-spread family over a p0 grid")
-    sub.add_parser("general", parents=[common], help="numerical optimization at general L")
+    for name, (_, text, _) in _COMMANDS.items():
+        sub.add_parser(name, parents=[common], help=text)
     return parser
 
 
@@ -260,7 +255,8 @@ def parse_config(argv=None) -> RunConfig:
         violations.append(f"samples: must be >= 1, got {samples}")
 
     quad = _assemble_quad(args, file_cfg, violations)
-    if args.command in _QUAD_COMMANDS:
+    _, _, reads_quad = _COMMANDS[args.command]
+    if reads_quad:
         if quad is None and not any(v.startswith("p:") for v in violations):
             violations.append("p: four scattering weights are required (--p or --p0..--p3)")
         if L != 2:
@@ -430,13 +426,15 @@ def _cmd_general(cfg: RunConfig) -> dict:
     }
 
 
+# The one subcommand table, name: (handler, --help line, reads an L=2 quad).
+# It builds the parser in this order, and dispatch and the L=2 checks read it.
 _COMMANDS = {
-    "solve": _cmd_solve,
-    "classify": _cmd_classify,
-    "oracle": _cmd_oracle,
-    "simulate": _cmd_simulate,
-    "sweep": _cmd_sweep,
-    "general": _cmd_general,
+    "solve": (_cmd_solve, "closed-form optimal pulses and schemes", True),
+    "classify": (_cmd_classify, "qualitative channel regime", True),
+    "oracle": (_cmd_oracle, "closed form vs brute-force cross-check", True),
+    "simulate": (_cmd_simulate, "Monte Carlo link verification", True),
+    "sweep": (_cmd_sweep, "evenly-spread family over a p0 grid", False),
+    "general": (_cmd_general, "numerical optimization at general L", False),
 }
 
 
@@ -446,10 +444,11 @@ def dispatch(cfg: RunConfig) -> dict:
     The document starts with the command name and, for the L=2 commands,
     the weights it ran on.
     """
+    run, _, reads_quad = _COMMANDS[cfg.command]
     doc = {"command": cfg.command}
-    if cfg.command in _QUAD_COMMANDS:
+    if reads_quad:
         doc["p"] = [float(v) for v in cfg.quad.as_tuple()]
-    doc.update(_COMMANDS[cfg.command](cfg))
+    doc.update(run(cfg))
     return doc
 
 

@@ -5,23 +5,22 @@ the package: ``S[(mu1, mu2)]`` cyclically delays by ``mu1`` samples and
 modulates by ``mu2`` frequency bins.  The L*L of them form a projective
 group (products close up to a unit phase), and at L=2 they coincide with
 the Pauli matrices up to a factor ``i`` on the double shift.
+
+One exact index and phase table per L, ``_layout``, builds these operators
+and every map kernel, Kraus stack and tap frame in ``wssus``, bit for bit.
 """
 
 from __future__ import annotations
 
 import cmath
-from fractions import Fraction
+import functools
+import math
 
 import numpy as np
 
 # Quarter-turn phases are emitted exactly so that small-L operators have
 # entries drawn from {0, +-1, +-i} with zero rounding error.
-_EXACT_TURNS = {
-    Fraction(0, 1): 1 + 0j,
-    Fraction(1, 4): 1j,
-    Fraction(1, 2): -1 + 0j,
-    Fraction(3, 4): -1j,
-}
+_QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
 
 # Shift index carried by sigma_i at L=2, in Pauli order 0..3.
 PAULI_SHIFTS: tuple[tuple[int, int], ...] = ((0, 0), (1, 0), (1, 1), (0, 1))
@@ -35,12 +34,29 @@ _PAULI = (
 
 
 def unit_phase(k: int, L: int) -> complex:
-    """Return exp(2*pi*i*k/L), exact for multiples of a quarter turn."""
-    turn = Fraction(k % L, L)
-    exact = _EXACT_TURNS.get(turn)
-    if exact is not None:
-        return exact
-    return cmath.exp(2j * cmath.pi * turn.numerator / turn.denominator)
+    """Return exp(2*pi*i*k/L), exact at quarter turns, else taken from k/L in lowest terms."""
+    k %= L
+    quarters, rest = divmod(4 * k, L)
+    if rest == 0:
+        return _QUARTER_TURNS[quarters]
+    g = math.gcd(k, L)
+    return cmath.exp(2j * cmath.pi * (k // g) / (L // g))
+
+
+@functools.lru_cache(maxsize=None)
+def _layout(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only index and phase tables of the shift group at dimension L.
+
+    ``rows[d, n] = (n + d) mod L`` is the row of entry n of cyclic diagonal d,
+    ``lags[n, j] = (n - j) mod L`` and ``phases[mu2, m] = unit_phase(mu2 * m, L)``,
+    so row m of ``S_(mu1, mu2)`` holds ``phases[mu2, m]`` in column ``lags[m, mu1]``.
+    """
+    n = np.arange(L)
+    turns = np.array([unit_phase(k, L) for k in range(L)])
+    tables = ((n + n[:, None]) % L, (n[:, None] - n) % L, turns[np.outer(n, n) % L])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
 
 
 def shift_operator(L: int, mu: tuple[int, int]) -> np.ndarray:
@@ -52,11 +68,9 @@ def shift_operator(L: int, mu: tuple[int, int]) -> np.ndarray:
     """
     if L < 1:
         raise ValueError(f"dimension must be >= 1, got {L}")
-    mu1 = int(mu[0]) % L
-    mu2 = int(mu[1]) % L
+    _, lags, phases = _layout(L)
     S = np.zeros((L, L), dtype=complex)
-    for m in range(L):
-        S[m, (m - mu1) % L] = unit_phase(mu2 * m, L)
+    S[np.arange(L), lags[:, int(mu[0]) % L]] = phases[int(mu[1]) % L]
     return S
 
 

@@ -22,7 +22,7 @@ from .wssus import (
     ScatteringFunction,
     _interference_level,
     _rayleigh_taps,
-    _require_count,
+    _require_int,
     _sinr_ratio,
     channel_fidelity,
     coerce_scheme_shifts,
@@ -111,7 +111,8 @@ def estimate_expectations(
     coefficients and run vectorized in chunks; the result is deterministic
     given the seed.
     """
-    trials = _require_count(trials, "trials", 2)
+    trials = _require_int(trials, "trials", 2)
+    seed = _require_int(seed, "seed", 0)
     validate_noise_power(sigma2)
     gamma = require_unit_vector(gamma, "gamma")
     g = require_unit_vector(g, "g")
@@ -121,17 +122,15 @@ def estimate_expectations(
     shifts = coerce_scheme_shifts(scheme, C.L)
     interferers = [mu for mu in shifts if mu != (0, 0)]
 
-    terms = C.nonzero_terms()
-    # Coupling of each channel tap into the reference slot and into the
-    # shifted transmit pulses occupying the other slots.
-    gain_coupling = np.array(
-        [_inner(g, shift_operator(C.L, mu) @ gamma) for mu, _ in terms]
-    )
-    interf_coupling = np.empty((len(terms), len(interferers)), dtype=complex)
+    ops = C.kraus_operators()[1]
+    # Coupling of each tap, in the order _rayleigh_taps draws, into the
+    # reference slot and into the shifted pulses occupying the other slots.
+    gain_coupling = np.array([_inner(g, S @ gamma) for S in ops])
+    interf_coupling = np.empty((len(ops), len(interferers)), dtype=complex)
     for j, nu in enumerate(interferers):
         shifted = shift_operator(C.L, nu) @ gamma
-        for i, (mu, _) in enumerate(terms):
-            interf_coupling[i, j] = _inner(g, shift_operator(C.L, mu) @ shifted)
+        for i, S in enumerate(ops):
+            interf_coupling[i, j] = _inner(g, S @ shifted)
 
     rng = np.random.default_rng(seed)
     gain_stats = _RunningMoments()
@@ -171,13 +170,14 @@ def sweep_p0(grid, trials: int, seed: int = 0) -> list[SweepRow]:
     reproduces 1/2 + (2/3)|p0 - 1/4|.  Per-row seeds derive from the master
     seed so rows are independent and the table is reproducible.
     """
+    seed = _require_int(seed, "seed", 0)
     rows = []
     for i, p0 in enumerate(grid):
         rest = (1.0 - p0) / 3.0
         quad = ScatteringQuad(p0, rest, rest, rest)
         solution = solve_fidelity(quad)
         C = quad.to_scattering_function()
-        row_seed = int(np.random.SeedSequence([int(seed), i]).generate_state(1)[0])
+        row_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
         report = estimate_expectations(
             C,
             solution.precoder,

@@ -21,7 +21,7 @@ from .wssus import (
     ScatteringFunction,
     _complex_gaussian,
     _map_rank_one,
-    _require_count,
+    _require_int,
     apply_A,
     apply_interference,
     random_unit_vector,
@@ -42,12 +42,10 @@ class OptimizerConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.max_iters < 1:
-            raise InvalidWeightsError(f"max_iters must be >= 1, got {self.max_iters}")
+        for name, minimum in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
+            object.__setattr__(self, name, _require_int(getattr(self, name), name, minimum))
         if not self.tol > 0.0:
             raise InvalidWeightsError(f"tol must be positive, got {self.tol}")
-        if self.restarts < 1:
-            raise InvalidWeightsError(f"restarts must be >= 1, got {self.restarts}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -185,7 +183,7 @@ def _sampled_max(score, n_samples: int, seed: int) -> float:
     One generator seeded with ``seed`` feeds every batch of at most _BATCH
     draws, so the result depends only on (seed, n_samples).
     """
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_require_int(seed, "seed", 0))
     best = -np.inf
     for start in range(0, n_samples, _BATCH):
         best = max(best, float(np.max(score(rng, min(_BATCH, n_samples - start)))))
@@ -204,7 +202,7 @@ def brute_force_bloch_oracle(
     the closed form and equals it when ``include_axes`` injects the three
     coordinate axes, where the optima sit.
     """
-    n_samples = _require_count(n_samples, "n_samples", 1)
+    n_samples = _require_int(n_samples, "n_samples", 1)
     quad = ScatteringQuad.coerce(p)
     b = np.diag(map_matrix_rep(quad))[1:]
 
@@ -233,7 +231,7 @@ def fidelity_lower_bound_search(
     matrix when the channel has T < L nonzero taps, as in
     alternating_fidelity_max.
     """
-    n_samples = _require_count(n_samples, "n_samples", 1)
+    n_samples = _require_int(n_samples, "n_samples", 1)
     if L != C.L:
         raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
     forward = _half_step_operands(C)[0]

@@ -20,11 +20,13 @@ Each of these maps, ``X -> sum_mu w(mu) S_mu X S_mu*`` for a weight grid
 circulant block, so one kernel on the diagonals serves them all.  On a
 rank-one operand ``v v*`` the map ``A`` is also a sum of T outer products
 ``sqrt(C(mu)) S_mu v``, one per nonzero tap; ``tap_frame()`` indexes them.
+``kraus_operators()`` is the one tap list, row-major; the tap frame, the
+Rayleigh sampler and the Monte Carlo couplings follow its order, and all
+of them are read off the exact tables of ``heisenberg._layout``.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -38,7 +40,7 @@ from .errors import (
     InvalidWeightsError,
     NonHermitianError,
 )
-from .heisenberg import PAULI_SHIFTS, all_shifts, shift_operator, unit_phase
+from .heisenberg import PAULI_SHIFTS, _layout
 
 WEIGHT_SUM_TOL = 1e-9
 DENSITY_TRACE_TOL = 1e-10
@@ -102,13 +104,9 @@ class ScatteringFunction:
         w[mu[0] % L, mu[1] % L] = 1.0
         return cls(L, w)
 
-    def nonzero_terms(self) -> tuple[tuple[tuple[int, int], float], ...]:
-        """(shift, weight) pairs with strictly positive weight, row-major order."""
-        return tuple(
-            (mu, float(self.weights[mu]))
-            for mu in all_shifts(self.L)
-            if self.weights[mu] > 0.0
-        )
+    def _tap_shifts(self) -> tuple[np.ndarray, np.ndarray]:
+        """Index arrays (mu1, mu2) of the nonzero taps in row-major order."""
+        return np.nonzero(self.weights > 0.0)
 
     def diagonal_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-diagonal blocks of the map ``A`` and of its adjoint, each (L, L, L)."""
@@ -129,7 +127,7 @@ class ScatteringFunction:
         cached = getattr(self, "_frame_cache", None)
         if cached is None:
             rows, lags, phases = _layout(self.L)
-            mu1, mu2 = np.nonzero(self.weights > 0.0)
+            mu1, mu2 = self._tap_shifts()
             amp = np.sqrt(self.weights[mu1, mu2])[:, None]
             # (S_mu v)[m] = w^(mu2 m) v[m - mu1], (S_mu* v)[j] = w^-(mu2 (j + mu1)) v[j + mu1].
             forward = (lags[:, mu1].T, amp * phases[mu2])
@@ -140,16 +138,21 @@ class ScatteringFunction:
         return cached
 
     def kraus_operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """Stacked (weights, shift operators) over the nonzero-weight shifts.
+        """The tap list: read-only weights (T,) and shift operators (T, L, L).
 
-        The explicit Kraus form of ``A``, kept as the tests' reference.
+        One entry per nonzero weight in row-major shift order, each ``S_t``
+        equal to ``shift_operator(L, mu_t)`` bit for bit, so that
+        ``A(X) = sum_t w[t] S_t X S_t*``.
         """
         cached = getattr(self, "_kraus_cache", None)
         if cached is None:
-            terms = self.nonzero_terms()
-            w = np.array([t[1] for t in terms])
-            ops = np.stack([shift_operator(self.L, t[0]) for t in terms])
-            cached = (w, ops)
+            mu1, mu2 = self._tap_shifts()
+            _, lags, phases = _layout(self.L)
+            ops = np.zeros((mu1.size, self.L, self.L), dtype=complex)
+            ops[np.arange(mu1.size)[:, None], np.arange(self.L), lags[:, mu1].T] = phases[mu2]
+            cached = (self.weights[mu1, mu2], ops)
+            for table in cached:
+                table.setflags(write=False)
             object.__setattr__(self, "_kraus_cache", cached)
         return cached
 
@@ -196,11 +199,11 @@ def validate_noise_power(sigma2) -> None:
         raise InvalidWeightsError(f"noise power must be finite and >= 0, got {sigma2}")
 
 
-def _require_count(n, name: str, minimum: int) -> int:
+def _require_int(n, name: str, minimum: int) -> int:
     """Return n as an int, raising unless it is an integer >= minimum.
 
-    Python and numpy integers pass; bool, float and str fail, so a count is
-    never rounded or read from a flag.
+    The one check of sample counts and seeds: Python and numpy integers
+    pass; bool, float, str and None fail, so none is rounded or read from a flag.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
         raise InvalidWeightsError(f"{name} must be an integer, got {n!r}")
@@ -224,22 +227,6 @@ def validate_density_operator(M, L: int | None = None) -> np.ndarray:
     if not np.linalg.eigvalsh(A)[0] >= -DENSITY_EIG_TOL:
         raise InvalidDensityOperatorError("density operator must be positive semidefinite")
     return A
-
-
-@functools.lru_cache(maxsize=None)
-def _layout(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Index and phase tables of the diagonal kernel at dimension L.
-
-    ``rows[d, n] = (n + d) mod L`` is the row of entry n of cyclic diagonal
-    d, ``lags[n, j] = (n - j) mod L``, and ``phases[mu2, d]`` is
-    exp(2*pi*i*mu2*d/L) from ``unit_phase``, so quarter turns stay exact.
-    """
-    n = np.arange(L)
-    turns = np.array([unit_phase(k, L) for k in range(L)])
-    tables = ((n + n[:, None]) % L, (n[:, None] - n) % L, turns[np.outer(n, n) % L])
-    for table in tables:
-        table.setflags(write=False)
-    return tables
 
 
 def _circulant_blocks(w: np.ndarray) -> np.ndarray:
@@ -372,7 +359,7 @@ def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.nd
 
 
 def _rayleigh_taps(C: ScatteringFunction, rng: np.random.Generator, shape=()) -> np.ndarray:
-    """Rayleigh taps  sqrt(C(mu)/2) (x + iy)  over ``C.nonzero_terms()``, last axis.
+    """Rayleigh taps  sqrt(C(mu)/2) (x + iy)  over ``C.kraus_operators()``, last axis.
 
     Each tap is circularly symmetric complex Gaussian with E|tap|^2 = C(mu),
     independent of the others; zero-power shifts get no tap at all.  The
@@ -380,7 +367,7 @@ def _rayleigh_taps(C: ScatteringFunction, rng: np.random.Generator, shape=()) ->
     place runs the same complex multiply as the product
     ``(x + iy) * sqrt(C(mu)/2)``, so the taps equal it bit for bit.
     """
-    weights = np.array([w for _, w in C.nonzero_terms()])
+    weights = C.kraus_operators()[0]
     taps = _complex_gaussian(rng, (*shape, weights.size))
     taps *= np.sqrt(weights / 2.0)
     return taps
@@ -408,7 +395,8 @@ def verify_cp_properties(C: ScatteringFunction, samples: int, seed: int = 0) -> 
     violation fields at roundoff level and the majorization margin above
     -1e-10.
     """
-    samples = _require_count(samples, "samples", 1)
+    samples = _require_int(samples, "samples", 1)
+    seed = _require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     eye = np.eye(C.L, dtype=complex)
     unital = float(np.max(np.abs(apply_A(C, eye) - eye)))

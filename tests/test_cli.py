@@ -304,7 +304,7 @@ def test_numerical_failure_exits_three(monkeypatch, capsys):
         return {"fidelity": float("nan")}
 
     for command in (explode, report_nan):
-        monkeypatch.setitem(cli._COMMANDS, "solve", command)
+        monkeypatch.setitem(cli._COMMANDS, "solve", (command, *cli._COMMANDS["solve"][1:]))
         code = cli.main(["solve", "--p", "1,0,0,0"])
         captured = capsys.readouterr()
         assert code == 3

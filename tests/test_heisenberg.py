@@ -1,9 +1,12 @@
 """Tests for the cyclic time-frequency shift operators."""
 
+import cmath
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from whprecode.heisenberg import PAULI_SHIFTS, all_shifts, pauli, shift_operator
+from whprecode.heisenberg import PAULI_SHIFTS, all_shifts, pauli, shift_operator, unit_phase
 
 # The four L=2 operators written out: identity, sample swap, sign flip on
 # the second bin, and the combined swap-and-flip.
@@ -106,3 +109,47 @@ def test_fourier_conjugation_swaps_time_and_frequency_shift():
     F = np.fft.fft(np.eye(2), norm="ortho")  # unitary DFT, exp(-2 pi i m n / L) / sqrt(L)
     lhs = F @ shift_operator(2, (1, 0)) @ F.conj().T
     np.testing.assert_allclose(lhs, shift_operator(2, (0, 1)), atol=1e-15)
+
+
+# The phase and operator formulas as first written, to pin the table-built
+# ones bit for bit (the uint64 view tells -0.0 from 0.0).
+_EXACT_TURNS = {
+    Fraction(0, 1): 1 + 0j,
+    Fraction(1, 4): 1j,
+    Fraction(1, 2): -1 + 0j,
+    Fraction(3, 4): -1j,
+}
+
+
+def _fraction_phase(k, L):
+    turn = Fraction(k % L, L)
+    exact = _EXACT_TURNS.get(turn)
+    if exact is not None:
+        return exact
+    return cmath.exp(2j * cmath.pi * turn.numerator / turn.denominator)
+
+
+def _entry_loop_shift(L, mu):
+    mu1, mu2 = int(mu[0]) % L, int(mu[1]) % L
+    S = np.zeros((L, L), dtype=complex)
+    for m in range(L):
+        S[m, (m - mu1) % L] = _fraction_phase(mu2 * m, L)
+    return S
+
+
+def _bits(values) -> np.ndarray:
+    return np.ascontiguousarray(np.asarray(values, dtype=complex)).view(np.uint64)
+
+
+@pytest.mark.parametrize("L", range(1, 65))
+def test_unit_phase_keeps_the_fraction_formula_bits(L):
+    ks = range(-3 * L, 3 * L)
+    assert np.array_equal(
+        _bits([unit_phase(k, L) for k in ks]), _bits([_fraction_phase(k, L) for k in ks])
+    )
+
+
+@pytest.mark.parametrize("L", range(1, 33))
+def test_shift_operator_keeps_the_entry_loop_bits(L):
+    for mu in ((a, b) for a in range(-1, L + 1) for b in range(-1, L + 1)):
+        assert np.array_equal(_bits(shift_operator(L, mu)), _bits(_entry_loop_shift(L, mu))), mu

@@ -159,24 +159,20 @@ def _chunk_loop_moments(C, gamma, g, scheme, trials, seed):
     # The chunk loop as first written: taps built as x + 1j*y, then a
     # complex product with the per-tap scale, one chunk of at most _CHUNK
     # trials at a time.
-    terms = C.nonzero_terms()
+    weights, ops = C.kraus_operators()
     interferers = [nu for nu in scheme if nu != (0, 0)]
-    gain_coupling = np.array([mc._inner(g, shift_operator(C.L, mu) @ gamma) for mu, _ in terms])
+    gain_coupling = np.array([mc._inner(g, S @ gamma) for S in ops])
     interf_coupling = np.array(
-        [
-            [mc._inner(g, shift_operator(C.L, mu) @ (shift_operator(C.L, nu) @ gamma))
-             for nu in interferers]
-            for mu, _ in terms
-        ],
+        [[mc._inner(g, S @ (shift_operator(C.L, nu) @ gamma)) for nu in interferers] for S in ops],
         dtype=complex,
     )
-    scale = np.sqrt(np.array([w for _, w in terms]) / 2.0)
+    scale = np.sqrt(weights / 2.0)
     rng = np.random.default_rng(seed)
     gain_stats, interf_stats = mc._RunningMoments(), mc._RunningMoments()
     remaining = trials
     while remaining > 0:
         m = min(remaining, mc._CHUNK)
-        z = rng.standard_normal((m, len(terms), 2))
+        z = rng.standard_normal((m, weights.size, 2))
         taps = (z[..., 0] + 1j * z[..., 1]) * scale
         gain_stats.add_chunk(np.abs(taps @ gain_coupling) ** 2)
         interf_stats.add_chunk(np.sum(np.abs(taps @ interf_coupling) ** 2, axis=1))
@@ -184,15 +180,29 @@ def _chunk_loop_moments(C, gamma, g, scheme, trials, seed):
     return gain_stats.mean, interf_stats.mean, gain_stats.stderr(), interf_stats.stderr()
 
 
-@pytest.mark.parametrize("interferers", [0, 1, 3])
+_QUAD = ScatteringFunction.from_quad(0.4, 0.3, 0.2, 0.1)
+
+
+def _sparse_l5():
+    # Four taps off the quarter turns: here a gathered S_mu v would differ
+    # from the matrix product S_mu @ v in the last bit of some couplings.
+    w = np.zeros((5, 5))
+    w[0, 0], w[1, 2], w[3, 4], w[2, 1] = 0.4, 0.3, 0.2, 0.1
+    return ScatteringFunction(5, w)
+
+
+@pytest.mark.parametrize(
+    "interferers, C",
+    [pytest.param(n, _QUAD, id=str(n)) for n in (0, 1, 3)]
+    + [pytest.param(n, _sparse_l5(), id=f"sparse_l5-{n}") for n in (0, 1, 3)],
+)
 @pytest.mark.parametrize(
     "trials", [2, mc._CHUNK - 1, mc._CHUNK, mc._CHUNK + 1, 2 * mc._CHUNK + 1]
 )
-def test_moments_equal_the_first_chunk_loop_exactly(trials, interferers):
-    C = ScatteringFunction.from_quad(0.4, 0.3, 0.2, 0.1)
+def test_moments_equal_the_first_chunk_loop_exactly(trials, interferers, C):
     rng = np.random.default_rng(trials + interferers)
-    gamma = unit_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
-    g = unit_vector(rng.standard_normal(2) + 1j * rng.standard_normal(2))
+    gamma = unit_vector(rng.standard_normal(C.L) + 1j * rng.standard_normal(C.L))
+    g = unit_vector(rng.standard_normal(C.L) + 1j * rng.standard_normal(C.L))
     scheme = [(0, 0), (1, 0), (0, 1), (1, 1)][: interferers + 1]
     report = estimate_expectations(C, gamma, g, scheme, sigma2=0.1, trials=trials, seed=77)
     moments = (report.mean_gain, report.mean_interf, report.stderr_gain, report.stderr_interf)

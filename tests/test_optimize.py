@@ -89,6 +89,13 @@ def test_optimizer_config_validation():
         OptimizerConfig(restarts=0)
 
 
+@pytest.mark.parametrize("field", ["max_iters", "restarts"])
+@pytest.mark.parametrize("value", [2.5, 3.5, np.float64(4.0), True, np.True_, "3", None, 0])
+def test_optimizer_config_counts_must_be_integers_at_least_one(field, value):
+    with pytest.raises(InvalidWeightsError):
+        OptimizerConfig(**{field: value})
+
+
 def test_alternating_identity_channel_converges_immediately():
     for L in (2, 3, 4):
         C = ScatteringFunction.concentrated(L, (0, 0))

@@ -16,8 +16,13 @@ from whprecode.errors import (
 )
 from whprecode.heisenberg import all_shifts, pauli, shift_operator
 from whprecode.linalg import rank_one_projector, unit_vector
-from whprecode.mc import estimate_expectations
-from whprecode.optimize import brute_force_bloch_oracle, fidelity_lower_bound_search
+from whprecode.mc import estimate_expectations, sweep_p0
+from whprecode.optimize import (
+    OptimizerConfig,
+    alternating_fidelity_max,
+    brute_force_bloch_oracle,
+    fidelity_lower_bound_search,
+)
 from whprecode.wssus import (
     ScatteringFunction,
     _complex_gaussian,
@@ -205,8 +210,7 @@ def test_fidelity_trace_form_matches_inner_product_form(L):
         g = unit_vector(rng.standard_normal(L) + 1j * rng.standard_normal(L))
         trace_form = channel_fidelity(C, rank_one_projector(gamma), rank_one_projector(g))
         direct = sum(
-            w * abs(np.vdot(g, shift_operator(L, mu) @ gamma)) ** 2
-            for mu, w in C.nonzero_terms()
+            w * abs(np.vdot(g, S @ gamma)) ** 2 for w, S in zip(*C.kraus_operators())
         )
         assert abs(trace_form - direct) <= 1e-12
         assert 0.0 <= trace_form <= 1.0
@@ -252,17 +256,11 @@ def test_sinr_brute_force_random_cross_check():
         scheme = [(0, 0), (1, 0), (0, 1)]
         sigma2 = 0.3
         # Independent evaluation straight from the definitions.
-        num = sum(
-            w * abs(np.vdot(g, shift_operator(2, mu) @ gamma)) ** 2
-            for mu, w in C.nonzero_terms()
-        )
+        num = sum(w * abs(np.vdot(g, S @ gamma)) ** 2 for w, S in zip(*C.kraus_operators()))
         interf = 0.0
         for nu in [(1, 0), (0, 1)]:
             Snu = shift_operator(2, nu)
-            AX = sum(
-                w * shift_operator(2, mu) @ P @ shift_operator(2, mu).conj().T
-                for mu, w in C.nonzero_terms()
-            )
+            AX = sum(w * S @ P @ S.conj().T for w, S in zip(*C.kraus_operators()))
             interf += np.trace(Snu @ AX @ Snu.conj().T @ G).real
         expected = num / (sigma2 + interf)
         assert abs(sinr(C, P, G, scheme, sigma2) - expected) <= 1e-12
@@ -307,7 +305,10 @@ def test_realization_zero_weights_give_exact_zeros():
     # Zero-power shifts are never drawn: one tap per nonzero weight.
     C = ScatteringFunction.from_quad(0.7, 0.0, 0.3, 0.0)
     taps = _rayleigh_taps(C, np.random.default_rng(0))
-    assert [mu for mu, _ in C.nonzero_terms()] == [(0, 0), (1, 1)]
+    # The tap list is row-major over the nonzero shifts: (0, 0), then (1, 1).
+    weights, ops = C.kraus_operators()
+    assert weights.tolist() == [0.7, 0.3]
+    assert np.array_equal(ops, [shift_operator(2, (0, 0)), shift_operator(2, (1, 1))])
     assert taps.shape == (2,)
     assert np.all(taps != 0.0)
 
@@ -324,7 +325,7 @@ def test_realization_second_moments():
     C = ScatteringFunction.from_quad(0.4, 0.3, 0.2, 0.1)
     n = 100_000
     taps = _rayleigh_taps(C, np.random.default_rng(2024), (n,))
-    weights = [w for _, w in C.nonzero_terms()]
+    weights = C.kraus_operators()[0]
     mean_power = np.mean(np.abs(taps) ** 2, axis=0)
     for i, w in enumerate(weights):
         stderr = w / math.sqrt(n)  # Var|z|^2 = w^2 for complex normal z
@@ -464,6 +465,29 @@ def test_kernel_is_exact_on_single_shift_channels(case):
         assert np.array_equal(adjoint_images, kraus_images(C, v, adjoint=True))
 
 
+@st.composite
+def sparse_or_dense_channels(draw):
+    L = draw(st.integers(1, 12))
+    power = st.floats(1e-3, 1.0)
+    if draw(st.booleans()):
+        grid = draw(arrays(float, (L, L), elements=power))
+    else:
+        grid = np.zeros((L, L))
+        for mu in draw(st.lists(st.tuples(st.integers(0, L - 1), st.integers(0, L - 1)),
+                                min_size=1, max_size=4)):
+            grid[mu] = draw(power)
+    return ScatteringFunction(L, grid / grid.sum())
+
+
+@settings(max_examples=100)
+@given(sparse_or_dense_channels())
+def test_kraus_operators_are_the_shift_operators_in_row_major_order(C):
+    taps = [mu for mu in all_shifts(C.L) if C.weights[mu] > 0.0]
+    weights, ops = C.kraus_operators()
+    assert np.array_equal(_bits(weights), _bits(np.array([C.weights[mu] for mu in taps])))
+    assert np.array_equal(_bits(ops), _bits(np.stack([shift_operator(C.L, mu) for mu in taps])))
+
+
 @settings(max_examples=100)
 @given(scattering_functions(min_L=1), st.integers(0, 2**32 - 1))
 def test_cp_properties_hold_for_any_channel(C, seed):
@@ -490,7 +514,7 @@ def test_complex_draws_keep_the_arithmetic_form_bits(C, batch, seed):
     # The arithmetic forms the samplers replaced: x + 1j*y, then a complex
     # product with the per-tap scale.  Both must match to the last bit (the
     # uint64 view tells -0.0 from 0.0) and leave the generator in one state.
-    weights = np.array([w for _, w in C.nonzero_terms()])
+    weights = C.kraus_operators()[0]
     shape = (*batch, weights.size)
     reference = np.random.default_rng(seed)
     z = reference.standard_normal((*shape, 2))
@@ -531,3 +555,36 @@ def test_sample_counts_must_be_integers_at_or_above_the_minimum(sampler, count):
 def test_numpy_integer_counts_act_as_python_ints(sampler, make):
     minimum, call = _COUNTED_SAMPLERS[sampler]
     assert call(make(minimum + 3)) == call(minimum + 3)
+
+
+def _trace_fields(trace):
+    gamma, g = trace.best_pair
+    return (trace.objective_history, trace.converged, trace.best_value,
+            trace.restart_values, gamma.tobytes(), g.tobytes())
+
+
+_SEEDED = {
+    "estimate_expectations": lambda s: estimate_expectations(
+        _C2, _X, _X, [(0, 0)], sigma2=0.1, trials=10, seed=s
+    ),
+    "brute_force_bloch_oracle": lambda s: brute_force_bloch_oracle(_Q, 10, seed=s),
+    "fidelity_lower_bound_search": lambda s: fidelity_lower_bound_search(_C2, 2, 10, seed=s),
+    "verify_cp_properties": lambda s: verify_cp_properties(_C2, 3, seed=s),
+    "sweep_p0": lambda s: sweep_p0([0.3], trials=100, seed=s),
+    "OptimizerConfig": lambda s: _trace_fields(
+        alternating_fidelity_max(_C2, 2, OptimizerConfig(restarts=2, seed=s))
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_SEEDED))
+@pytest.mark.parametrize("seed", [2.5, True, -1, "3", None])
+def test_seeds_must_be_nonnegative_integers(entry, seed):
+    with pytest.raises(InvalidWeightsError):
+        _SEEDED[entry](seed)
+
+
+@pytest.mark.parametrize("entry", sorted(_SEEDED))
+@pytest.mark.parametrize("make", [np.int32, np.int64, np.uint16])
+def test_numpy_integer_seeds_act_as_python_ints(entry, make):
+    assert _SEEDED[entry](make(3)) == _SEEDED[entry](3)
