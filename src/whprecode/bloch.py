@@ -22,13 +22,14 @@ optimal pulse constructions and the qualitative channel classification.
 from __future__ import annotations
 
 import enum
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidWeightsError
 from .heisenberg import pauli
-from .linalg import require_finite, require_hermitian
+from .linalg import require_finite, require_hermitian, require_int
 from .wssus import ScatteringFunction
 
 BLOCH_TOL = 1e-10
@@ -79,9 +80,13 @@ class ScatteringQuad:
 
     @classmethod
     def coerce(cls, p) -> "ScatteringQuad":
+        """The quad p, or the one built from a sequence of four real numbers."""
         if isinstance(p, ScatteringQuad):
             return p
-        return cls(*(float(v) for v in p))
+        values = tuple(p) if np.iterable(p) and not isinstance(p, str) else ()
+        if len(values) != 4 or not all(isinstance(v, numbers.Real) for v in values):
+            raise InvalidWeightsError(f"a quad must be four numbers p0..p3, got {p!r}")
+        return cls(*map(float, values))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p0, self.p1, self.p2, self.p3)
@@ -157,19 +162,9 @@ def map_matrix_rep(p) -> np.ndarray:
     )
 
 
-def _axis_index(n) -> int:
-    """The Pauli axis index n as an int; ValueError unless n is an integer in 1..3.
-
-    Python and numpy integers pass; booleans, floats and anything else do not.
-    """
-    if isinstance(n, (int, np.integer)) and not isinstance(n, bool) and 1 <= n <= 3:
-        return int(n)
-    raise ValueError(f"axis index must be an integer in 1..3, got {n!r}")
-
-
 def axis_unit_vector(n: int, sign: int = +1) -> np.ndarray:
     """Unit pulse whose projector is (sigma_0 + sign*sigma_n)/2, n in 1..3."""
-    n = _axis_index(n)
+    n = require_int(n, "axis index", 1, 3)
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     table = _AXIS_PLUS if sign > 0 else _AXIS_MINUS
@@ -178,7 +173,7 @@ def axis_unit_vector(n: int, sign: int = +1) -> np.ndarray:
 
 def optimal_projectors(n: int, sign: int = +1) -> tuple[np.ndarray, np.ndarray]:
     """Transmit/receive projector pair ((sigma_0+sigma_n)/2, (sigma_0+sign*sigma_n)/2)."""
-    n = _axis_index(n)
+    n = require_int(n, "axis index", 1, 3)
     if sign not in (+1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     X = 0.5 * (pauli(0) + pauli(n))
@@ -194,7 +189,7 @@ def optimal_precoder_vector(n: int) -> np.ndarray:
     "-" orientation of the projector pair; both orientations attain the
     same gain and ``optimal_projectors`` exposes either.
     """
-    n = _axis_index(n)
+    n = require_int(n, "axis index", 1, 3)
     return axis_unit_vector(n, _TABLE_SIGNS[n - 1])
 
 

@@ -292,7 +292,7 @@ def _complex_pairs(v) -> list[list[float]]:
 
 
 def _scheme_doc(scheme) -> list[list[int]]:
-    return [[int(m), int(n)] for m, n in scheme]
+    return [list(mu) for mu in scheme]
 
 
 def _family_flags(quad: ScatteringQuad) -> tuple[bool, bool]:

@@ -27,7 +27,7 @@ class SingularDenominatorError(WHPrecodeError):
 
 
 class InvalidWeightsError(WHPrecodeError):
-    """Scattering weights that are negative or not normalized to total one."""
+    """Any number outside its allowed set: scattering weights, counts, seeds, indices."""
 
 
 class InvalidDensityOperatorError(WHPrecodeError):

@@ -18,6 +18,8 @@ import math
 
 import numpy as np
 
+from .linalg import require_int
+
 # Quarter-turn phases are emitted exactly so that small-L operators have
 # entries drawn from {0, +-1, +-i} with zero rounding error.
 _QUARTER_TURNS = (1 + 0j, 1j, -1 + 0j, -1j)
@@ -66,19 +68,23 @@ def shift_operator(L: int, mu: tuple[int, int]) -> np.ndarray:
     with phase exp(2*pi*i*mu2*m/L).  ``shift_operator(L, (0, 0))`` is the
     identity.  Indices are reduced mod L, so any integer pair is accepted.
     """
-    if L < 1:
-        raise ValueError(f"dimension must be >= 1, got {L}")
+    L = require_int(L, "dimension", 1)
+    mu1, mu2 = _reduced_shift(mu, L)
     _, lags, phases = _layout(L)
     S = np.zeros((L, L), dtype=complex)
-    S[np.arange(L), lags[:, int(mu[0]) % L]] = phases[int(mu[1]) % L]
+    S[np.arange(L), lags[:, mu1]] = phases[mu2]
     return S
+
+
+def _reduced_shift(mu, L: int) -> tuple[int, int]:
+    """The integer shift pair mu reduced mod a checked dimension L."""
+    mu1, mu2 = mu
+    return require_int(mu1, "shift index") % L, require_int(mu2, "shift index") % L
 
 
 def pauli(i: int) -> np.ndarray:
     """Return the Pauli matrix sigma_i, i in {0, 1, 2, 3}."""
-    if i not in (0, 1, 2, 3):
-        raise ValueError(f"pauli index must be in 0..3, got {i}")
-    return _PAULI[i].copy()
+    return _PAULI[require_int(i, "pauli index", 0, 3)].copy()
 
 
 def all_shifts(L: int) -> tuple[tuple[int, int], ...]:

@@ -1,10 +1,11 @@
 """Dense hermitian linear algebra for the small operators used here.
 
-Thin, contract-enforcing wrappers over LAPACK via numpy: the hermitian and
-unit-norm checks, the hermitian-definite generalized eigenproblem (solved
-by Cholesky reduction) that the receiver optimizer needs, and rank-one
-projectors.  Operators here are small (the benchmark runs L up to 32), so
-robustness and clear failure modes win over speed.
+Thin, contract-enforcing wrappers over LAPACK via numpy: the package's
+input checks (integers, finite entries, hermitian and unit-norm operands),
+the hermitian-definite generalized eigenproblem (solved by Cholesky
+reduction) that the receiver optimizer needs, and rank-one projectors.
+Operators here are small (the benchmark runs L up to 32), so robustness
+and clear failure modes win over speed.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import numpy as np
 
 from .errors import (
     DimensionMismatchError,
+    InvalidWeightsError,
     NonHermitianError,
     NotUnitNormError,
     SingularDenominatorError,
@@ -21,6 +23,21 @@ from .errors import (
 
 HERMITIAN_TOL = 1e-12
 POSITIVE_DEFINITE_TOL = 1e-12
+
+
+def require_int(n, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
+    """Return n as an int, raising unless it is an integer in [minimum, maximum].
+
+    The one check of counts, seeds, dimensions and shift, axis and Pauli
+    indices: Python and numpy integers pass; bool, float, str and None fail,
+    so none is rounded or read from a flag.  A bound of None is open.
+    """
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
+        raise InvalidWeightsError(f"{name} must be an integer, got {n!r}")
+    if minimum is not None and n < minimum or maximum is not None and n > maximum:
+        allowed = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
+        raise InvalidWeightsError(f"{name} must be {allowed}, got {n}")
+    return int(n)
 
 
 def require_square(M, name: str = "matrix") -> np.ndarray:

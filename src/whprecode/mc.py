@@ -17,12 +17,11 @@ import numpy as np
 from .bloch import ScatteringQuad, solve_fidelity
 from .errors import InvalidWeightsError
 from .heisenberg import shift_operator
-from .linalg import rank_one_projector, require_unit_vector
+from .linalg import rank_one_projector, require_int, require_unit_vector
 from .wssus import (
     ScatteringFunction,
     _interference_level,
     _rayleigh_taps,
-    _require_int,
     _sinr_ratio,
     channel_fidelity,
     coerce_scheme_shifts,
@@ -69,8 +68,6 @@ class _RunningMoments:
 
     def add_chunk(self, values: np.ndarray) -> None:
         n = values.size
-        if n == 0:
-            return
         chunk_mean = float(values.mean())
         chunk_m2 = float(np.sum((values - chunk_mean) ** 2))
         delta = chunk_mean - self.mean
@@ -80,8 +77,6 @@ class _RunningMoments:
         self.count = total
 
     def stderr(self) -> float:
-        if self.count < 2:
-            return math.nan
         return math.sqrt(self.m2 / (self.count - 1)) / math.sqrt(self.count)
 
 
@@ -111,8 +106,8 @@ def estimate_expectations(
     coefficients and run vectorized in chunks; the result is deterministic
     given the seed.
     """
-    trials = _require_int(trials, "trials", 2)
-    seed = _require_int(seed, "seed", 0)
+    trials = require_int(trials, "trials", 2)
+    seed = require_int(seed, "seed", 0)
     validate_noise_power(sigma2)
     gamma = require_unit_vector(gamma, "gamma")
     g = require_unit_vector(g, "g")
@@ -170,7 +165,7 @@ def sweep_p0(grid, trials: int, seed: int = 0) -> list[SweepRow]:
     reproduces 1/2 + (2/3)|p0 - 1/4|.  Per-row seeds derive from the master
     seed so rows are independent and the table is reproducible.
     """
-    seed = _require_int(seed, "seed", 0)
+    seed = require_int(seed, "seed", 0)
     rows = []
     for i, p0 in enumerate(grid):
         rest = (1.0 - p0) / 3.0

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import _axis_index, optimal_precoder_vector
-from .errors import DimensionMismatchError, InvalidSchemeError
+from .bloch import optimal_precoder_vector
+from .errors import DimensionMismatchError
 from .heisenberg import PAULI_SHIFTS, shift_operator
-from .linalg import require_finite, require_unit_vector
+from .linalg import require_finite, require_int, require_unit_vector
 from .wssus import (
     ScatteringFunction,
     _interference_level,
@@ -41,8 +41,7 @@ class Scheme:
     shifts: tuple[tuple[int, int], ...]
 
     def __post_init__(self) -> None:
-        if self.L < 1:
-            raise InvalidSchemeError(f"dimension must be >= 1, got {self.L}")
+        object.__setattr__(self, "L", require_int(self.L, "dimension", 1))
         object.__setattr__(self, "shifts", coerce_scheme_shifts(self.shifts, self.L))
 
     def __iter__(self):
@@ -101,7 +100,7 @@ def select_schemes(n: int) -> list[Scheme]:
     Results are ordered lexicographically by shift.  The table is built
     once per axis and process; each call returns a fresh list.
     """
-    return list(_zero_crosstalk_schemes(_axis_index(n)))
+    return list(_zero_crosstalk_schemes(require_int(n, "axis index", 1, 3)))
 
 
 @functools.cache
@@ -120,14 +119,9 @@ def best_scheme(C: ScatteringFunction, gamma_proj, g_proj, n: int) -> Scheme:
     Ties within 1e-12 fall back to the lexicographically smaller shift.
     """
     candidates = select_schemes(n)
-    if not candidates:
-        raise InvalidSchemeError(f"no crosstalk-free scheme exists for axis {n}")
     gamma_op = validate_density_operator(gamma_proj, C.L)
     g_op = validate_density_operator(g_proj, C.L)
     levels = [_interference_level(C, gamma_op, g_op, scheme) for scheme in candidates]
     best = min(levels)
-    for scheme, level in zip(candidates, levels):
-        if level - best <= 1e-12:
-            return scheme
-    return candidates[0]
+    return next(s for s, level in zip(candidates, levels) if level - best <= 1e-12)
 

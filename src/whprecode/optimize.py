@@ -21,7 +21,6 @@ from .wssus import (
     ScatteringFunction,
     _complex_gaussian,
     _map_rank_one,
-    _require_int,
     apply_A,
     apply_interference,
     random_unit_vector,
@@ -43,7 +42,7 @@ class OptimizerConfig:
 
     def __post_init__(self) -> None:
         for name, minimum in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
-            object.__setattr__(self, name, _require_int(getattr(self, name), name, minimum))
+            object.__setattr__(self, name, linalg.require_int(getattr(self, name), name, minimum))
         if not self.tol > 0.0:
             raise InvalidWeightsError(f"tol must be positive, got {self.tol}")
 
@@ -138,6 +137,7 @@ def alternating_fidelity_max(
     T < L and an L x L one otherwise; the path is fixed once per call and
     changes only the cost of a step, not the iteration.
     """
+    L = linalg.require_int(L, "dimension", 1)
     if L != C.L:
         raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
     forward, adjoint = _half_step_operands(C)
@@ -146,24 +146,19 @@ def alternating_fidelity_max(
         [random_unit_vector(np.random.default_rng(s), L) for s in children]
     )
 
-    history: list[np.ndarray] = []
-    receivers = np.zeros_like(gammas)
-    prev = np.full(cfg.restarts, -np.inf)
+    # Each cycle is a transmit then a receive half-step, so the returned pair
+    # always ends on a receiver matched to its transmit pulse.
+    obj, receivers = _top_eigenpairs(forward, gammas)
+    history = [obj]
     converged = np.zeros(cfg.restarts, dtype=bool)
     for _ in range(cfg.max_iters):
+        prev = obj
+        obj_t, gammas = _top_eigenpairs(adjoint, receivers)
         obj, receivers = _top_eigenpairs(forward, gammas)
-        history.append(obj)
+        history += [obj_t, obj]
         converged |= obj - prev <= cfg.tol
         if converged.all():
             break
-        prev = obj
-        obj_t, gammas = _top_eigenpairs(adjoint, receivers)
-        history.append(obj_t)
-    if len(history) % 2 == 0:
-        # Ended on a transmit half-step: refresh receivers so the returned
-        # pair is mutually consistent.
-        obj, receivers = _top_eigenpairs(forward, gammas)
-        history.append(obj)
 
     finals = history[-1]
     best = int(np.argmax(finals))
@@ -183,7 +178,7 @@ def _sampled_max(score, n_samples: int, seed: int) -> float:
     One generator seeded with ``seed`` feeds every batch of at most _BATCH
     draws, so the result depends only on (seed, n_samples).
     """
-    rng = np.random.default_rng(_require_int(seed, "seed", 0))
+    rng = np.random.default_rng(linalg.require_int(seed, "seed", 0))
     best = -np.inf
     for start in range(0, n_samples, _BATCH):
         best = max(best, float(np.max(score(rng, min(_BATCH, n_samples - start)))))
@@ -202,7 +197,7 @@ def brute_force_bloch_oracle(
     the closed form and equals it when ``include_axes`` injects the three
     coordinate axes, where the optima sit.
     """
-    n_samples = _require_int(n_samples, "n_samples", 1)
+    n_samples = linalg.require_int(n_samples, "n_samples", 1)
     quad = ScatteringQuad.coerce(p)
     b = np.diag(map_matrix_rep(quad))[1:]
 
@@ -231,7 +226,8 @@ def fidelity_lower_bound_search(
     matrix when the channel has T < L nonzero taps, as in
     alternating_fidelity_max.
     """
-    n_samples = _require_int(n_samples, "n_samples", 1)
+    n_samples = linalg.require_int(n_samples, "n_samples", 1)
+    L = linalg.require_int(L, "dimension", 1)
     if L != C.L:
         raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
     forward = _half_step_operands(C)[0]

@@ -40,7 +40,7 @@ from .errors import (
     InvalidWeightsError,
     NonHermitianError,
 )
-from .heisenberg import PAULI_SHIFTS, _layout
+from .heisenberg import PAULI_SHIFTS, _layout, _reduced_shift
 
 WEIGHT_SUM_TOL = 1e-9
 DENSITY_TRACE_TOL = 1e-10
@@ -64,8 +64,7 @@ class ScatteringFunction:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.L < 1:
-            raise InvalidWeightsError(f"dimension must be >= 1, got {self.L}")
+        object.__setattr__(self, "L", linalg.require_int(self.L, "dimension", 1))
         w = np.array(self.weights, dtype=float)
         if w.shape != (self.L, self.L):
             raise InvalidWeightsError(
@@ -95,27 +94,40 @@ class ScatteringFunction:
     @classmethod
     def uniform(cls, L: int) -> "ScatteringFunction":
         """Maximally spread statistics: equal power on all L*L shifts."""
+        L = linalg.require_int(L, "dimension", 1)
         return cls(L, np.full((L, L), 1.0 / (L * L)))
 
     @classmethod
     def concentrated(cls, L: int, mu: tuple[int, int]) -> "ScatteringFunction":
         """All power on the single shift mu."""
+        L = linalg.require_int(L, "dimension", 1)
         w = np.zeros((L, L))
-        w[mu[0] % L, mu[1] % L] = 1.0
+        w[_reduced_shift(mu, L)] = 1.0
         return cls(L, w)
 
     def _tap_shifts(self) -> tuple[np.ndarray, np.ndarray]:
         """Index arrays (mu1, mu2) of the nonzero taps in row-major order."""
         return np.nonzero(self.weights > 0.0)
 
+    def _cached(self, name: str, build):
+        """The tuple ``build()`` made on first use, its arrays (nested one deep) read-only."""
+        cached = self.__dict__.get(name)
+        if cached is None:
+            cached = build()
+            for entry in cached:
+                for table in entry if isinstance(entry, tuple) else (entry,):
+                    table.setflags(write=False)
+            object.__setattr__(self, name, cached)
+        return cached
+
     def diagonal_blocks(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-diagonal blocks of the map ``A`` and of its adjoint, each (L, L, L)."""
-        cached = getattr(self, "_blocks_cache", None)
-        if cached is None:
+
+        def build():
             blocks = _circulant_blocks(self.weights)
-            cached = (blocks, blocks.conj().swapaxes(-1, -2))
-            object.__setattr__(self, "_blocks_cache", cached)
-        return cached
+            return blocks, blocks.conj().swapaxes(-1, -2)
+
+        return self._cached("_blocks", build)
 
     def tap_frame(self) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
         """Tap frames of ``A`` and of its adjoint, each ``(rows, coef)`` of shape (T, L).
@@ -124,18 +136,17 @@ class ScatteringFunction:
         ``sqrt(C(mu)) S_mu v`` (first frame) or ``sqrt(C(mu)) S_mu* v``
         (second), so the map applied to ``v v*`` is ``W^T conj(W)``.
         """
-        cached = getattr(self, "_frame_cache", None)
-        if cached is None:
+
+        def build():
             rows, lags, phases = _layout(self.L)
             mu1, mu2 = self._tap_shifts()
             amp = np.sqrt(self.weights[mu1, mu2])[:, None]
             # (S_mu v)[m] = w^(mu2 m) v[m - mu1], (S_mu* v)[j] = w^-(mu2 (j + mu1)) v[j + mu1].
-            forward = (lags[:, mu1].T, amp * phases[mu2])
             back = rows[mu1]
             adjoint = (back, amp * phases[mu2[:, None], back].conj())
-            cached = (forward, adjoint)
-            object.__setattr__(self, "_frame_cache", cached)
-        return cached
+            return (lags[:, mu1].T, amp * phases[mu2]), adjoint
+
+        return self._cached("_frame", build)
 
     def kraus_operators(self) -> tuple[np.ndarray, np.ndarray]:
         """The tap list: read-only weights (T,) and shift operators (T, L, L).
@@ -144,17 +155,15 @@ class ScatteringFunction:
         equal to ``shift_operator(L, mu_t)`` bit for bit, so that
         ``A(X) = sum_t w[t] S_t X S_t*``.
         """
-        cached = getattr(self, "_kraus_cache", None)
-        if cached is None:
+
+        def build():
             mu1, mu2 = self._tap_shifts()
             _, lags, phases = _layout(self.L)
             ops = np.zeros((mu1.size, self.L, self.L), dtype=complex)
             ops[np.arange(mu1.size)[:, None], np.arange(self.L), lags[:, mu1].T] = phases[mu2]
-            cached = (self.weights[mu1, mu2], ops)
-            for table in cached:
-                table.setflags(write=False)
-            object.__setattr__(self, "_kraus_cache", cached)
-        return cached
+            return self.weights[mu1, mu2], ops
+
+        return self._cached("_kraus", build)
 
 
 @dataclass(frozen=True)
@@ -185,7 +194,7 @@ def coerce_scheme_shifts(scheme, L: int) -> tuple[tuple[int, int], ...]:
     if scheme_L is not None and scheme_L != L:
         raise DimensionMismatchError(f"scheme dimension {scheme_L} does not match L={L}")
     shifts = getattr(scheme, "shifts", scheme)
-    reduced = tuple((int(m) % L, int(n) % L) for m, n in shifts)
+    reduced = tuple(_reduced_shift(mu, L) for mu in shifts)
     if len(set(reduced)) != len(reduced):
         raise InvalidSchemeError(f"scheme shifts must be distinct mod {L}: {reduced}")
     if (0, 0) not in reduced:
@@ -197,19 +206,6 @@ def validate_noise_power(sigma2) -> None:
     """Require a finite noise power sigma2 >= 0 (NaN fails)."""
     if not 0.0 <= sigma2 < math.inf:
         raise InvalidWeightsError(f"noise power must be finite and >= 0, got {sigma2}")
-
-
-def _require_int(n, name: str, minimum: int) -> int:
-    """Return n as an int, raising unless it is an integer >= minimum.
-
-    The one check of sample counts and seeds: Python and numpy integers
-    pass; bool, float, str and None fail, so none is rounded or read from a flag.
-    """
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise InvalidWeightsError(f"{name} must be an integer, got {n!r}")
-    if n < minimum:
-        raise InvalidWeightsError(f"{name} must be >= {minimum}, got {n}")
-    return int(n)
 
 
 def validate_density_operator(M, L: int | None = None) -> np.ndarray:
@@ -395,8 +391,8 @@ def verify_cp_properties(C: ScatteringFunction, samples: int, seed: int = 0) -> 
     violation fields at roundoff level and the majorization margin above
     -1e-10.
     """
-    samples = _require_int(samples, "samples", 1)
-    seed = _require_int(seed, "seed", 0)
+    samples = linalg.require_int(samples, "samples", 1)
+    seed = linalg.require_int(seed, "seed", 0)
     rng = np.random.default_rng(seed)
     eye = np.eye(C.L, dtype=complex)
     unital = float(np.max(np.abs(apply_A(C, eye) - eye)))

@@ -20,6 +20,7 @@ from whprecode.bloch import (
 from whprecode.errors import InvalidWeightsError, NonHermitianError, WHPrecodeError
 from whprecode.heisenberg import pauli
 from whprecode.linalg import rank_one_projector
+from whprecode.optimize import brute_force_bloch_oracle
 from whprecode.wssus import ScatteringFunction, apply_A
 
 
@@ -285,6 +286,19 @@ def test_axis_index_must_be_an_integer_in_range(fn):
             fn(bad)
     for n in (1, 2, 3):
         assert np.array_equal(np.asarray(fn(n)), np.asarray(fn(np.int64(n))))
+
+
+def _oracle(p):
+    return brute_force_bloch_oracle(p, 10)
+
+
+@pytest.mark.parametrize("fn", [solve_fidelity, classify_channel, map_matrix_rep, _oracle])
+@pytest.mark.parametrize(
+    "p", [[0.5, 0.5, 0], [0.2] * 5, "abcd", [0.25, 0.25, 0.25, "x"], 5], ids=repr
+)
+def test_quads_must_be_four_numbers(fn, p):
+    with pytest.raises(InvalidWeightsError):
+        fn(p)
 
 
 def test_precoder_table_and_fourier_images():

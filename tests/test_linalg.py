@@ -3,18 +3,31 @@
 import numpy as np
 import pytest
 
+from whprecode.bloch import axis_unit_vector, optimal_precoder_vector, optimal_projectors
 from whprecode.errors import (
     NonHermitianError,
     NotUnitNormError,
     SingularDenominatorError,
     WHPrecodeError,
 )
-from whprecode.heisenberg import pauli
+from whprecode.heisenberg import pauli, shift_operator
 from whprecode.linalg import max_generalized_eigenpair, rank_one_projector, unit_vector
 from whprecode.mc import estimate_expectations
-from whprecode.multiplex import best_scheme, crosstalk
-from whprecode.optimize import optimal_receiver
-from whprecode.wssus import ScatteringFunction, channel_fidelity, sinr
+from whprecode.multiplex import Scheme, best_scheme, crosstalk, select_schemes
+from whprecode.optimize import (
+    OptimizationTrace,
+    OptimizerConfig,
+    alternating_fidelity_max,
+    fidelity_lower_bound_search,
+    optimal_receiver,
+)
+from whprecode.wssus import (
+    ScatteringFunction,
+    apply_interference,
+    channel_fidelity,
+    coerce_scheme_shifts,
+    sinr,
+)
 
 
 def random_hermitian(rng, L):
@@ -187,3 +200,93 @@ def test_non_finite_vectors_and_operators_are_rejected(call, kind):
     vector, operator = _NON_FINITE[kind]
     with pytest.raises(WHPrecodeError):
         _CHECKED_CALLS[call](vector, operator)
+
+
+# Every integer-taking entry point, as (kind, call): dimensions, shift indices
+# (any integer, reduced mod L), Pauli axes 1..3 and Pauli indices 0..3.
+_C3 = ScatteringFunction.uniform(3)
+_V3 = unit_vector([1.0, 1j, 0.0])
+_P3 = rank_one_projector(_V3)
+_INTEGER_ENTRIES = {
+    "ScatteringFunction": ("dimension", lambda L: ScatteringFunction(L, np.full((2, 2), 0.25))),
+    "ScatteringFunction.uniform": ("dimension", ScatteringFunction.uniform),
+    "ScatteringFunction.concentrated": (
+        "dimension", lambda L: ScatteringFunction.concentrated(L, (1, 0))
+    ),
+    "Scheme": ("dimension", lambda L: Scheme(L, ((0, 0), (1, 1)))),
+    "shift_operator": ("dimension", lambda L: shift_operator(L, (1, 1))),
+    "alternating_fidelity_max": (
+        "dimension",
+        lambda L: alternating_fidelity_max(_C2, L, OptimizerConfig(max_iters=3, restarts=2)),
+    ),
+    "fidelity_lower_bound_search": (
+        "dimension", lambda L: fidelity_lower_bound_search(_C2, L, 10, seed=1)
+    ),
+    "shift_operator_mu1": ("shift", lambda m: shift_operator(3, (m, 2))),
+    "shift_operator_mu2": ("shift", lambda m: shift_operator(3, (2, m))),
+    "ScatteringFunction.concentrated_mu1": (
+        "shift", lambda m: ScatteringFunction.concentrated(3, (m, 2))
+    ),
+    "ScatteringFunction.concentrated_mu2": (
+        "shift", lambda m: ScatteringFunction.concentrated(3, (2, m))
+    ),
+    "Scheme_shift": ("shift", lambda m: Scheme(3, ((0, 0), (m, 2)))),
+    "coerce_scheme_shifts": ("shift", lambda m: coerce_scheme_shifts([(0, 0), (2, m)], 3)),
+    "crosstalk": ("shift", lambda m: crosstalk(_V3, (m, 1))),
+    "apply_interference": ("shift", lambda m: apply_interference(_C3, _P3, [(0, 0), (m, 1)])),
+    "sinr": ("shift", lambda m: sinr(_C3, _P3, _P3, [(0, 0), (m, 1)], 0.1)),
+    "estimate_expectations": (
+        "shift",
+        lambda m: estimate_expectations(_C3, _V3, _V3, [(0, 0), (m, 1)], 0.1, trials=10),
+    ),
+    "axis_unit_vector": ("axis", axis_unit_vector),
+    "optimal_projectors": ("axis", optimal_projectors),
+    "optimal_precoder_vector": ("axis", optimal_precoder_vector),
+    "select_schemes": ("axis", select_schemes),
+    "best_scheme": ("axis", lambda n: best_scheme(_C2, _HALF, _HALF, n)),
+    "pauli": ("pauli", pauli),
+}
+_NOT_INTEGERS = [2.5, 2.0, np.float64(2.0), True, np.True_, "2", None]
+_OUT_OF_RANGE = {"dimension": [0, -1], "shift": [], "axis": [0, -1, 4], "pauli": [-1, 4]}
+_VALID = {"dimension": 2, "shift": 1, "axis": 2, "pauli": 2}
+
+
+def _bits(result):
+    """A comparable record of a result's values and of the Python types of its scalars."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str, result.shape, result.tobytes()
+    if isinstance(result, (tuple, list)):
+        return tuple(_bits(r) for r in result)
+    if isinstance(result, ScatteringFunction):
+        return _bits((result.L, result.weights))
+    if isinstance(result, Scheme):
+        return _bits((result.L, result.shifts))
+    if isinstance(result, OptimizationTrace):
+        return _bits((result.objective_history, result.converged, result.best_value,
+                      result.best_pair, result.restart_values))
+    return type(result), result
+
+
+@pytest.mark.parametrize("entry", list(_INTEGER_ENTRIES))
+def test_integers_are_the_only_indices_counts_and_dimensions(entry):
+    kind, call = _INTEGER_ENTRIES[entry]
+    for bad in _NOT_INTEGERS + _OUT_OF_RANGE[kind]:
+        # A WHPrecodeError, never a raw TypeError, IndexError or ZeroDivisionError.
+        with pytest.raises(WHPrecodeError):
+            call(bad)
+    reference = _bits(call(_VALID[kind]))
+    for make in (np.int32, np.int64, np.uint16):
+        assert _bits(call(make(_VALID[kind]))) == reference
+
+
+@pytest.mark.parametrize("make", [int, np.int64, np.uint8])
+def test_dimensions_and_shifts_are_stored_as_python_ints(make):
+    stored = [
+        ScatteringFunction(make(2), np.full((2, 2), 0.25)).L,
+        ScatteringFunction.uniform(make(2)).L,
+        ScatteringFunction.concentrated(make(2), (make(1), 0)).L,
+        *Scheme(make(3), ((0, 0), (make(4), make(2)))).shifts[1],
+        Scheme(make(3), ((0, 0),)).L,
+    ]
+    assert stored == [2, 2, 2, 1, 2, 3]
+    assert all(type(n) is int for n in stored)

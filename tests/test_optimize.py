@@ -16,7 +16,7 @@ from whprecode.optimize import (
     fidelity_lower_bound_search,
     optimal_receiver,
 )
-from whprecode.wssus import ScatteringFunction, _map_rank_one, apply_A, sinr
+from whprecode.wssus import ScatteringFunction, _map_rank_one, apply_A, channel_fidelity, sinr
 
 
 def random_scattering(rng, L):
@@ -149,6 +149,19 @@ def test_alternating_history_monotone_and_pair_consistent():
             apply_A(C, rank_one_projector(gamma)) @ rank_one_projector(g)
         ).real
         assert abs(realized - trace.best_value) <= 1e-10
+
+
+@pytest.mark.parametrize("max_iters", [1, 2, 3, 4])
+def test_alternating_history_ends_on_a_receive_half_step(max_iters):
+    # A dense L=5 channel whose restarts need far more than four cycles.
+    w = np.random.default_rng(7).random((5, 5))
+    C = ScatteringFunction(5, w / w.sum())
+    trace = alternating_fidelity_max(C, 5, OptimizerConfig(max_iters=max_iters, restarts=4, seed=3))
+    assert not trace.converged
+    assert len(trace.objective_history) == 2 * max_iters + 1
+    gamma, g = trace.best_pair
+    realized = channel_fidelity(C, rank_one_projector(gamma), rank_one_projector(g))
+    assert abs(realized - trace.best_value) <= 1e-12
 
 
 def test_alternating_reproducible():

@@ -479,6 +479,17 @@ def sparse_or_dense_channels(draw):
     return ScatteringFunction(L, grid / grid.sum())
 
 
+def test_cached_channel_tables_are_read_only():
+    C = ScatteringFunction.uniform(2)
+    forward, adjoint = C.tap_frame()
+    tables = [*C.diagonal_blocks(), *forward, *adjoint, *C.kraus_operators()]
+    assert len(tables) == 8
+    for table in tables:
+        with pytest.raises(ValueError):
+            table[...] = 0
+    np.testing.assert_allclose(apply_A(C, np.diag([1.0, 0.0])), np.eye(2) / 2.0, atol=1e-15)
+
+
 @settings(max_examples=100)
 @given(sparse_or_dense_channels())
 def test_kraus_operators_are_the_shift_operators_in_row_major_order(C):
