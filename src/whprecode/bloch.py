@@ -22,14 +22,13 @@ optimal pulse constructions and the qualitative channel classification.
 from __future__ import annotations
 
 import enum
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatchError, InvalidWeightsError
 from .heisenberg import pauli
-from .linalg import require_finite, require_hermitian, require_int
+from .linalg import require_array, require_hermitian, require_int, require_real
 from .wssus import ScatteringFunction
 
 BLOCH_TOL = 1e-10
@@ -67,7 +66,7 @@ class ScatteringQuad:
 
     p0 weights the identity, p1 the time shift, p2 the joint time-frequency
     shift, p3 the frequency shift.  Nonnegative, total one within 1e-9:
-    validated as the L=2 scattering function they define.
+    validated as the L=2 scattering function they define, and stored as floats.
     """
 
     p0: float
@@ -76,7 +75,10 @@ class ScatteringQuad:
     p3: float
 
     def __post_init__(self) -> None:
+        # from_quad reads the four powers as a real weight array, so each is a number.
         object.__setattr__(self, "_function", ScatteringFunction.from_quad(*self.as_tuple()))
+        for name in ("p0", "p1", "p2", "p3"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @classmethod
     def coerce(cls, p) -> "ScatteringQuad":
@@ -84,9 +86,9 @@ class ScatteringQuad:
         if isinstance(p, ScatteringQuad):
             return p
         values = tuple(p) if np.iterable(p) and not isinstance(p, str) else ()
-        if len(values) != 4 or not all(isinstance(v, numbers.Real) for v in values):
+        if len(values) != 4:
             raise InvalidWeightsError(f"a quad must be four numbers p0..p3, got {p!r}")
-        return cls(*map(float, values))
+        return cls(*values)
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.p0, self.p1, self.p2, self.p3)
@@ -124,10 +126,9 @@ class FidelitySolution:
 
 def bloch_to_matrix(x) -> np.ndarray:
     """Hermitian matrix (1/2) sum_i x_i sigma_i of a real 4-vector."""
-    v = np.asarray(x, dtype=float).reshape(-1)
+    v = require_array(x, "Bloch vector", float).reshape(-1)
     if v.shape != (4,):
         raise DimensionMismatchError(f"expected a real 4-vector, got shape {v.shape}")
-    require_finite(v, "Bloch vector")
     out = np.zeros((2, 2), dtype=complex)
     for i in range(4):
         out += 0.5 * v[i] * pauli(i)
@@ -144,8 +145,9 @@ def matrix_to_bloch(X) -> np.ndarray:
 
 def is_on_bloch_manifold(x) -> bool:
     """True iff x parameterizes a rank-one projector: x0 = 1, |vec(x)| = 1 within 1e-10."""
-    v = np.asarray(x, dtype=float).reshape(-1)
-    if v.shape != (4,):
+    try:
+        v = require_array(x, "Bloch vector", float).reshape(4)
+    except ValueError:  # unreadable (a WHPrecodeError) or not four entries
         return False
     return abs(v[0] - 1.0) <= BLOCH_TOL and abs(np.linalg.norm(v[1:]) - 1.0) <= BLOCH_TOL
 
@@ -162,20 +164,24 @@ def map_matrix_rep(p) -> np.ndarray:
     )
 
 
+def _require_sign(sign) -> int:
+    """Return sign, raising unless it is the integer +1 or -1 (bool and float fail)."""
+    if require_int(sign, "sign", -1, 1) == 0:
+        raise InvalidWeightsError("sign must be +1 or -1, got 0")
+    return int(sign)
+
+
 def axis_unit_vector(n: int, sign: int = +1) -> np.ndarray:
     """Unit pulse whose projector is (sigma_0 + sign*sigma_n)/2, n in 1..3."""
     n = require_int(n, "axis index", 1, 3)
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    table = _AXIS_PLUS if sign > 0 else _AXIS_MINUS
+    table = _AXIS_PLUS if _require_sign(sign) > 0 else _AXIS_MINUS
     return table[n - 1].copy()
 
 
 def optimal_projectors(n: int, sign: int = +1) -> tuple[np.ndarray, np.ndarray]:
     """Transmit/receive projector pair ((sigma_0+sigma_n)/2, (sigma_0+sign*sigma_n)/2)."""
     n = require_int(n, "axis index", 1, 3)
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
+    sign = _require_sign(sign)
     X = 0.5 * (pauli(0) + pauli(n))
     Y = 0.5 * (pauli(0) + sign * pauli(n))
     return X, Y
@@ -261,6 +267,5 @@ def worst_case_fidelity(p0: float) -> float:
     Spreading (1-p0) uniformly over the three nonzero shifts minimizes the
     achievable gain for fixed p0, giving 1/2 + (2/3)|p0 - 1/4|.
     """
-    if not 0.0 <= p0 <= 1.0:
-        raise InvalidWeightsError(f"p0 must lie in [0, 1], got {p0}")
+    p0 = require_real(p0, "p0", 0.0, 1.0)
     return 0.5 + (2.0 / 3.0) * abs(p0 - 0.25)

@@ -33,7 +33,7 @@ from .bloch import (
     solve_fidelity,
 )
 from .errors import InvalidConfigError, WHPrecodeError
-from .linalg import rank_one_projector
+from .linalg import rank_one_projector, require_array, require_int, require_real
 from .mc import estimate_expectations, sweep_p0
 from .multiplex import best_scheme, select_schemes
 from .optimize import (
@@ -42,7 +42,7 @@ from .optimize import (
     brute_force_bloch_oracle,
     fidelity_lower_bound_search,
 )
-from .wssus import ScatteringFunction, validate_noise_power
+from .wssus import ScatteringFunction
 
 _CONFIG_KEYS = ("p", "L", "sigma2", "trials", "samples", "seed", "scattering")
 # Number flags as (name, type, default, help): p0..p3 (no default), then the scalars.
@@ -124,7 +124,7 @@ def _load_config_file(path: str, violations: list[str]) -> dict:
     except OSError as exc:
         violations.append(f"config: cannot read {path}: {exc}")
         return {}
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, integers too long
         violations.append(f"config: invalid JSON in {path}: {exc}")
         return {}
     if not isinstance(data, dict):
@@ -136,90 +136,55 @@ def _load_config_file(path: str, violations: list[str]) -> dict:
     return data
 
 
-def _config_numbers(raw, kind, ranks):
-    """A config-file value as a ``kind`` number or a float array, or None.
-
-    The one type check for config values: a JSON number (booleans and
-    numeric strings are not numbers) or a rectangular nested list of
-    numbers whose nesting depth is one of ``ranks``.
-    """
-    cells, depth = [raw], 0
-    while depth < max(ranks) and cells and all(isinstance(c, list) for c in cells):
-        if len({len(c) for c in cells}) > 1:
-            return None  # ragged
-        cells, depth = [x for c in cells for x in c], depth + 1
-    if depth not in ranks or not all(
-        isinstance(c, (int, kind)) and not isinstance(c, bool) for c in cells
-    ):
-        return None
+def _read(violations: list[str], field: str, reader, *args):
+    """``reader(*args)``, or None with its WHPrecodeError filed under ``field``."""
     try:
-        return kind(raw) if depth == 0 else np.array(raw, dtype=float)
-    except OverflowError:  # an integer beyond the float range
+        return reader(*args)
+    except WHPrecodeError as exc:
+        violations.append(f"{field}: {exc}")
         return None
-
-
-def _merge_scalar(name, kind, default, args, file_cfg, violations):
-    value = getattr(args, name, None)
-    if value is None and name in file_cfg:
-        value = _config_numbers(file_cfg[name], kind, (0,))
-        if value is None:
-            noun = "an integer" if kind is int else "a number"
-            violations.append(f"{name}: must be {noun}, got {file_cfg[name]!r}")
-    return default if value is None else value
 
 
 def _assemble_quad(args, file_cfg, violations) -> ScatteringQuad | None:
     components: list[float | None] = [None, None, None, None]
     if "p" in file_cfg:
-        raw = _config_numbers(file_cfg["p"], float, (1,))
-        if raw is None or len(raw) != 4:
+        raw = _read(violations, "p", require_array, file_cfg["p"], "config value", float)
+        if raw is not None and raw.shape != (4,):
             violations.append("p: config value must be a list of four numbers")
-        else:
-            components = [float(v) for v in raw]
+        elif raw is not None:
+            components = list(raw)
     p_flag = getattr(args, "p", None)
     if p_flag is not None:
-        parts = p_flag.split(",")
         try:
-            parsed = [float(v) for v in parts]
+            components = [float(v) for v in p_flag.split(",")]
         except ValueError:
-            parsed = []
-        if len(parsed) != 4:
+            components = []
+        if len(components) != 4:
             violations.append("p: expected four comma-separated numbers")
-        else:
-            components = parsed
+            return None
     for i, name in enumerate(("p0", "p1", "p2", "p3")):
         flag = getattr(args, name, None)
         if flag is not None:
-            components[i] = float(flag)
+            components[i] = flag
     if all(v is None for v in components):
         return None
     if any(v is None for v in components):
         missing = [f"p{i}" for i, v in enumerate(components) if v is None]
         violations.append(f"p: all four weights are required (missing {', '.join(missing)})")
         return None
-    try:
-        return ScatteringQuad(*components)
-    except WHPrecodeError as exc:
-        violations.append(f"p: {exc}")
-        return None
+    return _read(violations, "p", ScatteringQuad, *components)
 
 
 def _assemble_scattering(file_cfg, L, quad, violations) -> ScatteringFunction | None:
     if "scattering" in file_cfg:
-        grid = _config_numbers(file_cfg["scattering"], float, (1, 2))
-        if grid is not None and grid.shape == (L * L,):
+        # Read for its shape only: ScatteringFunction checks the values.
+        grid = _read(violations, "scattering", require_array,
+                     file_cfg["scattering"], "weights", float, False)
+        if grid is None:
+            return None
+        if grid.shape == (L * L,):
             grid = grid.reshape(L, L)
-        if grid is None or grid.shape != (L, L):
-            got = repr(file_cfg["scattering"]) if grid is None else f"shape {grid.shape}"
-            violations.append(
-                f"scattering: must be an {L}x{L} grid (nested or flat row-major), got {got}"
-            )
-            return None
-        try:
-            return ScatteringFunction(L, grid)
-        except WHPrecodeError as exc:
-            violations.append(f"scattering: {exc}")
-            return None
+        return _read(violations, "scattering", ScatteringFunction, L, grid)
     if quad is not None and L == 2:
         return quad.to_scattering_function()
     return None
@@ -228,42 +193,37 @@ def _assemble_scattering(file_cfg, L, quad, violations) -> ScatteringFunction | 
 def parse_config(argv=None) -> RunConfig:
     """Parse flags and optional config file into a validated RunConfig.
 
-    Every violation found is reported at once, each naming the offending
-    field, via InvalidConfigError.
+    Values are read by the library's readers; every violation found is
+    reported at once, each naming the offending field, via InvalidConfigError.
     """
     args = _build_parser().parse_args(argv)
     violations: list[str] = []
     config_path = getattr(args, "config", None)
     file_cfg = _load_config_file(config_path, violations) if config_path else {}
 
+    # Lower bounds; trials and samples bind only the commands that use them.
+    lower = {"L": 1, "sigma2": 0.0, "seed": 0,
+             "trials": 2 if args.command in ("simulate", "sweep") else None,
+             "samples": 1 if args.command in ("oracle", "general") else None}
+    # A flag overrides the file; a value given by neither takes its default,
+    # which is valid, so only given values are read.
     L, sigma2, trials, samples, seed = (
-        _merge_scalar(name, kind, default, args, file_cfg, violations)
+        _read(violations, name, require_int if kind is int else require_real,
+              getattr(args, name, file_cfg.get(name)), "value", lower[name])
+        if hasattr(args, name) or name in file_cfg else default
         for name, kind, default, _ in _NUMBER_FLAGS[4:]
     )
-
-    if L < 1:
-        violations.append(f"L: must be >= 1, got {L}")
-    try:
-        validate_noise_power(sigma2)
-    except WHPrecodeError as exc:
-        violations.append(f"sigma2: {exc}")
-    if seed < 0:
-        violations.append(f"seed: must be >= 0, got {seed}")
-    if args.command in ("simulate", "sweep") and trials < 2:
-        violations.append(f"trials: must be >= 2 for '{args.command}', got {trials}")
-    if args.command in ("oracle", "general") and samples < 1:
-        violations.append(f"samples: must be >= 1, got {samples}")
 
     quad = _assemble_quad(args, file_cfg, violations)
     _, _, reads_quad = _COMMANDS[args.command]
     if reads_quad:
         if quad is None and not any(v.startswith("p:") for v in violations):
             violations.append("p: four scattering weights are required (--p or --p0..--p3)")
-        if L != 2:
+        if L not in (2, None):
             violations.append(f"L: command '{args.command}' is defined for L=2, got {L}")
 
     scattering = None
-    if args.command == "general" and L >= 1:
+    if args.command == "general" and L is not None:
         scattering = _assemble_scattering(file_cfg, L, quad, violations)
         if scattering is None and not any(v.startswith("scattering:") for v in violations):
             violations.append(
@@ -562,7 +522,7 @@ def main(argv=None) -> int:
     except WHPrecodeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (np.linalg.LinAlgError, FloatingPointError) as exc:
+    except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     if cfg.output_path:

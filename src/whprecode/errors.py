@@ -27,7 +27,11 @@ class SingularDenominatorError(WHPrecodeError):
 
 
 class InvalidWeightsError(WHPrecodeError):
-    """Any number outside its allowed set: scattering weights, counts, seeds, indices."""
+    """An input that its reader rejects, or scattering weights outside their set.
+
+    The readers reject non-integer, non-real and out-of-range scalars, malformed
+    shift pairs, and arrays that are not numeric, rectangular and finite.
+    """
 
 
 class InvalidDensityOperatorError(WHPrecodeError):

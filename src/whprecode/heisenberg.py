@@ -18,6 +18,7 @@ import math
 
 import numpy as np
 
+from .errors import InvalidWeightsError
 from .linalg import require_int
 
 # Quarter-turn phases are emitted exactly so that small-L operators have
@@ -77,8 +78,11 @@ def shift_operator(L: int, mu: tuple[int, int]) -> np.ndarray:
 
 
 def _reduced_shift(mu, L: int) -> tuple[int, int]:
-    """The integer shift pair mu reduced mod a checked dimension L."""
-    mu1, mu2 = mu
+    """The integer shift pair mu reduced mod a checked dimension L: the one shift reader."""
+    try:
+        mu1, mu2 = mu
+    except (TypeError, ValueError):
+        raise InvalidWeightsError(f"shift must be an integer pair, got {mu!r}") from None
     return require_int(mu1, "shift index") % L, require_int(mu2, "shift index") % L
 
 

@@ -1,14 +1,18 @@
 """Dense hermitian linear algebra for the small operators used here.
 
 Thin, contract-enforcing wrappers over LAPACK via numpy: the package's
-input checks (integers, finite entries, hermitian and unit-norm operands),
-the hermitian-definite generalized eigenproblem (solved by Cholesky
-reduction) that the receiver optimizer needs, and rank-one projectors.
+input readers, one per kind of input (``require_int``, ``require_real`` and
+``require_array``; ``heisenberg._reduced_shift`` reads shift pairs), the
+hermitian-definite generalized eigenproblem (solved by Cholesky reduction)
+that the receiver optimizer needs, and rank-one projectors.
 Operators here are small (the benchmark runs L up to 32), so robustness
 and clear failure modes win over speed.
 """
 
 from __future__ import annotations
+
+import math
+import reprlib
 
 import numpy as np
 
@@ -18,7 +22,6 @@ from .errors import (
     NonHermitianError,
     NotUnitNormError,
     SingularDenominatorError,
-    WHPrecodeError,
 )
 
 HERMITIAN_TOL = 1e-12
@@ -40,25 +43,63 @@ def require_int(n, name: str, minimum: int | None = None, maximum: int | None = 
     return int(n)
 
 
+def require_real(x, name: str, lo: float | None = None, hi: float | None = None) -> float:
+    """Return x as a float, raising unless it is a finite real number in [lo, hi].
+
+    The one check of real scalars: Python and numpy integers and floats
+    pass; bool, str, None, complex, NaN, +-inf and integers beyond the float
+    range fail.  A bound of None is open.
+    """
+    if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
+        raise InvalidWeightsError(f"{name} must be a real number, got {reprlib.repr(x)}")
+    try:
+        value = float(x)
+    except OverflowError:  # an integer beyond the float range
+        value = math.inf
+    lo, hi = -math.inf if lo is None else lo, math.inf if hi is None else hi
+    if not (math.isfinite(value) and lo <= value <= hi):
+        raise InvalidWeightsError(f"{name} must be a finite number in [{lo}, {hi}], got {value!r}")
+    return value
+
+
+def _holds_bool(x) -> bool:
+    """True if x is a bool, or a list or tuple holding one at any depth."""
+    if isinstance(x, (list, tuple)):
+        return any(map(_holds_bool, x))
+    return isinstance(x, (bool, np.bool_))
+
+
+def require_array(x, name: str, dtype: type = complex, finite: bool = True) -> np.ndarray:
+    """Return x as a ``dtype`` array, raising unless it is a rectangular array of numbers.
+
+    The one reader of weights, Bloch vectors, pulses and operators: integers,
+    floats and (unless ``dtype`` is float) complex numbers pass; strings, bools
+    (even among numbers), None, other objects and ragged nesting fail, and so
+    does a NaN or infinite entry unless ``finite`` is false.  May share x's memory.
+    """
+    try:
+        a = np.asarray(x)
+    except (ValueError, TypeError):  # ragged nesting
+        a = np.empty(0, dtype=object)
+    if a.dtype.kind not in ("iuf" if dtype is float else "iufc") or _holds_bool(x):
+        noun = "real numbers" if dtype is float else "numbers"
+        raise InvalidWeightsError(f"{name} must be an array of {noun}, got {reprlib.repr(x)}")
+    a = a.astype(dtype, copy=False)
+    if finite and not np.isfinite(a).all():
+        raise InvalidWeightsError(f"{name} has a NaN or infinite entry")
+    return a
+
+
 def require_square(M, name: str = "matrix") -> np.ndarray:
-    A = np.asarray(M, dtype=complex)
+    A = require_array(M, name)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise DimensionMismatchError(f"{name} must be square, got shape {A.shape}")
     return A
 
 
-def require_finite(x: np.ndarray, name: str) -> np.ndarray:
-    """Return x, raising unless every entry is finite (NaN and +-inf fail)."""
-    if not np.isfinite(x).all():
-        raise WHPrecodeError(f"{name} has a NaN or infinite entry")
-    return x
-
-
 def require_hermitian(M, name: str = "matrix") -> np.ndarray:
     """Return M as a complex array, raising unless M is finite and max|M - M*| <= 1e-12."""
     A = require_square(M, name)
-    if not np.isfinite(A).all():
-        raise NonHermitianError(f"{name} has a NaN or infinite entry")
     defect = float(np.max(np.abs(A - A.conj().T))) if A.size else 0.0
     if defect > HERMITIAN_TOL:
         raise NonHermitianError(
@@ -77,8 +118,8 @@ def unit_vector(v) -> np.ndarray:
 
 
 def require_unit_vector(v, name: str = "vector") -> np.ndarray:
-    """Return v flattened to complex, raising unless its norm is 1 within 1e-12 (NaN fails)."""
-    x = np.asarray(v, dtype=complex).reshape(-1)
+    """Return v flattened to complex, raising unless its norm is 1 within 1e-12."""
+    x = require_array(v, name).reshape(-1)
     norm = float(np.linalg.norm(x))
     if not abs(norm - 1.0) <= 1e-12:
         raise NotUnitNormError(f"{name} norm {norm!r} is not 1 within 1e-12")

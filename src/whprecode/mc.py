@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import linalg
 from .bloch import ScatteringQuad, solve_fidelity
 from .errors import InvalidWeightsError
 from .heisenberg import shift_operator
-from .linalg import rank_one_projector, require_int, require_unit_vector
 from .wssus import (
     ScatteringFunction,
     _interference_level,
@@ -25,7 +25,6 @@ from .wssus import (
     _sinr_ratio,
     channel_fidelity,
     coerce_scheme_shifts,
-    validate_noise_power,
 )
 
 _CHUNK = 1 << 15
@@ -106,11 +105,11 @@ def estimate_expectations(
     coefficients and run vectorized in chunks; the result is deterministic
     given the seed.
     """
-    trials = require_int(trials, "trials", 2)
-    seed = require_int(seed, "seed", 0)
-    validate_noise_power(sigma2)
-    gamma = require_unit_vector(gamma, "gamma")
-    g = require_unit_vector(g, "g")
+    trials = linalg.require_int(trials, "trials", 2)
+    seed = linalg.require_int(seed, "seed", 0)
+    sigma2 = linalg.require_real(sigma2, "noise power", 0.0)
+    gamma = linalg.require_unit_vector(gamma, "gamma")
+    g = linalg.require_unit_vector(g, "g")
     for name, v in (("gamma", gamma), ("g", g)):
         if v.shape != (C.L,):
             raise InvalidWeightsError(f"{name} must be a length-{C.L} vector")
@@ -138,8 +137,8 @@ def estimate_expectations(
         interf_stats.add_chunk(np.sum(np.abs(taps @ interf_coupling) ** 2, axis=1))
         remaining -= m
 
-    gamma_op = rank_one_projector(gamma / np.linalg.norm(gamma))
-    g_op = rank_one_projector(g / np.linalg.norm(g))
+    gamma_op = linalg.rank_one_projector(gamma / np.linalg.norm(gamma))
+    g_op = linalg.rank_one_projector(g / np.linalg.norm(g))
     analytic_gain = channel_fidelity(C, gamma_op, g_op)
     analytic_interf = _interference_level(C, gamma_op, g_op, shifts)
     return McReport(
@@ -165,9 +164,9 @@ def sweep_p0(grid, trials: int, seed: int = 0) -> list[SweepRow]:
     reproduces 1/2 + (2/3)|p0 - 1/4|.  Per-row seeds derive from the master
     seed so rows are independent and the table is reproducible.
     """
-    seed = require_int(seed, "seed", 0)
+    seed = linalg.require_int(seed, "seed", 0)
     rows = []
-    for i, p0 in enumerate(grid):
+    for i, p0 in enumerate(linalg.require_array(grid, "grid", float).reshape(-1)):
         rest = (1.0 - p0) / 3.0
         quad = ScatteringQuad(p0, rest, rest, rest)
         solution = solve_fidelity(quad)

@@ -18,7 +18,7 @@ import numpy as np
 from .bloch import optimal_precoder_vector
 from .errors import DimensionMismatchError
 from .heisenberg import PAULI_SHIFTS, shift_operator
-from .linalg import require_finite, require_int, require_unit_vector
+from .linalg import require_array, require_int, require_unit_vector
 from .wssus import (
     ScatteringFunction,
     _interference_level,
@@ -73,19 +73,11 @@ def frame_bounds(vectors) -> tuple[float, float]:
     A family of L vectors in C^L is an orthonormal basis exactly when both
     bounds equal one.
     """
-    vecs = [
-        require_finite(np.asarray(v, dtype=complex).reshape(-1), "frame vector")
-        for v in vectors
-    ]
-    if not vecs:
-        raise DimensionMismatchError("frame_bounds requires at least one vector")
-    dim = vecs[0].shape[0]
-    if any(v.shape[0] != dim for v in vecs):
-        raise DimensionMismatchError("all vectors must share one dimension")
-    frame_op = np.zeros((dim, dim), dtype=complex)
-    for v in vecs:
-        frame_op += np.outer(v, v.conj())
-    w = np.linalg.eigvalsh(frame_op)
+    vecs = require_array(vectors, "frame vectors")
+    if not vecs.size or not vecs.ndim:
+        raise DimensionMismatchError(f"frame vectors must be nonempty, got shape {vecs.shape}")
+    vecs = vecs.reshape(len(vecs), -1)
+    w = np.linalg.eigvalsh(sum(np.outer(v, v.conj()) for v in vecs))
     return float(w[0]), float(w[-1])
 
 

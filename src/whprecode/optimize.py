@@ -10,6 +10,7 @@ produce bit-identical results for identical (seed, sample count) inputs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,7 +26,6 @@ from .wssus import (
     apply_interference,
     random_unit_vector,
     validate_density_operator,
-    validate_noise_power,
 )
 
 _BATCH = 1 << 14
@@ -43,8 +43,8 @@ class OptimizerConfig:
     def __post_init__(self) -> None:
         for name, minimum in (("max_iters", 1), ("restarts", 1), ("seed", 0)):
             object.__setattr__(self, name, linalg.require_int(getattr(self, name), name, minimum))
-        if not self.tol > 0.0:
-            raise InvalidWeightsError(f"tol must be positive, got {self.tol}")
+        # The smallest positive float as the bound: tol must be positive.
+        object.__setattr__(self, "tol", linalg.require_real(self.tol, "tol", math.ulp(0.0)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,7 +72,7 @@ def optimal_receiver(
     (A(Gamma), C_scheme(Gamma) + sigma2 I); the eigenvalue is the SINR it
     achieves, an upper bound over all unit receive pulses.
     """
-    validate_noise_power(sigma2)
+    sigma2 = linalg.require_real(sigma2, "noise power", 0.0)
     gamma_op = validate_density_operator(gamma_proj, C.L)
     num = apply_A(C, gamma_op)
     den = apply_interference(C, gamma_op, scheme) + sigma2 * np.eye(C.L)

@@ -38,9 +38,9 @@ from .errors import (
     InvalidDensityOperatorError,
     InvalidSchemeError,
     InvalidWeightsError,
-    NonHermitianError,
+    WHPrecodeError,
 )
-from .heisenberg import PAULI_SHIFTS, _layout, _reduced_shift
+from .heisenberg import _layout, _reduced_shift
 
 WEIGHT_SUM_TOL = 1e-9
 DENSITY_TRACE_TOL = 1e-10
@@ -65,7 +65,7 @@ class ScatteringFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "L", linalg.require_int(self.L, "dimension", 1))
-        w = np.array(self.weights, dtype=float)
+        w = np.array(linalg.require_array(self.weights, "weights", float, finite=False))
         if w.shape != (self.L, self.L):
             raise InvalidWeightsError(
                 f"weights must have shape ({self.L}, {self.L}), got {w.shape}"
@@ -86,10 +86,7 @@ class ScatteringFunction:
         The arguments follow Pauli order: p0 at (0,0), p1 at (1,0),
         p2 at (1,1), p3 at (0,1).
         """
-        w = np.zeros((2, 2))
-        for p, (m, n) in zip((p0, p1, p2, p3), PAULI_SHIFTS):
-            w[m, n] = p
-        return cls(2, w)
+        return cls(2, [[p0, p3], [p1, p2]])
 
     @classmethod
     def uniform(cls, L: int) -> "ScatteringFunction":
@@ -194,6 +191,8 @@ def coerce_scheme_shifts(scheme, L: int) -> tuple[tuple[int, int], ...]:
     if scheme_L is not None and scheme_L != L:
         raise DimensionMismatchError(f"scheme dimension {scheme_L} does not match L={L}")
     shifts = getattr(scheme, "shifts", scheme)
+    if not np.iterable(shifts):
+        raise InvalidSchemeError(f"scheme must be shift pairs, not {type(shifts).__name__}")
     reduced = tuple(_reduced_shift(mu, L) for mu in shifts)
     if len(set(reduced)) != len(reduced):
         raise InvalidSchemeError(f"scheme shifts must be distinct mod {L}: {reduced}")
@@ -202,17 +201,11 @@ def coerce_scheme_shifts(scheme, L: int) -> tuple[tuple[int, int], ...]:
     return reduced
 
 
-def validate_noise_power(sigma2) -> None:
-    """Require a finite noise power sigma2 >= 0 (NaN fails)."""
-    if not 0.0 <= sigma2 < math.inf:
-        raise InvalidWeightsError(f"noise power must be finite and >= 0, got {sigma2}")
-
-
 def validate_density_operator(M, L: int | None = None) -> np.ndarray:
     """Check trace one, hermiticity and positive semidefiniteness of M."""
     try:
         A = linalg.require_hermitian(M, name="density operator")
-    except (DimensionMismatchError, NonHermitianError) as exc:
+    except WHPrecodeError as exc:
         raise InvalidDensityOperatorError(str(exc)) from None
     if L is not None and A.shape != (L, L):
         raise InvalidDensityOperatorError(f"density operator shape {A.shape}, expected L={L}")
@@ -325,7 +318,7 @@ def sinr(C: ScatteringFunction, gamma_proj, g_proj, scheme, sigma2: float) -> fl
     is reported as ``math.inf`` rather than raising: that case legitimately
     arises for a single noiseless stream.
     """
-    validate_noise_power(sigma2)
+    sigma2 = linalg.require_real(sigma2, "noise power", 0.0)
     gamma_op = validate_density_operator(gamma_proj, C.L)
     g_op = validate_density_operator(g_proj, C.L)
     gain = complex(np.trace(apply_A(C, gamma_op) @ g_op)).real

@@ -313,6 +313,18 @@ def test_numerical_failure_exits_three(monkeypatch, capsys):
         assert captured.err.count("\n") == 1
 
 
+def test_memory_exhaustion_exits_three(monkeypatch, capsys):
+    def exhaust(cfg):
+        raise MemoryError("Unable to allocate 576. MiB for an array with shape (48, 48, 16384)")
+
+    monkeypatch.setattr(cli, "dispatch", exhaust)
+    code, out, err = run_cli(capsys, "general", "--p", "0.4,0.3,0.2,0.1")
+    assert code == 3
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -426,12 +438,19 @@ _GENERAL_CONFIG = ["general", "--config", "{tmp}/cfg.json"]
         (_GENERAL_CONFIG, {"scattering": [["1", "0"], ["0", "0"]], "L": 2}),
         (["solve", "--config", "{tmp}/cfg.json"], {"p": [True, False, False, False]}),
         (["solve", "--config", "{tmp}/cfg.json"], {"p": ["1", "0", "0", "0"]}),
+        (_GENERAL_CONFIG, {"scattering": [[True, 0], [0, 0]], "L": 2}),
+        (["solve", "--config", "{tmp}/cfg.json"], {"p": [1, 0, 0, False]}),
+        (
+            ["solve", "--config", "{tmp}/cfg.json"],
+            b'{"p": [1, 0, 0, 0], "L": 1' + b"0" * 5000 + b"}",  # beyond int() digit limits
+        ),
     ],
     ids=[
         "nan_weight", "negative_seed", "nan_sigma2", "unwritable_out",
         "scattering_string", "scattering_object", "scattering_ragged", "config_not_utf8",
         "scattering_booleans", "scattering_numeric_strings", "p_booleans",
-        "p_numeric_strings",
+        "p_numeric_strings", "scattering_bool_among_numbers", "p_bool_among_numbers",
+        "config_integer_too_long",
     ],
 )
 def test_contract_holes_exit_two(argv, config, tmp_path, capsys):

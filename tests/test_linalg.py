@@ -1,9 +1,21 @@
 """Tests for the generalized eigensolver, projectors and input checks."""
 
+import enum
+import inspect
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from whprecode.bloch import axis_unit_vector, optimal_precoder_vector, optimal_projectors
+import whprecode
+from whprecode.bloch import (
+    axis_unit_vector,
+    bloch_to_matrix,
+    optimal_precoder_vector,
+    optimal_projectors,
+)
 from whprecode.errors import (
     NonHermitianError,
     NotUnitNormError,
@@ -157,9 +169,10 @@ def test_projector_rejects_non_unit():
         rank_one_projector([1.0, 1.0])
 
 
-# A NaN or infinite entry must fail every vector and operator check, wherever
-# it sits: comparisons with NaN are False, so a check written ``x > tol``
-# would let it through.
+# A NaN or infinite entry must fail every weight, vector and operator check,
+# wherever it sits: comparisons with NaN are False, so a check written
+# ``x > tol`` would let it through.  So must an entry that is not a number:
+# read as numbers, the string, bool and complex rows below would be valid.
 _NON_FINITE = {
     "nan": (np.array([np.nan, 0.0]), np.array([[np.nan, 0.0], [0.0, 1.0]])),
     "inf": (np.array([np.inf, 0.0]), np.array([[np.inf, 0.0], [0.0, 1.0]])),
@@ -171,6 +184,14 @@ _NON_FINITE = {
         np.array([0.6, complex(0.0, np.inf)]),
         np.array([[0.5, np.inf], [np.inf, 0.5]]),
     ),
+    "string": (["1", "0"], [["0.5", "0"], ["0", "0.5"]]),
+    "ragged": ([1.0, [0.0]], [[0.5, 0.5], [0.0]]),
+    "bool": (np.array([True, False]), np.array([[True, False], [False, False]])),
+    # Complex entries are valid in pulses and operators, so this row's pulse
+    # is not unit and its operator not hermitian; as weights or a Bloch
+    # vector it fails for its imaginary part alone.
+    "complex_weights": (np.array([1j, 1j]), np.array([[0.5, 0.5j], [0.5j, 0.5]])),
+    "overflow": ([10**400, 0], [[10**400, 0], [0, 1]]),
 }
 _C2 = ScatteringFunction.from_quad(0.4, 0.3, 0.2, 0.1)
 _HALF = np.eye(2) / 2.0
@@ -191,6 +212,8 @@ _CHECKED_CALLS = {
     "max_generalized_eigenpair_denominator": lambda v, M: max_generalized_eigenpair(
         np.eye(2), M
     ),
+    "ScatteringFunction": lambda v, M: ScatteringFunction(2, M),
+    "bloch_to_matrix": lambda v, M: bloch_to_matrix(M),
 }
 
 
@@ -203,7 +226,8 @@ def test_non_finite_vectors_and_operators_are_rejected(call, kind):
 
 
 # Every integer-taking entry point, as (kind, call): dimensions, shift indices
-# (any integer, reduced mod L), Pauli axes 1..3 and Pauli indices 0..3.
+# (any integer, reduced mod L; kind mu1 or mu2 is the position in the shift
+# pair the call takes), Pauli axes 1..3 and Pauli indices 0..3.
 _C3 = ScatteringFunction.uniform(3)
 _V3 = unit_vector([1.0, 1j, 0.0])
 _P3 = rank_one_projector(_V3)
@@ -222,22 +246,22 @@ _INTEGER_ENTRIES = {
     "fidelity_lower_bound_search": (
         "dimension", lambda L: fidelity_lower_bound_search(_C2, L, 10, seed=1)
     ),
-    "shift_operator_mu1": ("shift", lambda m: shift_operator(3, (m, 2))),
-    "shift_operator_mu2": ("shift", lambda m: shift_operator(3, (2, m))),
+    "shift_operator_mu1": ("mu1", lambda mu: shift_operator(3, mu)),
+    "shift_operator_mu2": ("mu2", lambda mu: shift_operator(3, mu)),
     "ScatteringFunction.concentrated_mu1": (
-        "shift", lambda m: ScatteringFunction.concentrated(3, (m, 2))
+        "mu1", lambda mu: ScatteringFunction.concentrated(3, mu)
     ),
     "ScatteringFunction.concentrated_mu2": (
-        "shift", lambda m: ScatteringFunction.concentrated(3, (2, m))
+        "mu2", lambda mu: ScatteringFunction.concentrated(3, mu)
     ),
-    "Scheme_shift": ("shift", lambda m: Scheme(3, ((0, 0), (m, 2)))),
-    "coerce_scheme_shifts": ("shift", lambda m: coerce_scheme_shifts([(0, 0), (2, m)], 3)),
-    "crosstalk": ("shift", lambda m: crosstalk(_V3, (m, 1))),
-    "apply_interference": ("shift", lambda m: apply_interference(_C3, _P3, [(0, 0), (m, 1)])),
-    "sinr": ("shift", lambda m: sinr(_C3, _P3, _P3, [(0, 0), (m, 1)], 0.1)),
+    "Scheme_shift": ("mu1", lambda mu: Scheme(3, ((0, 0), mu))),
+    "coerce_scheme_shifts": ("mu2", lambda mu: coerce_scheme_shifts([(0, 0), mu], 3)),
+    "crosstalk": ("mu1", lambda mu: crosstalk(_V3, mu)),
+    "apply_interference": ("mu1", lambda mu: apply_interference(_C3, _P3, [(0, 0), mu])),
+    "sinr": ("mu1", lambda mu: sinr(_C3, _P3, _P3, [(0, 0), mu], 0.1)),
     "estimate_expectations": (
-        "shift",
-        lambda m: estimate_expectations(_C3, _V3, _V3, [(0, 0), (m, 1)], 0.1, trials=10),
+        "mu1",
+        lambda mu: estimate_expectations(_C3, _V3, _V3, [(0, 0), mu], 0.1, trials=10),
     ),
     "axis_unit_vector": ("axis", axis_unit_vector),
     "optimal_projectors": ("axis", optimal_projectors),
@@ -247,8 +271,13 @@ _INTEGER_ENTRIES = {
     "pauli": ("pauli", pauli),
 }
 _NOT_INTEGERS = [2.5, 2.0, np.float64(2.0), True, np.True_, "2", None]
-_OUT_OF_RANGE = {"dimension": [0, -1], "shift": [], "axis": [0, -1, 4], "pauli": [-1, 4]}
-_VALID = {"dimension": 2, "shift": 1, "axis": 2, "pauli": 2}
+_OUT_OF_RANGE = {
+    "dimension": [0, -1], "mu1": [], "mu2": [], "axis": [0, -1, 4], "pauli": [-1, 4]
+}
+_VALID = {"dimension": 2, "mu1": 1, "mu2": 1, "axis": 2, "pauli": 2}
+# The argument carrying an integer: a shift pair (the other index 2) or itself.
+_ARGUMENT = {"mu1": lambda m: (m, 2), "mu2": lambda m: (2, m)}
+_NOT_PAIRS = [5, (1,), (1, 0, 1), None, "ab"]
 
 
 def _bits(result):
@@ -270,13 +299,15 @@ def _bits(result):
 @pytest.mark.parametrize("entry", list(_INTEGER_ENTRIES))
 def test_integers_are_the_only_indices_counts_and_dimensions(entry):
     kind, call = _INTEGER_ENTRIES[entry]
-    for bad in _NOT_INTEGERS + _OUT_OF_RANGE[kind]:
+    argument = _ARGUMENT.get(kind, lambda n: n)
+    bad_arguments = [argument(bad) for bad in _NOT_INTEGERS + _OUT_OF_RANGE[kind]]
+    for bad in bad_arguments + (_NOT_PAIRS if kind in _ARGUMENT else []):
         # A WHPrecodeError, never a raw TypeError, IndexError or ZeroDivisionError.
         with pytest.raises(WHPrecodeError):
             call(bad)
-    reference = _bits(call(_VALID[kind]))
+    reference = _bits(call(argument(_VALID[kind])))
     for make in (np.int32, np.int64, np.uint16):
-        assert _bits(call(make(_VALID[kind]))) == reference
+        assert _bits(call(argument(make(_VALID[kind])))) == reference
 
 
 @pytest.mark.parametrize("make", [int, np.int64, np.uint8])
@@ -290,3 +321,55 @@ def test_dimensions_and_shifts_are_stored_as_python_ints(make):
     ]
     assert stored == [2, 2, 2, 1, 2, 3]
     assert all(type(n) is int for n in stored)
+
+
+# The input contract over the whole public API.  Exception classes and the
+# ChannelClass enum are left out: an exception stores any arguments, and
+# calling an enum looks a member up by value.
+_PUBLIC = {
+    name: obj
+    for name, obj in vars(whprecode).items()
+    if name in whprecode.__all__
+    and not (isinstance(obj, type) and issubclass(obj, (BaseException, enum.Enum)))
+}
+_SCALARS = (
+    st.integers(-3, 64)
+    | st.floats(-4.0, 4.0, allow_subnormal=False)
+    | st.sampled_from([math.nan, math.inf, -math.inf])
+    | st.complex_numbers(max_magnitude=4.0, allow_nan=False, allow_subnormal=False)
+    | st.booleans()
+    | st.none()
+    | st.text(max_size=3)
+)
+_JUNK = st.recursive(
+    _SCALARS, lambda kids: st.lists(kids, max_size=4) | st.tuples(kids, kids), max_leaves=8
+)
+_HANDLES = {
+    "C": st.sampled_from([_C2, _C3]),
+    "cfg": st.just(OptimizerConfig(max_iters=5, restarts=2)),
+}
+
+
+@st.composite
+def _public_calls(draw):
+    name = draw(st.sampled_from(sorted(_PUBLIC)))
+    parameters = inspect.signature(_PUBLIC[name]).parameters
+    return name, [draw(_HANDLES.get(p, _JUNK)) for p in parameters]
+
+
+@settings(max_examples=600, deadline=None)
+@given(_public_calls())
+def test_public_api_raises_only_whprecode_errors(call):
+    """Each public callable, given junk in every argument, succeeds or raises a WHPrecodeError.
+
+    Every argument gets scalars (integers in -3..64, so a call that succeeds
+    stays small), strings, None, bools, complex numbers, NaN, +-inf and
+    nested lists and tuples of them.  ``C`` and ``cfg`` are typed handles, a
+    ScatteringFunction and an OptimizerConfig, and get valid objects only;
+    their constructors get junk like every other callable.
+    """
+    name, args = call
+    try:
+        _PUBLIC[name](*args)
+    except WHPrecodeError:
+        pass
