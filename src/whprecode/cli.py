@@ -22,6 +22,7 @@ import functools
 import io
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -57,6 +58,8 @@ _NUMBER_FLAGS = (
     ("samples", int, 100_000, "oracle/search samples (default 1e5)"),
     ("seed", int, 0, "master RNG seed (default 0)"),
 )
+# The flags whose value may be a negative number.
+_VALUE_FLAGS = frozenset(["--p", *(f"--{name}" for name, *_ in _NUMBER_FLAGS)])
 _CASE_NUMBERS = {
     ChannelClass.NON_DISPERSIVE: 1,
     ChannelClass.SINGLE_DISPERSIVE: 2,
@@ -115,6 +118,21 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, (_, text, _) in _COMMANDS.items():
         sub.add_parser(name, parents=[common], help=text)
     return parser
+
+
+def _attach_negative_numbers(argv: list[str]) -> list[str]:
+    """argv with values like ``-0.1,0.4,0.4,0.3``, ``-1e-3`` or ``-inf`` as ``--flag=value``.
+
+    argparse reads such a value after a number flag as an unknown option,
+    so without this it never reaches the value checks.
+    """
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and re.match(r"-([\d.]|inf|nan)", arg, re.IGNORECASE):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 def _load_config_file(path: str, violations: list[str]) -> dict:
@@ -196,7 +214,8 @@ def parse_config(argv=None) -> RunConfig:
     Values are read by the library's readers; every violation found is
     reported at once, each naming the offending field, via InvalidConfigError.
     """
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = _build_parser().parse_args(_attach_negative_numbers(argv))
     violations: list[str] = []
     config_path = getattr(args, "config", None)
     file_cfg = _load_config_file(config_path, violations) if config_path else {}

@@ -28,6 +28,19 @@ HERMITIAN_TOL = 1e-12
 POSITIVE_DEFINITE_TOL = 1e-12
 
 
+class _Repr(reprlib.Repr):
+    """reprlib's short repr, naming an int too long for decimal text by its bit length."""
+
+    def repr_int(self, x, level):
+        try:
+            return super().repr_int(x, level)
+        except ValueError:  # more digits than sys.get_int_max_str_digits() allows
+            return f"<int of {x.bit_length()} bits>"
+
+
+_short_repr = _Repr().repr
+
+
 def require_int(n, name: str, minimum: int | None = None, maximum: int | None = None) -> int:
     """Return n as an int, raising unless it is an integer in [minimum, maximum].
 
@@ -36,10 +49,10 @@ def require_int(n, name: str, minimum: int | None = None, maximum: int | None = 
     so none is rounded or read from a flag.  A bound of None is open.
     """
     if isinstance(n, bool) or not isinstance(n, (int, np.integer)):
-        raise InvalidWeightsError(f"{name} must be an integer, got {n!r}")
+        raise InvalidWeightsError(f"{name} must be an integer, got {_short_repr(n)}")
     if minimum is not None and n < minimum or maximum is not None and n > maximum:
         allowed = f">= {minimum}" if maximum is None else f"in {minimum}..{maximum}"
-        raise InvalidWeightsError(f"{name} must be {allowed}, got {n}")
+        raise InvalidWeightsError(f"{name} must be {allowed}, got {_short_repr(int(n))}")
     return int(n)
 
 
@@ -51,7 +64,7 @@ def require_real(x, name: str, lo: float | None = None, hi: float | None = None)
     range fail.  A bound of None is open.
     """
     if isinstance(x, bool) or not isinstance(x, (int, float, np.integer, np.floating)):
-        raise InvalidWeightsError(f"{name} must be a real number, got {reprlib.repr(x)}")
+        raise InvalidWeightsError(f"{name} must be a real number, got {_short_repr(x)}")
     try:
         value = float(x)
     except OverflowError:  # an integer beyond the float range
@@ -83,7 +96,7 @@ def require_array(x, name: str, dtype: type = complex, finite: bool = True) -> n
         a = np.empty(0, dtype=object)
     if a.dtype.kind not in ("iuf" if dtype is float else "iufc") or _holds_bool(x):
         noun = "real numbers" if dtype is float else "numbers"
-        raise InvalidWeightsError(f"{name} must be an array of {noun}, got {reprlib.repr(x)}")
+        raise InvalidWeightsError(f"{name} must be an array of {noun}, got {_short_repr(x)}")
     a = a.astype(dtype, copy=False)
     if finite and not np.isfinite(a).all():
         raise InvalidWeightsError(f"{name} has a NaN or infinite entry")

@@ -29,6 +29,14 @@ from .wssus import (
 )
 
 _BATCH = 1 << 14
+# The lower-bound search maps at most this many matrix entries at once.
+_BLOCK_ENTRIES = 1 << 22
+# Slack of the search's pruning test.  For its trace-one PSD matrices of
+# size d, the eigenvalue bounds and eigvalsh's top eigenvalue are each within
+# about d^2 ulp of exact (under 1e-12 at d = 64), so a matrix whose upper
+# bound falls this far below a lower bound has a smaller computed top
+# eigenvalue than the matrix that lower bound belongs to.
+_PRUNE_MARGIN = 1e-9
 
 
 @dataclass(frozen=True)
@@ -94,30 +102,75 @@ def _half_step_operands(C: ScatteringFunction) -> tuple:
     return C.diagonal_blocks()
 
 
-def _top_eigenpairs(operand, pulses: np.ndarray, eigenvectors: bool = True):
-    """Top eigenvalue, and unit eigenvector, of the map applied to each ``v v*``.
+def _rank_one_images(operand, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Hermitian matrices with the top eigenpairs of the map applied to each ``v v*``.
 
     ``operand`` is a tap frame ``(rows, coef)`` or a stack of diagonal
     blocks (see _half_step_operands); ``pulses`` holds K unit pulses as rows.
-    Returns the (K,) top eigenvalues, with the (K, L) eigenvectors unless
-    ``eigenvectors`` is false.
+    Returns the (K, d, d) hermitian stack, with its (K, T, L) tap frames on
+    the tap-frame path (d = T) and None on the diagonal-block path (d = L).
     """
     if isinstance(operand, tuple):
         rows, coef = operand
         frame = pulses[:, rows] * coef  # (K, T, L): rows W_t, map(v v*) = W^T conj(W)
-        gram = frame.conj() @ frame.swapaxes(-1, -2)
-        if not eigenvectors:
-            return np.linalg.eigvalsh(gram)[:, -1]
-        lam, u = np.linalg.eigh(gram)
-        top = lam[:, -1]
-        # W^T u is an eigenvector of norm sqrt(top); top >= Tr(gram)/T = 1/T.
-        vec = (u[:, None, :, -1] @ frame)[:, 0] / np.sqrt(top)[:, None]
-        return top, vec
-    mapped = _map_rank_one(operand, pulses)
-    if not eigenvectors:
-        return np.linalg.eigvalsh(mapped)[:, -1]
-    lam, v = np.linalg.eigh(mapped)
-    return lam[:, -1], v[..., -1]
+        return frame.conj() @ frame.swapaxes(-1, -2), frame
+    return _map_rank_one(operand, pulses), None
+
+
+def _top_eigenpairs(operand, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalue and unit eigenvector of the map applied to each ``v v*``.
+
+    Returns the (K,) top eigenvalues and (K, L) eigenvectors for the K unit
+    pulses in the rows of ``pulses`` (see _rank_one_images).
+    """
+    mats, frame = _rank_one_images(operand, pulses)
+    lam, u = np.linalg.eigh(mats)
+    top = lam[:, -1]
+    if frame is None:
+        return top, u[..., -1]
+    # W^T u is an eigenvector of norm sqrt(top); top >= Tr(gram)/T = 1/T.
+    return top, (u[:, None, :, -1] @ frame)[:, 0] / np.sqrt(top)[:, None]
+
+
+def _top_eigenvalue_bounds(mats: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the top eigenvalue of each matrix in a hermitian stack.
+
+    The lower bound is the Rayleigh quotient ``y* M y / y* y`` of one power
+    step ``y = M x`` from the rows x of ``start`` (0 where y is below the
+    normal range).  The upper bound is ``min(m + s sqrt(d - 1), ||M||_F)``
+    with ``m = tr M / d`` and ``s^2 = ||M - m I||_F^2 / d`` (Wolkowicz &
+    Styan, Linear Algebra Appl. 29, 1980); both squared norms are sums of
+    nonnegative terms, so s keeps a relative error of a few ulp even where
+    ``tr M^2 / d - m^2`` would cancel.
+    """
+    d = mats.shape[-1]
+    y = np.einsum("kij,kj->ki", mats, start)
+    num = np.einsum("ki,kij,kj->k", y.conj(), mats, y).real
+    den = np.einsum("ki,ki->k", y.conj(), y).real
+    lower = np.divide(num, den, out=np.zeros_like(num), where=den >= np.finfo(float).tiny)
+    diag = np.einsum("kii->ki", mats).real
+    mean = diag.sum(-1) / d
+    sq = mats.real**2 + mats.imag**2
+    sq[:, np.arange(d), np.arange(d)] = 0.0
+    off = sq.sum((-2, -1))
+    dev = diag - mean[:, None]
+    spread = np.sqrt((off + (dev * dev).sum(-1)) / d)
+    return lower, np.fmin(mean + spread * math.sqrt(d - 1), np.sqrt(off + (diag * diag).sum(-1)))
+
+
+def _pruned_top_eigenvalue(mats: np.ndarray, start: np.ndarray, best: float) -> float:
+    """``max(best, largest top eigenvalue in mats)``, solving only matrices that can win.
+
+    A matrix whose upper bound is below ``max(best, largest lower bound)``
+    less _PRUNE_MARGIN cannot hold the maximum, so eigvalsh runs on the
+    others, always including the one with the largest lower bound.  The
+    result is the float that eigvalsh on the whole stack would give.
+    """
+    lower, upper = _top_eigenvalue_bounds(mats, start)
+    lead = int(np.argmax(lower))
+    keep = upper >= max(best, float(lower[lead])) - _PRUNE_MARGIN
+    keep[lead] = True
+    return max(best, float(np.max(np.linalg.eigvalsh(mats[keep])[:, -1])))
 
 
 def alternating_fidelity_max(
@@ -173,15 +226,16 @@ def alternating_fidelity_max(
 
 
 def _sampled_max(score, n_samples: int, seed: int) -> float:
-    """Largest ``score(rng, m)`` entry over n_samples draws, taken in batches.
+    """Largest ``score(rng, m, best)`` entry over n_samples draws, taken in batches.
 
     One generator seeded with ``seed`` feeds every batch of at most _BATCH
-    draws, so the result depends only on (seed, n_samples).
+    draws, so the result depends only on (seed, n_samples).  ``best`` is
+    the largest entry of the earlier batches (-inf before the first).
     """
     rng = np.random.default_rng(linalg.require_int(seed, "seed", 0))
     best = -np.inf
     for start in range(0, n_samples, _BATCH):
-        best = max(best, float(np.max(score(rng, min(_BATCH, n_samples - start)))))
+        best = max(best, float(np.max(score(rng, min(_BATCH, n_samples - start), best))))
     return best
 
 
@@ -201,7 +255,7 @@ def brute_force_bloch_oracle(
     quad = ScatteringQuad.coerce(p)
     b = np.diag(map_matrix_rep(quad))[1:]
 
-    def gains(rng, m):
+    def gains(rng, m, best):
         x = rng.standard_normal((m, 3))
         norms = np.linalg.norm(x, axis=1)
         norms[norms == 0.0] = 1.0
@@ -225,16 +279,29 @@ def fidelity_lower_bound_search(
     trace preserving).  The top eigenvalue comes from the T x T tap Gram
     matrix when the channel has T < L nonzero taps, as in
     alternating_fidelity_max.
+
+    Each batch is mapped in blocks of at most _BLOCK_ENTRIES matrix entries
+    (a power-of-two row count), and eigvalsh runs only on the matrices whose
+    trace upper bound can still reach the best Rayleigh lower bound (see
+    _pruned_top_eigenvalue).  Neither changes the result: it is the float
+    that eigvalsh on every sample would give.
     """
     n_samples = linalg.require_int(n_samples, "n_samples", 1)
     L = linalg.require_int(L, "dimension", 1)
     if L != C.L:
         raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
     forward = _half_step_operands(C)[0]
+    rows = 1 << (max(1, _BLOCK_ENTRIES // (L * L)).bit_length() - 1)
 
-    def gains(rng, m):
+    def top(rng, m, best):
         vecs = _complex_gaussian(rng, (m, L))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        return _top_eigenpairs(forward, vecs, eigenvectors=False)
+        for start in range(0, m, rows):
+            block = vecs[start:start + rows]
+            mats, frame = _rank_one_images(forward, block)
+            # The power step starts from v, or from conj(W) v on the tap Gram.
+            first = block if frame is None else np.einsum("ktl,kl->kt", frame.conj(), block)
+            best = _pruned_top_eigenvalue(mats, first, best)
+        return best
 
-    return min(1.0, _sampled_max(gains, n_samples, seed))
+    return min(1.0, _sampled_max(top, n_samples, seed))

@@ -132,6 +132,27 @@ def test_invalid_input_exits_two(capsys):
     assert "sum to 1" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--p", "-0.1,0.4,0.4,0.3"], "p: weights must be nonnegative numbers"),
+        (["classify", "--p", "-.1,0.4,0.4,0.3"], "p: weights must be nonnegative numbers"),
+        (["solve", "--p0", "-0.5", "--p1", "0.5", "--p2", "0.5", "--p3", "0.5"],
+         "p: weights must be nonnegative numbers"),
+        (["simulate", "--p", "0.4,0.3,0.2,0.1", "--sigma2", "-1e-3"],
+         "sigma2: value must be a finite number in [0.0, inf], got -0.001"),
+        (["simulate", "--p", "0.4,0.3,0.2,0.1", "--sigma2", "-Inf"],
+         "sigma2: value must be a finite number in [0.0, inf], got -inf"),
+    ],
+    ids=["p", "p_leading_point", "p0", "sigma2_exponent", "sigma2_infinite"],
+)
+def test_negative_values_reach_the_value_checks(capsys, argv, message):
+    # A value after a flag that starts with "-" and a digit or "." is a
+    # value, not an unknown option: one error line, not argparse's usage.
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_unknown_flag_exits_two(capsys):
     code = main(["solve", "--nope", "1"])
     capsys.readouterr()

@@ -192,6 +192,8 @@ _NON_FINITE = {
     # vector it fails for its imaginary part alone.
     "complex_weights": (np.array([1j, 1j]), np.array([[0.5, 0.5j], [0.5j, 0.5]])),
     "overflow": ([10**400, 0], [[10**400, 0], [0, 1]]),
+    # Past Python's 4,300-digit limit for int-to-decimal conversion.
+    "too_long_for_decimal": ([10**5000, 0], [[10**5000, 0], [0, 1]]),
 }
 _C2 = ScatteringFunction.from_quad(0.4, 0.3, 0.2, 0.1)
 _HALF = np.eye(2) / 2.0
@@ -272,7 +274,8 @@ _INTEGER_ENTRIES = {
 }
 _NOT_INTEGERS = [2.5, 2.0, np.float64(2.0), True, np.True_, "2", None]
 _OUT_OF_RANGE = {
-    "dimension": [0, -1], "mu1": [], "mu2": [], "axis": [0, -1, 4], "pauli": [-1, 4]
+    "dimension": [0, -1, -10**5000], "mu1": [], "mu2": [], "axis": [0, -1, 4, 10**5000],
+    "pauli": [-1, 4, 10**5000],
 }
 _VALID = {"dimension": 2, "mu1": 1, "mu2": 1, "axis": 2, "pauli": 2}
 # The argument carrying an integer: a shift pair (the other index 2) or itself.

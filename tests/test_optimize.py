@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whprecode import optimize
@@ -16,7 +16,14 @@ from whprecode.optimize import (
     fidelity_lower_bound_search,
     optimal_receiver,
 )
-from whprecode.wssus import ScatteringFunction, _map_rank_one, apply_A, channel_fidelity, sinr
+from whprecode.wssus import (
+    ScatteringFunction,
+    _complex_gaussian,
+    _map_rank_one,
+    apply_A,
+    channel_fidelity,
+    sinr,
+)
 
 
 def random_scattering(rng, L):
@@ -299,8 +306,8 @@ def test_tap_gram_matches_the_diagonal_kernel(case):
         top, vecs = optimize._top_eigenpairs(frame, pulses)
         lam, ref = np.linalg.eigh(_map_rank_one(blocks, pulses))
         np.testing.assert_allclose(top, lam[:, -1], rtol=0, atol=1e-12)
-        values = optimize._top_eigenpairs(frame, pulses, eigenvectors=False)
-        np.testing.assert_allclose(values, lam[:, -1], rtol=0, atol=1e-12)
+        gram, _ = optimize._rank_one_images(frame, pulses)
+        np.testing.assert_allclose(np.linalg.eigvalsh(gram)[:, -1], lam[:, -1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0, atol=1e-12)
         for gap, a, b in zip(lam[:, -1] - lam[:, -2], vecs, ref[..., -1]):
             if gap > 1e-6:
@@ -331,3 +338,82 @@ def test_optimizers_on_the_tap_gram_match_the_kernel_path(monkeypatch, L, taps):
     np.testing.assert_allclose(gram[0].restart_values, kernel[0].restart_values, rtol=0, atol=1e-12)
     assert abs(gram[0].best_value - kernel[0].best_value) <= 1e-12
     assert abs(gram[1] - kernel[1]) <= 1e-12
+
+
+def unpruned_search(C, n_samples, seed):
+    """The search's draw with every sample through eigvalsh, each batch mapped at once."""
+    forward = optimize._half_step_operands(C)[0]
+    rng = np.random.default_rng(seed)
+    best = -np.inf
+    for start in range(0, n_samples, optimize._BATCH):
+        vecs = _complex_gaussian(rng, (min(optimize._BATCH, n_samples - start), C.L))
+        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+        mats, _ = optimize._rank_one_images(forward, vecs)
+        best = max(best, float(np.max(np.linalg.eigvalsh(mats)[:, -1])))
+    return min(1.0, best)
+
+
+@st.composite
+def search_cases(draw):
+    """Dense (diagonal-block path) or sparse, down to one tap (tap Gram path), at L = 1..8."""
+    L = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taps = draw(st.sampled_from([1, max(1, L - 1), L * L]))
+    C = sparse_scattering(rng, L, taps)
+    return C, draw(st.integers(1, 3000)), draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=80)
+@given(search_cases())
+# Uniform channels have every top eigenvalue equal to 1/L, so only the
+# pruning margin keeps the ulp-level winner; 20000 samples cross a batch.
+@example((ScatteringFunction.uniform(3), 20_000, 1))
+@example((ScatteringFunction.uniform(6), 3000, 1))
+@example((ScatteringFunction.concentrated(4, (1, 2)), 20_000, 5))
+def test_pruned_search_is_the_unpruned_maximum(case):
+    C, n_samples, seed = case
+    value = fidelity_lower_bound_search(C, C.L, n_samples, seed)
+    assert value == unpruned_search(C, n_samples, seed)
+
+
+@pytest.mark.parametrize("L, n_samples", [(16, 17_000), (32, 5000)])
+@pytest.mark.parametrize("entries", [None, 1 << 18, 1 << 16])
+def test_blocked_search_is_the_unblocked_maximum(monkeypatch, L, n_samples, entries):
+    # Row blocks of 16384 / 4096 (default), 1024 / 256 and 256 / 64 at L = 16 / 32.
+    if entries is not None:
+        monkeypatch.setattr(optimize, "_BLOCK_ENTRIES", entries)
+    d = np.minimum(np.arange(L), L - np.arange(L))
+    w = np.exp(-(d[:, None] ** 2) - d[None, :] ** 2)  # a smooth isotropic profile
+    C = ScatteringFunction(L, w / w.sum())
+    assert fidelity_lower_bound_search(C, L, n_samples, seed=3) == unpruned_search(C, n_samples, 3)
+
+
+def psd_stacks(d, rng):
+    """Trace-one PSD stacks: random ranks 1..d, rank one, spike plus flat, and I/d."""
+    x = rng.standard_normal((40, d, d)) + 1j * rng.standard_normal((40, d, d))
+    x[:, :, rng.integers(1, d + 1):] = 0.0
+    mixed = x @ x.conj().swapaxes(-1, -2)
+    v = rng.standard_normal((20, d)) + 1j * rng.standard_normal((20, d))
+    v /= np.linalg.norm(v, axis=1)[:, None]
+    rank_one = v[:, :, None] * v[:, None, :].conj()
+    # Top eigenvalue a on v, the rest of the trace spread evenly: equality in Wolkowicz-Styan.
+    a = rng.uniform(1.0 / d, 1.0, (20, 1, 1))
+    spike = a * rank_one + (1 - a) / max(d - 1, 1) * (np.eye(d) - rank_one)
+    mats = np.concatenate([mixed, rank_one, spike, np.eye(d)[None] / d])
+    return mats / np.trace(mats, axis1=1, axis2=2).real[:, None, None]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 8, 16])
+def test_top_eigenvalue_bounds_hold_and_are_tight_where_exact(d):
+    rng = np.random.default_rng(d)
+    mats = psd_stacks(d, rng)
+    start = rng.standard_normal((len(mats), d)) + 1j * rng.standard_normal((len(mats), d))
+    lower, upper = optimize._top_eigenvalue_bounds(mats, start)
+    top = np.linalg.eigvalsh(mats)[:, -1]
+    assert np.all(lower <= top + 1e-12) and np.all(top <= upper + 1e-12)
+    # Rank one: one power step lands on the eigenvector, and ||M||_F is the
+    # eigenvalue.  Spike plus flat and I/d: m + s sqrt(d - 1) is exact.
+    rank_one, spike_and_flat = slice(40, 60), slice(60, None)
+    np.testing.assert_allclose(lower[rank_one], top[rank_one], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(upper[40:], top[40:], rtol=0, atol=1e-12)
+    assert abs(lower[-1] - 1 / d) <= 1e-12
