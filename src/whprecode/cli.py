@@ -58,8 +58,15 @@ _NUMBER_FLAGS = (
     ("samples", int, 100_000, "oracle/search samples (default 1e5)"),
     ("seed", int, 0, "master RNG seed (default 0)"),
 )
-# The flags whose value may be a negative number.
+# The flags whose value may be a negative number, and each prefix that
+# argparse resolves to one of them (no other option shares a first letter).
 _VALUE_FLAGS = frozenset(["--p", *(f"--{name}" for name, *_ in _NUMBER_FLAGS)])
+_VALUE_FLAG_PREFIXES = frozenset(
+    prefix
+    for flag in _VALUE_FLAGS
+    for prefix in (flag[:end] for end in range(3, len(flag) + 1))
+    if prefix in _VALUE_FLAGS or sum(f.startswith(prefix) for f in _VALUE_FLAGS) == 1
+)
 _CASE_NUMBERS = {
     ChannelClass.NON_DISPERSIVE: 1,
     ChannelClass.SINGLE_DISPERSIVE: 2,
@@ -124,11 +131,13 @@ def _attach_negative_numbers(argv: list[str]) -> list[str]:
     """argv with values like ``-0.1,0.4,0.4,0.3``, ``-1e-3`` or ``-inf`` as ``--flag=value``.
 
     argparse reads such a value after a number flag as an unknown option,
-    so without this it never reaches the value checks.
+    so without this it never reaches the value checks.  A number flag may
+    be abbreviated, as argparse allows, to a prefix that names one flag.
     """
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _VALUE_FLAGS and re.match(r"-([\d.]|inf|nan)", arg, re.IGNORECASE):
+        if (out and out[-1] in _VALUE_FLAG_PREFIXES
+                and re.match(r"-([\d.]|inf|nan)", arg, re.IGNORECASE)):
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -37,14 +37,24 @@ _BLOCK_ENTRIES = 1 << 22
 # bound falls this far below a lower bound has a smaller computed top
 # eigenvalue than the matrix that lower bound belongs to.
 _PRUNE_MARGIN = 1e-9
+# Objectives this close are a tie for the extrapolation safeguard
+# (alternating_fidelity_max): near a stationary point the objective moves by
+# the square of the residual, below what a computed eigenvalue resolves.
+_TIE = 1e-14
 
 
 @dataclass(frozen=True)
 class OptimizerConfig:
-    """Settings for the alternating mean-gain maximizer."""
+    """Settings for the alternating mean-gain maximizer.
+
+    ``max_iters`` caps the cycles (a transmit then a receive half-step) of
+    the whole run, extrapolated cycles included.  ``tol`` bounds the
+    stationarity residual ``||A*(g g*) gamma - F gamma||`` at which a
+    restart stops and counts as converged (see alternating_fidelity_max).
+    """
 
     max_iters: int = 500
-    tol: float = 1e-12
+    tol: float = 1e-10
     restarts: int = 32
     seed: int = 0
 
@@ -59,9 +69,15 @@ class OptimizerConfig:
 class OptimizationTrace:
     """Outcome of an alternating maximization run.
 
-    ``objective_history`` is the best restart's per-half-step objective
-    sequence (nondecreasing: each half step solves its subproblem exactly);
-    ``restart_values`` records every restart's final objective.
+    ``objective_history`` is the best restart's objective after each
+    half-step of the run, ``2 * cycles + 1`` entries, padded with its final
+    value once that restart has stopped.  It is nondecreasing, up to the
+    1e-14 tie width of the extrapolation safeguard: a plain half-step solves
+    its subproblem exactly, and an extrapolated cycle keeps the held
+    objective unless its result is at least as good.
+    ``restart_values`` and ``residuals`` record every restart's final
+    objective and stationarity residual; ``converged`` is true when the
+    best restart's residual is at most the configured ``tol``.
     """
 
     objective_history: tuple[float, ...]
@@ -69,6 +85,7 @@ class OptimizationTrace:
     best_value: float
     best_pair: tuple[np.ndarray, np.ndarray]
     restart_values: tuple[float, ...]
+    residuals: tuple[float, ...]
 
 
 def optimal_receiver(
@@ -123,13 +140,64 @@ def _top_eigenpairs(operand, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Returns the (K,) top eigenvalues and (K, L) eigenvectors for the K unit
     pulses in the rows of ``pulses`` (see _rank_one_images).
     """
-    mats, frame = _rank_one_images(operand, pulses)
+    return _top_of_images(*_rank_one_images(operand, pulses))
+
+
+def _top_of_images(mats: np.ndarray, frame: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Top eigenvalues and (K, L) unit eigenvectors of _rank_one_images output."""
     lam, u = np.linalg.eigh(mats)
     top = lam[:, -1]
     if frame is None:
         return top, u[..., -1]
     # W^T u is an eigenvector of norm sqrt(top); top >= Tr(gram)/T = 1/T.
     return top, (u[:, None, :, -1] @ frame)[:, 0] / np.sqrt(top)[:, None]
+
+
+def _stationarity_residuals(
+    mats: np.ndarray, frame: np.ndarray | None, pulses: np.ndarray
+) -> np.ndarray:
+    """``||M v - (v* M v) v||`` for each unit pulse v and map image M.
+
+    ``(mats, frame)`` holds the images M of K rank-one operands (see
+    _rank_one_images); on the tap-frame path ``M v = W^T (conj(W) v)``.
+    The value is zero exactly when v is an eigenvector of M.
+    """
+    if frame is None:
+        image = np.einsum("kij,kj->ki", mats, pulses)
+    else:
+        image = np.einsum("ktl,kt->kl", frame, np.einsum("ktl,kl->kt", frame.conj(), pulses))
+    value = np.einsum("ki,ki->k", pulses.conj(), image).real
+    return np.linalg.norm(image - value[:, None] * pulses, axis=1)
+
+
+def _phase_aligned(pulses: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Each row of ``pulses`` times the phase that makes its product with ``ref``'s row real."""
+    inner = np.einsum("ki,ki->k", ref.conj(), pulses)
+    size = np.abs(inner)
+    phase = np.divide(inner.conj(), size, out=np.ones_like(inner), where=size > 0.0)
+    return pulses * phase[:, None]
+
+
+def _extrapolated(r0: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
+    """Squared extrapolation (SQUAREM) of two cycles ``r0 -> r1 -> r2`` of unit pulses.
+
+    Each pulse is first phase-aligned to the one before it.  With
+    ``d1 = r1 - r0``, ``d2 = r2 - 2 r1 + r0`` and
+    ``alpha = -max(1, |d1| / |d2|)``, the point is
+    ``r0 - 2 alpha d1 + alpha^2 d2``, normalized (Varadhan & Roland, Scand.
+    J. Stat. 35(2), 2008); ``alpha = -1`` gives r2.  It is formed divided
+    by ``alpha^2``, as ``t^2 r0 + 2 t d1 + d2`` with ``t = min(1, |d2| / |d1|)``,
+    which cannot overflow.  Where that vanishes (d2 = 0, d1 != 0), it is r2.
+    """
+    r1 = _phase_aligned(r1, r0)
+    r2 = _phase_aligned(r2, r1)
+    d1 = r1 - r0
+    d2 = r2 - r1 - d1
+    n1, n2 = np.linalg.norm(d1, axis=1), np.linalg.norm(d2, axis=1)
+    t = np.divide(n2, n1, out=np.ones_like(n1), where=n2 < n1)[:, None]
+    point = t * t * r0 + 2.0 * t * d1 + d2
+    size = np.linalg.norm(point, axis=1)[:, None]
+    return np.divide(point, size, out=r2, where=size > 0.0)
 
 
 def _top_eigenvalue_bounds(mats: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -180,11 +248,22 @@ def alternating_fidelity_max(
 
     Each half step globally solves its subproblem: the receive pulse is the
     top eigenvector of A(Gamma), the transmit pulse the top eigenvector of
-    the adjoint map applied to G.  The objective is therefore nondecreasing,
-    but the joint problem is nonconvex, so multiple restarts (independent
-    per-restart substreams of the master seed) are run in lockstep and the
-    best is returned.  A restart counts as converged once its full-cycle
-    objective increment drops to ``cfg.tol`` or below.
+    the adjoint map applied to G (a higher-order power method; De Lathauwer,
+    De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000).  The
+    joint problem is nonconvex, so several restarts (independent per-restart
+    substreams of the master seed) run in lockstep and the best is returned.
+
+    A cycle is a transmit then a receive half-step, so every pair ends on a
+    receiver matched to its transmit pulse.  Cycles come in threes: two
+    plain cycles ``r0 -> r1 -> r2`` of the receive pulse, then one cycle
+    from their squared extrapolation (see _extrapolated), whose result is
+    kept only if its objective is at least that of r2.  Objectives within
+    _TIE of each other are a tie, which the smaller residual wins, so that
+    roundoff cannot steer the choice.  A restart stops, converged, once its
+    stationarity residual ``||A*(g g*) gamma - F gamma||`` (F the
+    objective) is at most ``cfg.tol``; stopped restarts leave the batch.
+    The run ends when every restart has stopped or after ``cfg.max_iters``
+    cycles.
 
     With T nonzero taps, each half step is a T x T Gram eigenproblem when
     T < L and an L x L one otherwise; the path is fixed once per call and
@@ -199,29 +278,62 @@ def alternating_fidelity_max(
         [random_unit_vector(np.random.default_rng(s), L) for s in children]
     )
 
-    # Each cycle is a transmit then a receive half-step, so the returned pair
-    # always ends on a receiver matched to its transmit pulse.
-    obj, receivers = _top_eigenpairs(forward, gammas)
-    history = [obj]
-    converged = np.zeros(cfg.restarts, dtype=bool)
-    for _ in range(cfg.max_iters):
-        prev = obj
-        obj_t, gammas = _top_eigenpairs(adjoint, receivers)
-        obj, receivers = _top_eigenpairs(forward, gammas)
-        history += [obj_t, obj]
-        converged |= obj - prev <= cfg.tol
-        if converged.all():
+    # Per restart: the pair, its objective and its residual.  The adjoint
+    # images of the live receivers feed both the residual and the next
+    # transmit half-step.
+    values, receivers = _top_eigenpairs(forward, gammas)
+    mats, frame = _rank_one_images(adjoint, receivers)
+    residuals = _stationarity_residuals(mats, frame, gammas)
+    history = [values.copy()]
+    anchors = np.empty((2, *receivers.shape), dtype=complex)
+    live = np.arange(cfg.restarts)
+    cycles = 0
+    while True:
+        going = residuals[live] > cfg.tol
+        if not going.all():
+            live, mats = live[going], mats[going]
+            frame = None if frame is None else frame[going]
+        if not live.size or cycles == cfg.max_iters:
             break
+        phase = cycles % 3
+        cycles += 1
+        if phase < 2:
+            anchors[phase, live] = receivers[live]
+            images = mats, frame
+        else:
+            images = _rank_one_images(adjoint, _extrapolated(*anchors[:, live], receivers[live]))
+        top_t, new_gammas = _top_of_images(*images)
+        top, new_receivers = _top_eigenpairs(forward, new_gammas)
+        new_images = _rank_one_images(adjoint, new_receivers)
+        new_residuals = _stationarity_residuals(*new_images, new_gammas)
+        # The transmit half-step's entry: an extrapolated cycle holds the
+        # objective of r2 until its result is kept.
+        history.append(values.copy())
+        if phase < 2:
+            history[-1][live] = top_t
+            moved = slice(None)
+            mats, frame = new_images
+        else:
+            held = values[live]
+            tied = (top >= held - _TIE) & (new_residuals <= residuals[live])
+            moved = (top > held + _TIE) | tied
+            mats[moved] = new_images[0][moved]
+            if frame is not None:
+                frame[moved] = new_images[1][moved]
+        rows = live[moved]
+        gammas[rows], receivers[rows] = new_gammas[moved], new_receivers[moved]
+        values[rows], residuals[rows] = top[moved], new_residuals[moved]
+        history.append(values.copy())
 
-    finals = history[-1]
-    best = int(np.argmax(finals))
+    best = int(np.argmax(values))
     # The gain is at most 1; clip roundoff above it, as channel_fidelity does.
     return OptimizationTrace(
         objective_history=tuple(min(1.0, float(h[best])) for h in history),
-        converged=bool(converged[best]),
-        best_value=min(1.0, float(finals[best])),
+        converged=bool(residuals[best] <= cfg.tol),
+        best_value=min(1.0, float(values[best])),
         best_pair=(gammas[best].copy(), receivers[best].copy()),
-        restart_values=tuple(min(1.0, float(v)) for v in finals),
+        restart_values=tuple(min(1.0, float(v)) for v in values),
+        residuals=tuple(float(r) for r in residuals),
     )
 
 

@@ -3,9 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+
+import whprecode
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -143,8 +149,12 @@ def test_invalid_input_exits_two(capsys):
          "sigma2: value must be a finite number in [0.0, inf], got -0.001"),
         (["simulate", "--p", "0.4,0.3,0.2,0.1", "--sigma2", "-Inf"],
          "sigma2: value must be a finite number in [0.0, inf], got -inf"),
+        # Abbreviated as argparse allows: a prefix that names one number flag.
+        (["simulate", "--p", "0.4,0.3,0.2,0.1", "--sigma", "-1e-3"],
+         "sigma2: value must be a finite number in [0.0, inf], got -0.001"),
     ],
-    ids=["p", "p_leading_point", "p0", "sigma2_exponent", "sigma2_infinite"],
+    ids=["p", "p_leading_point", "p0", "sigma2_exponent", "sigma2_infinite",
+         "sigma2_abbreviated"],
 )
 def test_negative_values_reach_the_value_checks(capsys, argv, message):
     # A value after a flag that starts with "-" and a digit or "." is a
@@ -344,6 +354,40 @@ def test_memory_exhaustion_exits_three(monkeypatch, capsys):
     assert out == ""
     assert "Traceback" not in err
     assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_address_space_exhaustion_in_a_fresh_process_exits_three(tmp_path):
+    # At L = 300 the diagonal blocks are two (L, L, L) complex arrays of
+    # 432 MB each.  The child's address space is capped at a probe child's
+    # post-import size plus 256 MB, so parsing fits and the blocks do not.
+    import resource
+
+    L = 300
+    config = tmp_path / "dense300.json"
+    config.write_text(json.dumps({"L": L, "scattering": [[1.0 / (L * L)] * L] * L}))
+    package_root = str(pathlib.Path(whprecode.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", PYTHONPATH=path)
+    probe = subprocess.run(
+        [sys.executable, "-c", "import re, whprecode.cli; "
+         "print(re.search(r'VmSize:\\s+(\\d+) kB', open('/proc/self/status').read())[1])"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    limit = (int(probe.stdout) + 256 * 1024) * 1024
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    argv = ["general", "--config", str(config), "--samples", "1"]
+    child = subprocess.run(
+        [sys.executable, "-m", "whprecode.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space,
+    )
+    assert child.returncode == 3, child.stderr
+    assert child.stdout == ""
+    assert "Traceback" not in child.stderr
+    assert child.stderr.startswith("numerical failure: ") and child.stderr.count("\n") == 1
 
 
 @pytest.mark.parametrize(
