@@ -18,6 +18,7 @@ import numpy as np
 from . import linalg
 from .bloch import ScatteringQuad, map_matrix_rep
 from .errors import InvalidWeightsError
+from .heisenberg import _layout
 from .wssus import (
     ScatteringFunction,
     _complex_gaussian,
@@ -37,10 +38,16 @@ _BLOCK_ENTRIES = 1 << 22
 # bound falls this far below a lower bound has a smaller computed top
 # eigenvalue than the matrix that lower bound belongs to.
 _PRUNE_MARGIN = 1e-9
-# Objectives this close are a tie for the extrapolation safeguard
+# Objectives this close are a tie for the third-cycle safeguard
 # (alternating_fidelity_max): near a stationary point the objective moves by
 # the square of the residual, below what a computed eigenvalue resolves.
 _TIE = 1e-14
+# Trust radius of each restart's first Newton step, and the floor that keeps
+# its quarterings (one per rejected step) from reaching zero.  A first radius
+# of 0.1 holds the first three or four steps of small dense restarts back;
+# one of 1 overshoots on the ridge of isotropic profiles at L = 12.
+_RADIUS = 0.5
+_RADIUS_FLOOR = 1e-30
 
 
 @dataclass(frozen=True)
@@ -48,9 +55,10 @@ class OptimizerConfig:
     """Settings for the alternating mean-gain maximizer.
 
     ``max_iters`` caps the cycles (a transmit then a receive half-step) of
-    the whole run, extrapolated cycles included.  ``tol`` bounds the
-    stationarity residual ``||A*(g g*) gamma - F gamma||`` at which a
-    restart stops and counts as converged (see alternating_fidelity_max).
+    the whole run, the cycles that start from a Newton point included.
+    ``tol`` bounds the stationarity residual ``||A*(g g*) gamma - F gamma||``
+    at which a restart stops and counts as converged (see
+    alternating_fidelity_max).
     """
 
     max_iters: int = 500
@@ -72,8 +80,8 @@ class OptimizationTrace:
     ``objective_history`` is the best restart's objective after each
     half-step of the run, ``2 * cycles + 1`` entries, padded with its final
     value once that restart has stopped.  It is nondecreasing, up to the
-    1e-14 tie width of the extrapolation safeguard: a plain half-step solves
-    its subproblem exactly, and an extrapolated cycle keeps the held
+    1e-14 tie width of the third-cycle safeguard: a plain half-step solves
+    its subproblem exactly, and a cycle from a Newton point keeps the held
     objective unless its result is at least as good.
     ``restart_values`` and ``residuals`` record every restart's final
     objective and stationarity residual; ``converged`` is true when the
@@ -145,7 +153,11 @@ def _top_eigenpairs(operand, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 def _top_of_images(mats: np.ndarray, frame: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
     """Top eigenvalues and (K, L) unit eigenvectors of _rank_one_images output."""
-    lam, u = np.linalg.eigh(mats)
+    return _top_of(*np.linalg.eigh(mats), frame)
+
+
+def _top_of(lam: np.ndarray, u: np.ndarray, frame: np.ndarray | None) -> tuple:
+    """Top eigenvalues and (K, L) unit eigenvectors from the images' eigendecomposition."""
     top = lam[:, -1]
     if frame is None:
         return top, u[..., -1]
@@ -170,34 +182,109 @@ def _stationarity_residuals(
     return np.linalg.norm(image - value[:, None] * pulses, axis=1)
 
 
-def _phase_aligned(pulses: np.ndarray, ref: np.ndarray) -> np.ndarray:
-    """Each row of ``pulses`` times the phase that makes its product with ``ref``'s row real."""
-    inner = np.einsum("ki,ki->k", ref.conj(), pulses)
-    size = np.abs(inner)
-    phase = np.divide(inner.conj(), size, out=np.ones_like(inner), where=size > 0.0)
-    return pulses * phase[:, None]
+def _gap_inverse(lam: np.ndarray, u: np.ndarray, frame: np.ndarray | None) -> tuple:
+    """``R = sum_j v_j v_j* / (f - lambda_j)`` over the non-top eigenpairs of each image.
 
-
-def _extrapolated(r0: np.ndarray, r1: np.ndarray, r2: np.ndarray) -> np.ndarray:
-    """Squared extrapolation (SQUAREM) of two cycles ``r0 -> r1 -> r2`` of unit pulses.
-
-    Each pulse is first phase-aligned to the one before it.  With
-    ``d1 = r1 - r0``, ``d2 = r2 - 2 r1 + r0`` and
-    ``alpha = -max(1, |d1| / |d2|)``, the point is
-    ``r0 - 2 alpha d1 + alpha^2 d2``, normalized (Varadhan & Roland, Scand.
-    J. Stat. 35(2), 2008); ``alpha = -1`` gives r2.  It is formed divided
-    by ``alpha^2``, as ``t^2 r0 + 2 t d1 + d2`` with ``t = min(1, |d2| / |d1|)``,
-    which cannot overflow.  Where that vanishes (d2 = 0, d1 != 0), it is r2.
+    ``(lam, u)`` is the eigendecomposition of images ``A*(r r*)`` (see
+    _rank_one_images) and f = lam[:, -1].  On the tap-frame path the L - T
+    zero eigenvalues have no eigenvectors there; with
+    ``W^T u_j = sqrt(lambda_j) v_j`` and ``gamma`` the top eigenvector,
+    ``R = (I - gamma gamma*) / f + sum_j (W^T u_j)(W^T u_j)* / (f (f - lambda_j))``.
+    Also returns the rows where every gap ``f - lambda_j`` exceeds the top
+    eigenvalue's roundoff; elsewhere R is finite but meaningless.
     """
-    r1 = _phase_aligned(r1, r0)
-    r2 = _phase_aligned(r2, r1)
-    d1 = r1 - r0
-    d2 = r2 - r1 - d1
-    n1, n2 = np.linalg.norm(d1, axis=1), np.linalg.norm(d2, axis=1)
-    t = np.divide(n2, n1, out=np.ones_like(n1), where=n2 < n1)[:, None]
-    point = t * t * r0 + 2.0 * t * d1 + d2
-    size = np.linalg.norm(point, axis=1)[:, None]
-    return np.divide(point, size, out=r2, where=size > 0.0)
+    f = lam[:, -1:]
+    floor = f * np.finfo(float).eps
+    gaps = f - lam[:, :-1]
+    ok = np.all(gaps > floor, axis=1)
+    gaps = np.maximum(gaps, floor)
+    if frame is None:
+        rest = u[..., :-1]
+        return (rest / gaps[:, None, :]) @ rest.conj().swapaxes(-1, -2), ok
+    scaled = frame.swapaxes(-1, -2) @ u  # columns W^T u_j
+    top, rest = scaled[..., -1:], scaled[..., :-1]
+    # W^T u of the top eigenpair is sqrt(f) gamma.
+    inverse = np.eye(scaled.shape[1]) - top @ top.conj().swapaxes(-1, -2) / f[:, None]
+    inverse /= f[:, None]
+    return inverse + (rest / (f * gaps)[:, None, :]) @ rest.conj().swapaxes(-1, -2), ok
+
+
+def _reduced_model(
+    C: ScatteringFunction, receivers: np.ndarray, eigs: tuple, gammas: np.ndarray, forward: tuple
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Gradient and Hessian of ``f(r) = lambda_max(A*(r r*))`` on the tangent space at r.
+
+    ``eigs = (lam, u, frame)`` is the eigendecomposition of the images
+    ``A*(r r*)`` and their tap frames (None on the diagonal-block path),
+    ``gammas`` their top eigenvectors and ``forward`` the images
+    ``N = A(gamma gamma*)`` (see _rank_one_images).  The tangent vectors
+    ``h`` with ``<r, h> = 0`` have real coordinates x, ``h = sum_m x_m b_m``
+    over the rows ``b = [U; iU]``, U an orthonormal basis of the complement
+    of r.  In them the gradient is ``Re <b_m, g>`` with ``g = 2 (N r - f r)``,
+    and the Hessian is the form ``2 h*(N - f) h + 2 y* R y``, the second
+    derivative of f along ``r cos s + h sin s``: there
+    ``y = Q h + Z conj(h)``, ``Q = sum_mu C(mu) <r, S_mu gamma> S_mu*``,
+    ``Z = sum_mu C(mu) (S_mu* r)(S_mu gamma)^T`` and R is from
+    _gap_inverse.  Returns the rows b (K, 2L - 2, L), the gradients
+    (K, 2L - 2), the Hessians (K, 2L - 2, 2L - 2) and the rows with nonzero
+    gaps.
+    """
+    lam, u, frame = eigs
+    L = C.L
+    rows, lags, phases = _layout(L)
+    inverse, ok = _gap_inverse(lam, u, frame)
+    # <r, S_mu gamma> = sum_m conj(r_m) w^(mu2 m) gamma_(m - mu1) for every mu,
+    # then Q^T[m, j] = sum_mu2 C(mu) <r, S_mu gamma> w^(-mu2 m) with mu1 = m - j.
+    ambiguity = phases @ (receivers.conj()[:, :, None] * gammas[:, lags])  # (K, mu2, mu1)
+    spread = (C.weights * ambiguity.swapaxes(-1, -2)) @ phases.conj()
+    q_t = spread[:, lags, np.arange(L)[:, None]]
+    # Z^T[n, j] = sum_a r_(j + a) gamma_(n - a) c[a, n - j - a], with
+    # c = C.weights @ phases, the transform _circulant_blocks starts from.
+    zc = (C.weights @ phases)[np.arange(L), lags[lags.T]]  # zc[j, n, a]
+    z_t = np.einsum("kja,kna,jna->knj", receivers[:, rows], gammas[:, lags], zc)
+    comp = np.linalg.qr(receivers[:, :, None], mode="complete")[0][..., 1:].swapaxes(-1, -2)
+    # The rows b, then r, and their images under N^T (N^T = W^H W on the tap frame).
+    ext = np.concatenate([comp, 1j * comp, receivers[:, None, :]], axis=1)
+    mats, fwd_frame = forward
+    if fwd_frame is None:
+        images = ext @ mats.swapaxes(-1, -2)
+    else:
+        images = (ext @ fwd_frame.conj().swapaxes(-1, -2)) @ fwd_frame
+    y = ext @ q_t + ext.conj() @ z_t
+    y[:, -1] = 0.0
+    # Re <a, b> is the dot product of the float views of the rows, so the
+    # last column is Re <b_m, N r>, half the gradient.
+    stacked = np.concatenate([ext[:, :-1], y[:, :-1]], axis=-1).view(float)
+    images = np.concatenate([images, y @ inverse.swapaxes(-1, -2)], axis=-1).view(float)
+    hess = 2.0 * (stacked @ images.swapaxes(-1, -2))
+    diag = np.arange(2 * L - 2)
+    hess[:, diag, diag] -= 2.0 * lam[:, -1, None]
+    return ext[:, :-1], hess[..., -1], hess[..., :-1], ok
+
+
+def _newton_points(
+    receivers: np.ndarray, model: tuple, radius: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Trust-region Newton points ``normalize(r + h)`` of the reduced model at each receiver.
+
+    In the coordinates of _reduced_model, ``x = (mu I - H)^-1 g`` with
+    ``mu = max(0, theta_max + |g| / radius)`` keeps ``|x| <= radius``
+    (Moré & Sorensen, SIAM J. Sci. Stat. Comput. 4(3), 1983; Absil, Baker &
+    Gallivan, Found. Comput. Math. 7(3), 2007); mu = 0 is the Newton step.
+    mu also stays above theta_max by many times the eigenvalue's roundoff,
+    so the solve never meets a singular matrix.  Also returns the rows
+    whose gaps are nonzero (see _gap_inverse) and whose point is finite.
+    """
+    basis, grad, hess, ok = model
+    dim = hess.shape[-1]
+    theta = np.linalg.eigvalsh(hess)[:, -1]
+    # |theta| + 2 bounds |H|, since H >= 2 (N - f) >= -2.
+    margin = 8.0 * dim * np.finfo(float).eps * (np.abs(theta) + 2.0)
+    shift = np.maximum(0.0, theta + np.maximum(np.linalg.norm(grad, axis=1) / radius, margin))
+    x = np.linalg.solve(shift[:, None, None] * np.eye(dim) - hess, grad[..., None])
+    points = receivers + (x.swapaxes(-1, -2) @ basis)[:, 0]
+    points /= np.linalg.norm(points, axis=1)[:, None]
+    return points, ok & np.all(np.isfinite(points), axis=1)
 
 
 def _top_eigenvalue_bounds(mats: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -256,14 +343,21 @@ def alternating_fidelity_max(
     A cycle is a transmit then a receive half-step, so every pair ends on a
     receiver matched to its transmit pulse.  Cycles come in threes: two
     plain cycles ``r0 -> r1 -> r2`` of the receive pulse, then one cycle
-    from their squared extrapolation (see _extrapolated), whose result is
-    kept only if its objective is at least that of r2.  Objectives within
+    from a trust-region Newton point of the reduced objective
+    ``f(r) = lambda_max(A*(r r*))`` at r1 (see _reduced_model and
+    _newton_points).  The second cycle's transmit half-step already holds
+    the eigendecomposition of ``A*(r1 r1*)`` and its receive half-step
+    ``A(gamma gamma*)``, the model's ingredients.  The third cycle's result
+    is kept only if its objective is at least that of r2; objectives within
     _TIE of each other are a tie, which the smaller residual wins, so that
-    roundoff cannot steer the choice.  A restart stops, converged, once its
-    stationarity residual ``||A*(g g*) gamma - F gamma||`` (F the
-    objective) is at most ``cfg.tol``; stopped restarts leave the batch.
-    The run ends when every restart has stopped or after ``cfg.max_iters``
-    cycles.
+    roundoff cannot steer the choice.  Each restart keeps a trust radius,
+    0.5 at first, doubled (up to 1) when its result is kept and quartered
+    when not.  Where the model is undefined (a zero eigenvalue gap, as on
+    uniform channels) or its point is not finite, the third cycle runs
+    plain from r2.  A restart stops, converged, once its stationarity
+    residual ``||A*(g g*) gamma - F gamma||`` (F the objective) is at most
+    ``cfg.tol``; stopped restarts leave the batch.  The run ends when every
+    restart has stopped or after ``cfg.max_iters`` cycles.
 
     With T nonzero taps, each half step is a T x T Gram eigenproblem when
     T < L and an L x L one otherwise; the path is fixed once per call and
@@ -278,14 +372,15 @@ def alternating_fidelity_max(
         [random_unit_vector(np.random.default_rng(s), L) for s in children]
     )
 
-    # Per restart: the pair, its objective and its residual.  The adjoint
-    # images of the live receivers feed both the residual and the next
-    # transmit half-step.
+    # Per restart: the pair, its objective and its residual, the start of
+    # its next third cycle and its trust radius.  The adjoint images of the
+    # live receivers feed both the residual and the next transmit half-step.
     values, receivers = _top_eigenpairs(forward, gammas)
     mats, frame = _rank_one_images(adjoint, receivers)
     residuals = _stationarity_residuals(mats, frame, gammas)
     history = [values.copy()]
-    anchors = np.empty((2, *receivers.shape), dtype=complex)
+    starts = np.empty_like(receivers)
+    radius = np.full(cfg.restarts, _RADIUS)
     live = np.arange(cfg.restarts)
     cycles = 0
     while True:
@@ -297,17 +392,28 @@ def alternating_fidelity_max(
             break
         phase = cycles % 3
         cycles += 1
-        if phase < 2:
-            anchors[phase, live] = receivers[live]
-            images = mats, frame
-        else:
-            images = _rank_one_images(adjoint, _extrapolated(*anchors[:, live], receivers[live]))
-        top_t, new_gammas = _top_of_images(*images)
-        top, new_receivers = _top_eigenpairs(forward, new_gammas)
+        images = _rank_one_images(adjoint, starts[live]) if phase == 2 else (mats, frame)
+        lam, u = np.linalg.eigh(images[0])
+        top_t, new_gammas = _top_of(lam, u, images[1])
+        ahead = _rank_one_images(forward, new_gammas)
+        top, new_receivers = _top_of_images(*ahead)
         new_images = _rank_one_images(adjoint, new_receivers)
         new_residuals = _stationarity_residuals(*new_images, new_gammas)
-        # The transmit half-step's entry: an extrapolated cycle holds the
-        # objective of r2 until its result is kept.
+        if phase == 1:
+            # The next cycle starts from r2, or from a Newton point of r1
+            # for the restarts that go on (see the docstring).
+            starts[live] = new_receivers
+            going = new_residuals > cfg.tol
+            if L > 1 and going.any():
+                on = slice(None) if going.all() else going
+                ids = live[on]
+                eigs = lam[on], u[on], None if images[1] is None else images[1][on]
+                fwd = ahead[0][on], None if ahead[1] is None else ahead[1][on]
+                model = _reduced_model(C, receivers[ids], eigs, new_gammas[on], fwd)
+                points, ok = _newton_points(receivers[ids], model, radius[ids])
+                starts[ids[ok]] = points[ok]
+        # The transmit half-step's entry: a third cycle holds the objective
+        # of r2 until its result is kept.
         history.append(values.copy())
         if phase < 2:
             history[-1][live] = top_t
@@ -320,6 +426,10 @@ def alternating_fidelity_max(
             mats[moved] = new_images[0][moved]
             if frame is not None:
                 frame[moved] = new_images[1][moved]
+            size = radius[live]
+            radius[live] = np.where(
+                moved, np.minimum(2.0 * size, 1.0), np.maximum(size / 4.0, _RADIUS_FLOOR)
+            )
         rows = live[moved]
         gammas[rows], receivers[rows] = new_gammas[moved], new_receivers[moved]
         values[rows], residuals[rows] = top[moved], new_residuals[moved]
