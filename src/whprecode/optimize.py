@@ -466,25 +466,30 @@ def brute_force_bloch_oracle(
 ) -> float:
     """Sampled maximum of the L=2 mean-gain objective in Bloch coordinates.
 
-    Draws transmit directions uniformly on the sphere (normalized 3-d
-    Gaussians); for each, the receive direction is maximized analytically
+    Draws transmit directions uniformly on the sphere (3-d Gaussians x);
+    for each, the receive direction is maximized analytically
     (Cauchy-Schwarz: align with the diagonally scaled transmit direction),
-    giving 1/2 + |(b_1 x_1, b_2 x_2, b_3 x_3)|.  The result never exceeds
-    the closed form and equals it when ``include_axes`` injects the three
-    coordinate axes, where the optima sit.
+    giving 1/2 + |(b_1 x_1, b_2 x_2, b_3 x_3)| / |x|.  Each draw is scored
+    in squared form, sum_k b_k^2 x_k^2 / sum_k x_k^2 (0 for an all-zero
+    draw), and one square root is taken of the best score, clipped to
+    max_k b_k^2.  Since sqrt(fl(b * b)) == |b| in IEEE arithmetic, the
+    clip keeps the result at or below the closed form 1/2 + max_k |b_k|;
+    ``include_axes`` adds the three coordinate axes, where the optima sit,
+    so the result then equals the closed form to the last bit.
     """
     n_samples = linalg.require_int(n_samples, "n_samples", 1)
     quad = ScatteringQuad.coerce(p)
     b = np.diag(map_matrix_rep(quad))[1:]
+    b2 = b * b
 
-    def gains(rng, m, best):
+    def ratios(rng, m, best):
         x = rng.standard_normal((m, 3))
-        norms = np.linalg.norm(x, axis=1)
-        norms[norms == 0.0] = 1.0
-        x /= norms[:, None]
-        return np.sqrt((x * x) @ (b * b))
+        x *= x
+        # Column sums: cheaper here than norm(axis=1) or sum(axis=1).
+        den = x[:, 0] + x[:, 1] + x[:, 2]
+        return np.divide(x @ b2, den, out=np.zeros(m), where=den > 0)
 
-    best = _sampled_max(gains, n_samples, seed)
+    best = math.sqrt(min(_sampled_max(ratios, n_samples, seed), float(np.max(b2))))
     if include_axes:
         best = max(best, float(np.max(np.abs(b))))
     return 0.5 + best

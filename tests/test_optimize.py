@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whprecode import optimize
-from whprecode.bloch import ScatteringQuad, solve_fidelity
+from whprecode.bloch import ScatteringQuad, map_matrix_rep, solve_fidelity
 from whprecode.errors import InvalidWeightsError, SingularDenominatorError
 from whprecode.linalg import rank_one_projector, unit_vector
 from whprecode.optimize import (
@@ -249,6 +249,80 @@ def test_oracle_reproducible():
     a = brute_force_bloch_oracle(q, 5000, include_axes=False, seed=123)
     b = brute_force_bloch_oracle(q, 5000, include_axes=False, seed=123)
     assert a == b
+
+
+def _normalized(weights):
+    total = sum(weights)
+    return tuple(w / total for w in weights)
+
+
+_ORACLE_QUADS = st.one_of(
+    st.lists(_WEIGHT, min_size=4, max_size=4)
+    .filter(lambda w: sum(w) > 0)
+    .map(_normalized),
+    st.integers(0, 3).map(lambda k: tuple(float(k == n) for n in range(4))),
+    st.just((0.25, 0.25, 0.25, 0.25)),
+    # Ties among the |b_k|: the worst-case family p1 = p2 = p3, two equal
+    # off-origin weights, and two axes sharing the largest |b_k| from
+    # opposite sides of zero.
+    st.floats(0.0, 1.0).map(lambda p0: (p0,) + ((1.0 - p0) / 3.0,) * 3),
+    st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    .filter(lambda w: sum(w) > 0)
+    .map(lambda w: _normalized((w[0], w[1], w[1], w[2]))),
+    st.just((0.25, 0.5, 0.0, 0.25)),
+)
+
+
+@settings(max_examples=100)
+@given(_ORACLE_QUADS, st.sampled_from([1, optimize._BATCH, optimize._BATCH + 1]), st.integers(0, 2**32 - 1))
+def test_random_oracle_never_exceeds_closed_form(quad, n_samples, seed):
+    closed = solve_fidelity(quad).fidelity
+    random_only = brute_force_bloch_oracle(quad, n_samples, include_axes=False, seed=seed)
+    with_axes = brute_force_bloch_oracle(quad, n_samples, include_axes=True, seed=seed)
+    assert random_only <= closed
+    assert with_axes == max(closed, random_only)
+    assert with_axes == closed
+
+
+def _normalized_oracle(p, n_samples, seed):
+    """The oracle as first written: every draw normalized, a sqrt per sample."""
+    b = np.diag(map_matrix_rep(p))[1:]
+
+    def gains(rng, m, best):
+        x = rng.standard_normal((m, 3))
+        norms = np.linalg.norm(x, axis=1)
+        norms[norms == 0.0] = 1.0
+        x /= norms[:, None]
+        return np.sqrt((x * x) @ (b * b))
+
+    return 0.5 + optimize._sampled_max(gains, n_samples, seed)
+
+
+def test_squared_scoring_stays_within_two_ulp_of_normalized_scoring():
+    # Same draws, different rounding: the squared score rounds differently
+    # from the normalized vector, but by at most 2 ulp of the result.
+    rng = np.random.default_rng(15)
+    for _ in range(150):
+        q = random_quad(rng)
+        seed = int(rng.integers(2**31))
+        n_samples = int(rng.integers(1, 2 * optimize._BATCH + 2))
+        reference = _normalized_oracle(q, n_samples, seed)
+        value = brute_force_bloch_oracle(q, n_samples, include_axes=False, seed=seed)
+        assert abs(value - reference) <= 2 * np.spacing(reference)
+
+
+class _ZeroDraws:
+    def standard_normal(self, shape):
+        return np.zeros(shape)
+
+
+def test_all_zero_draws_score_half_without_warnings(monkeypatch):
+    monkeypatch.setattr(optimize.np.random, "default_rng", lambda seed: _ZeroDraws())
+    q = (0.4, 0.3, 0.2, 0.1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert brute_force_bloch_oracle(q, optimize._BATCH + 1, include_axes=False) == 0.5
+        assert brute_force_bloch_oracle(q, 3, include_axes=True) == solve_fidelity(q).fidelity
 
 
 def test_lower_bound_search_flat_channel():
