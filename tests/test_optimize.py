@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from whprecode import optimize
 from whprecode.bloch import ScatteringQuad, map_matrix_rep, solve_fidelity
 from whprecode.errors import InvalidWeightsError, SingularDenominatorError
+from whprecode.heisenberg import shift_operator
 from whprecode.linalg import rank_one_projector, unit_vector
 from whprecode.optimize import (
     OptimizerConfig,
@@ -696,3 +698,188 @@ def test_top_eigenvalue_bounds_hold_and_are_tight_where_exact(d):
     np.testing.assert_allclose(lower[rank_one], top[rank_one], rtol=0, atol=1e-12)
     np.testing.assert_allclose(upper[40:], top[40:], rtol=0, atol=1e-12)
     assert abs(lower[-1] - 1 / d) <= 1e-12
+
+
+def gain(C, gamma, g):
+    """``<g, A(gamma gamma*) g>``, the mean gain of a pulse pair, from the public map."""
+    return float(np.vdot(g, apply_A(C, rank_one_projector(gamma)) @ g).real)
+
+
+@st.composite
+def channels_and_pairs(draw):
+    """Dense or sparse (one tap, L - 1 taps) channels at L = 1..8, a unit pulse pair and two phases."""
+    L = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taps = draw(st.sampled_from([L * L, 1, max(1, L - 1)]))
+    pair = _complex_gaussian(rng, (2, L))
+    pair /= np.linalg.norm(pair, axis=1)[:, None]
+    return sparse_scattering(rng, L, taps), pair, np.exp(1j * rng.uniform(0.0, 2 * np.pi, (2, 1)))
+
+
+@settings(max_examples=40)
+@given(channels_and_pairs())
+@example((ScatteringFunction.uniform(3), np.eye(3, dtype=complex)[:2], np.ones((2, 1))))
+def test_joint_shifts_and_phases_keep_gain_and_residual_and_are_twins(case):
+    # (S_nu gamma e^ia, S_nu g e^ib) for every shift nu: the gain and the
+    # stationarity residual are those of (gamma, g), the twin distance is
+    # zero, and the twin screen lets every copy through.
+    C, pair, phases = case
+    L = C.L
+    shifts = np.arange(L * L)
+    copies = np.stack([optimize._shifted(np.repeat(p[None], L * L, axis=0), shifts) for p in pair], 1)
+    for (gamma, g), nu in zip(copies, shifts):
+        op = shift_operator(L, (nu % L, nu // L))
+        np.testing.assert_allclose([gamma, g], pair @ op.T, rtol=0, atol=1e-15)
+    copies *= phases
+    value, residual = gain(C, *pair), transmit_residual(C, *pair)
+    for gamma, g in copies:
+        assert abs(gain(C, gamma, g) - value) <= 1e-13
+        assert abs(transmit_residual(C, gamma, g) - residual) <= 1e-13
+    dist, _ = optimize._twin_distances(pair[None], copies)
+    assert np.all(dist <= 1e-14)
+    assert np.all(optimize._twins(pair[None], copies))
+
+
+@settings(max_examples=40)
+@given(channels_and_pairs(), st.floats(0.0, 0.1))
+def test_twin_screen_never_drops_a_twin(case, step):
+    # Pairs near shift copies, at distances on both sides of _TWIN: the
+    # screened mask is the plain threshold on the twin distance.
+    C, pair, phases = case
+    L = C.L
+    rng = np.random.default_rng(L)
+    shifts = rng.integers(0, L * L, 6)
+    near = np.stack([optimize._shifted(np.repeat(p[None], 6, axis=0), shifts) for p in pair], 1)
+    near = near * phases + step * rng.uniform(0.0, 1.0, (6, 1, 1)) * _complex_gaussian(rng, (6, 2, L))
+    near /= np.linalg.norm(near, axis=-1)[..., None]
+    dist, _ = optimize._twin_distances(near[:, None], pair[None])
+    np.testing.assert_array_equal(optimize._twins(near, pair[None]), dist <= optimize._TWIN)
+
+
+def no_parking():
+    """Parking off: no twin distance is at most a negative radius."""
+    return mock.patch.object(optimize, "_TWIN", -1.0)
+
+
+@settings(max_examples=30)
+@given(optimizer_cases())
+@example((ScatteringFunction.uniform(3), 1))
+@example((ScatteringFunction.concentrated(1, (0, 0)), 0))
+def test_parking_loses_no_gain_and_snaps_only_onto_stationary_pairs(case):
+    C, seed = case
+    cfg = OptimizerConfig(restarts=16, seed=seed)
+    on = alternating_fidelity_max(C, C.L, cfg)
+    with no_parking():
+        off = alternating_fidelity_max(C, C.L, cfg)
+    assert off.snapped == (False,) * cfg.restarts
+    assert len(on.snapped) == cfg.restarts
+    assert on.best_value >= off.best_value - 1e-12
+    assert on.converged == off.converged
+    for snapped, residual in zip(on.snapped, on.residuals):
+        assert residual <= cfg.tol or not snapped
+
+
+def isotropic(L):
+    """The isotropic Gaussian delay-Doppler profile of width 1 on the L x L grid."""
+    d = np.minimum(np.arange(L), L - np.arange(L))
+    w = np.exp(-(d[:, None] ** 2) - d[None, :] ** 2)
+    return ScatteringFunction(L, w / w.sum())
+
+
+def test_parking_snaps_twins_and_saves_half_steps_on_an_isotropic_cell():
+    # Restarts converge to shift copies of one optimum; the ones that trail
+    # a copy are parked and snapped, and the run takes fewer half-steps.
+    C, cfg = isotropic(6), OptimizerConfig(seed=1)
+    on = alternating_fidelity_max(C, 6, cfg)
+    with no_parking():
+        off = alternating_fidelity_max(C, 6, cfg)
+    assert sum(on.snapped) >= 1
+    assert len(on.objective_history) < len(off.objective_history)
+    assert on.converged and off.converged
+    assert on.best_value >= off.best_value - 1e-12
+    assert max(on.residuals) <= cfg.tol
+    assert np.all(np.diff(on.objective_history) >= -optimize._TIE)
+    gamma, g = on.best_pair
+    assert abs(gain(C, gamma, g) - on.best_value) <= 1e-12
+
+
+def test_rejected_snaps_resume_and_the_run_still_ends(monkeypatch):
+    # Images a little off the shift copies keep the gain to about 1e-12 but
+    # not the stationarity: every snap is rejected, and those restarts
+    # resume from where they were parked, never to park again.
+    C, cfg = isotropic(6), OptimizerConfig(seed=1)
+    with no_parking():
+        off = alternating_fidelity_max(C, 6, cfg)
+    shifted, offered = optimize._shifted, []
+
+    def off_the_copy(pulses, shift):
+        offered.append(len(shift))
+        images = shifted(pulses, shift) + 1e-6 * np.exp(1j * np.arange(6))
+        return images / np.linalg.norm(images, axis=1)[:, None]
+
+    monkeypatch.setattr(optimize, "_shifted", off_the_copy)
+    trace = alternating_fidelity_max(C, 6, cfg)
+    assert len(offered) == 1 and offered[0] >= 1
+    assert not any(trace.snapped)
+    assert len(trace.objective_history) < 2 * cfg.max_iters + 1
+    assert max(trace.residuals) <= cfg.tol
+    assert trace.converged
+    assert trace.best_value >= off.best_value - 1e-12
+
+
+def twin_pulses(L, seed):
+    """Restarts 0 and 1 are a pair and its shift copy with other phases; restart 2 is unrelated."""
+    rng = np.random.default_rng(seed)
+    pulses = _complex_gaussian(rng, (3, 2, L))
+    pulses /= np.linalg.norm(pulses, axis=-1)[..., None]
+    pulses[1] = 1j * optimize._shifted(pulses[0], np.array([L + 1, L + 1]))
+    return pulses
+
+
+def test_restarts_trail_only_twins_with_no_lower_value():
+    pulses = twin_pulses(5, 0)
+    ids, reps = np.array([0, 2]), np.array([1])
+    # Restart 1 is a stationary representative with the larger value.
+    trailing = optimize._trailing(ids, reps, np.array([0.5, 0.5 + 1e-9, 0.7]), pulses)
+    assert trailing.tolist() == [1, -1]
+    # With the smaller value it is passed over, and the lead is no twin.
+    trailing = optimize._trailing(ids, reps, np.array([0.5 + 1e-9, 0.5, 0.7]), pulses)
+    assert trailing.tolist() == [-1, -1]
+    # Restart 1 live and the lead: restart 0 trails it, and it trails nothing.
+    trailing = optimize._trailing(np.array([0, 1, 2]), reps[:0], np.array([0.5, 0.52, 0.51]), pulses)
+    assert trailing.tolist() == [1, -1, -1]
+
+
+def test_representatives_keep_one_pair_per_twin_class():
+    pulses = twin_pulses(4, 1)
+    assert optimize._distinct(np.empty(0, dtype=int), np.array([0, 1, 2]), pulses).tolist() == [0, 2]
+    assert optimize._distinct(np.array([1]), np.array([0, 2]), pulses).tolist() == [1, 2]
+    assert optimize._distinct(np.array([1]), np.empty(0, dtype=int), pulses).tolist() == [1]
+
+
+@pytest.mark.parametrize(
+    "C",
+    [
+        ScatteringFunction.concentrated(1, (0, 0)),
+        ScatteringFunction.concentrated(3, (1, 2)),
+        ScatteringFunction.concentrated(4, (0, 0)),
+        ScatteringFunction.uniform(2),
+        ScatteringFunction.uniform(3),
+        ScatteringFunction.uniform(5),
+    ],
+    ids=["L1", "concentrated3", "concentrated4", "uniform2", "uniform3", "uniform5"],
+)
+@pytest.mark.parametrize("tol", [1e-10, math.ulp(0.0)], ids=["default", "never-stationary"])
+def test_twin_test_on_degenerate_channels_ends_quietly(C, tol):
+    # The smallest tol keeps every restart live, so the twin test runs on
+    # pairs whose gains all tie.
+    cfg = OptimizerConfig(tol=tol, max_iters=12 if tol < 1e-300 else 500, seed=3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        trace = alternating_fidelity_max(C, C.L, cfg)
+    assert isinstance(trace.snapped, tuple) and len(trace.snapped) == cfg.restarts
+    assert all(type(s) is bool for s in trace.snapped)
+    assert len(trace.objective_history) <= 2 * cfg.max_iters + 1
+    assert np.all(np.isfinite(trace.restart_values)) and np.all(np.isfinite(trace.residuals))
+    if tol == 1e-10:
+        assert trace.converged
