@@ -48,12 +48,19 @@ _TIE = 1e-14
 # one of 1 overshoots on the ridge of isotropic profiles at L = 12.
 _RADIUS = 0.5
 _RADIUS_FLOOR = 1e-30
-# Twin distance at or below which a restart trails a shift copy of another
-# pulse pair and is parked (see alternating_fidelity_max): each pulse is
-# within an angle of about 0.03 of the copy's.  On 1,200 random channels at
-# L = 2..8 parking at this radius lost at most 2.3e-15 of the best value;
-# at 3e-2 and 1e-1 it lost 1.3e-8.
+# Twin distance at or below which a restart trails a shift copy of the lead
+# and is parked, and at which two stationary pairs are one (see
+# alternating_fidelity_max): each pulse is within an angle of about 0.03 of
+# the copy's.  The lead may still climb: on 1,200 random channels at
+# L = 2..8, one radius of 3e-2 or 1e-1 for the lead and the stationary
+# pairs alike lost 1.3e-8 of the best value, this one about 1e-14.
 _TWIN = 1e-3
+# The wider twin distance at which a restart trails a stationary
+# representative, whose pair no longer moves.  On another 1,200 such
+# channels it lost no best value beyond what _TWIN alone loses, and no
+# restart's value fell by more than 1e-12; at 0.2 and 0.3 single restarts
+# fell by 6.9e-4 and 5.1e-3, having trailed a lower optimum than their own.
+_TWIN_STATIONARY = 1.5e-1
 
 
 @dataclass(frozen=True)
@@ -96,7 +103,10 @@ class OptimizationTrace:
     whose final pair is the shift image of a stationary restart's pair,
     taken once they had been parked as its twin (see
     alternating_fidelity_max); their entries in ``objective_history``
-    step to the snapped value at the last half-step.
+    step to the snapped value at the last half-step.  A restart parked at
+    the wider radius around a stationary representative reports the gain
+    of its snapped pair, which may differ from what its own run would have
+    reached.
     """
 
     objective_history: tuple[float, ...]
@@ -300,17 +310,21 @@ def _twin_distances(pairs: np.ndarray, reps: np.ndarray) -> tuple[np.ndarray, np
     return 2.0 - flat.max(axis=-1), flat.argmax(axis=-1)
 
 
-def _twins(pairs: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """(K, R) mask of the K pulse pairs within _TWIN of each of R representatives.
+def _twins(pairs: np.ndarray, reps: np.ndarray, radius) -> np.ndarray:
+    """(K, R) mask of the K pulse pairs within ``radius`` of each of R representatives.
 
-    Pairs are (2, L) rows, distances as in _twin_distances.  A screen runs
-    first: for unit a, b and any shift nu,
-    ``||sort|a| - sort|b|||^2 <= || |a| - |S_nu b| ||^2 <= 2 (1 - |<a, S_nu b>|^2)``,
+    ``radius`` (at most 1) broadcasts to (K, R); a negative radius makes
+    no twin, and costs no ambiguity table.  Pairs are (2, L) rows,
+    distances as in _twin_distances.  A screen runs first: for unit a, b and any shift nu,
+    with ``x = |<a, S_nu b>|``,
+    ``||sort|a| - sort|b|||^2 <= || |a| - |S_nu b| ||^2 <= 2 (1 - x) = 2 (1 - x^2) / (1 + x)``,
     since a shift permutes and rephases entries, and the same holds for
     the unitary DFTs of a and b, whose entries a shift permutes and
-    rephases too.  So a pair within _TWIN of a representative has sorted
-    entry magnitudes within ``2 _TWIN`` of its in squared distance, in time
-    and in frequency; only the pairs that pass get ambiguity tables.
+    rephases too.  A pair within r of a representative has ``1 - x^2 <= r``
+    for both pulses, so its sorted entry magnitudes are within
+    ``2 r / (1 + sqrt(1 - r))`` (about r) of the representative's in
+    squared distance, in time and in frequency; only the pairs that pass
+    get ambiguity tables.
     """
     both = np.concatenate([pairs, reps])
     L = both.shape[-1]
@@ -319,10 +333,12 @@ def _twins(pairs: np.ndarray, reps: np.ndarray) -> np.ndarray:
     keys = np.abs(np.concatenate([both, spectra.reshape(both.shape)], axis=-1))
     keys = np.sort(keys.reshape(*both.shape[:-1], 2, L), axis=-1)
     gap = keys[:len(pairs), None] - keys[None, len(pairs):]
-    near = np.all(np.einsum("krpdi,krpdi->krd", gap, gap) <= 2.0 * _TWIN + 1e-12, axis=-1)
+    radius = np.zeros((len(pairs), len(reps))) + radius
+    bound = 2.0 * radius / (1.0 + np.sqrt(1.0 - radius))
+    near = np.all(np.einsum("krpdi,krpdi->krd", gap, gap) <= bound[..., None] + 1e-12, axis=-1)
     k, s = np.nonzero(near)
     if k.size:
-        near[k, s] = _twin_distances(pairs[k], reps[s])[0] <= _TWIN
+        near[k, s] = _twin_distances(pairs[k], reps[s])[0] <= radius[k, s]
     return near
 
 
@@ -435,9 +451,13 @@ def alternating_fidelity_max(
     trail a copy (see _twin_distances and _twins).  It compares every live
     restart that has not stopped with one representative per distinct
     stationary pair found so far and with the lead, the live restart of
-    largest objective.  A restart whose distance to a representative or
-    to the lead is at most _TWIN, where that pair's objective is at least
-    its own, is parked: it leaves the batch.  The test runs on the first
+    largest objective.  A restart whose distance to a representative is at
+    most _TWIN_STATIONARY, or to the lead at most _TWIN, where that pair's
+    objective is at least its own, is parked: it leaves the batch.  The
+    wider radius lets the restarts that drift along a flat ridge near a
+    stationary optimum stop early, at the price that a restart parked there
+    reports the gain of the pair it snaps onto, not of the optimum its own
+    run would have reached.  The test runs on the first
     cycle of each three (after each Newton cycle) and on every cycle in
     which a restart has just stopped; run on every cycle it cost about a
     sixth of the optimizer's time on small dense channels.  When the
@@ -592,7 +612,7 @@ def _distinct(reps: np.ndarray, new: np.ndarray, pulses: np.ndarray) -> np.ndarr
         return reps
     pool = np.concatenate([reps, new])
     keep = list(range(reps.size))
-    for i, row in enumerate(_twins(pulses[new], pulses[pool])):
+    for i, row in enumerate(_twins(pulses[new], pulses[pool], _TWIN)):
         if not row[keep].any():
             keep.append(reps.size + i)
     return pool[keep]
@@ -602,13 +622,16 @@ def _trailing(ids: np.ndarray, reps: np.ndarray, values: np.ndarray, pulses: np.
     """For each restart of ``ids``, a twin with no lower value that it trails, or -1.
 
     The twins sought are the representatives ``reps`` (stationary, looked
-    at first) and the lead, the restart of ``ids`` with the largest value,
-    which is never its own twin.  Restarts index ``values`` and the pair
-    rows of ``pulses`` (see _twins).
+    at first, within _TWIN_STATIONARY) and the lead, the restart of ``ids``
+    with the largest value, which is never its own twin (within _TWIN).
+    Restarts index ``values`` and the pair rows of ``pulses`` (see _twins).
     """
     others = np.append(reps, ids[np.argmax(values[ids])])
-    found = _twins(pulses[ids], pulses[others])
-    found &= (values[others] >= values[ids, None]) & (ids[:, None] != others)
+    radius = np.append(np.full(reps.size, _TWIN_STATIONARY), _TWIN)
+    # A pair that cannot be trailed gets a negative radius, so no table.
+    allowed = (values[others] >= values[ids, None]) & (ids[:, None] != others)
+    radius = np.where(allowed, radius, -1.0)
+    found = _twins(pulses[ids], pulses[others], radius)
     return np.where(found.any(axis=1), others[np.argmax(found, axis=1)], -1)
 
 

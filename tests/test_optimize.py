@@ -737,28 +737,42 @@ def test_joint_shifts_and_phases_keep_gain_and_residual_and_are_twins(case):
         assert abs(transmit_residual(C, gamma, g) - residual) <= 1e-13
     dist, _ = optimize._twin_distances(pair[None], copies)
     assert np.all(dist <= 1e-14)
-    assert np.all(optimize._twins(pair[None], copies))
+    assert np.all(optimize._twins(pair[None], copies, optimize._TWIN))
 
 
-@settings(max_examples=40)
-@given(channels_and_pairs(), st.floats(0.0, 0.1))
-def test_twin_screen_never_drops_a_twin(case, step):
-    # Pairs near shift copies, at distances on both sides of _TWIN: the
-    # screened mask is the plain threshold on the twin distance.
+@settings(max_examples=80)
+@given(
+    channels_and_pairs(),
+    st.floats(0.0, 1.0),
+    st.sampled_from([("_TWIN", 0.1), ("_TWIN_STATIONARY", 0.5)]),
+)
+def test_twin_screen_never_drops_a_twin(case, step, radius_and_scale):
+    # Pairs near shift copies, at distances on both sides of the radius
+    # (perturbations up to ``scale`` reach twin distances of 0.02-0.2 and
+    # 0.5-1.2 at L = 2..8): the screened mask is the plain threshold on the
+    # twin distance, also with one radius per representative.
     C, pair, phases = case
     L = C.L
+    name, scale = radius_and_scale
+    radius = getattr(optimize, name)
     rng = np.random.default_rng(L)
     shifts = rng.integers(0, L * L, 6)
     near = np.stack([optimize._shifted(np.repeat(p[None], 6, axis=0), shifts) for p in pair], 1)
-    near = near * phases + step * rng.uniform(0.0, 1.0, (6, 1, 1)) * _complex_gaussian(rng, (6, 2, L))
+    near = near * phases + scale * step * rng.uniform(0.0, 1.0, (6, 1, 1)) * _complex_gaussian(rng, (6, 2, L))
     near /= np.linalg.norm(near, axis=-1)[..., None]
     dist, _ = optimize._twin_distances(near[:, None], pair[None])
-    np.testing.assert_array_equal(optimize._twins(near, pair[None]), dist <= optimize._TWIN)
+    np.testing.assert_array_equal(optimize._twins(near, pair[None], radius), dist <= radius)
+    both = np.array([optimize._TWIN, radius])
+    np.testing.assert_array_equal(optimize._twins(near, np.stack([pair, pair]), both), dist <= both)
 
 
 def no_parking():
-    """Parking off: no twin distance is at most a negative radius."""
-    return mock.patch.object(optimize, "_TWIN", -1.0)
+    """Parking off: no twin distance is at most a negative radius, at either radius.
+
+    _trailing and _distinct read both radii when called, so the patch
+    reaches every twin test of the run.
+    """
+    return mock.patch.multiple(optimize, _TWIN=-1.0, _TWIN_STATIONARY=-1.0)
 
 
 @settings(max_examples=30)
@@ -779,9 +793,9 @@ def test_parking_loses_no_gain_and_snaps_only_onto_stationary_pairs(case):
         assert residual <= cfg.tol or not snapped
 
 
-def isotropic(L):
-    """The isotropic Gaussian delay-Doppler profile of width 1 on the L x L grid."""
-    d = np.minimum(np.arange(L), L - np.arange(L))
+def isotropic(L, width=1):
+    """The isotropic Gaussian delay-Doppler profile of the given width on the L x L grid."""
+    d = np.minimum(np.arange(L), L - np.arange(L)) / width
     w = np.exp(-(d[:, None] ** 2) - d[None, :] ** 2)
     return ScatteringFunction(L, w / w.sum())
 
@@ -801,6 +815,20 @@ def test_parking_snaps_twins_and_saves_half_steps_on_an_isotropic_cell():
     assert np.all(np.diff(on.objective_history) >= -optimize._TIE)
     gamma, g = on.best_pair
     assert abs(gain(C, gamma, g) - on.best_value) <= 1e-12
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_ridge_cells_at_L16_end_stationary_before_the_cap(width):
+    # Restarts drift along a near-flat ridge here and ran to the 500-cycle
+    # cap when only shift copies within _TWIN were parked; parked at the
+    # wider radius around the stationary pairs and snapped onto them, every
+    # restart ends stationary long before the cap.
+    C, cfg = isotropic(16, width), OptimizerConfig()
+    trace = alternating_fidelity_max(C, 16, cfg)
+    assert len(trace.objective_history) < 2 * cfg.max_iters + 1
+    assert max(trace.residuals) <= cfg.tol
+    assert trace.converged
+    assert sum(trace.snapped) >= 1
 
 
 def test_rejected_snaps_resume_and_the_run_still_ends(monkeypatch):
