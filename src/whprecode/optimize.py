@@ -22,7 +22,9 @@ from .heisenberg import _layout
 from .wssus import (
     ScatteringFunction,
     _complex_gaussian,
+    _from_diagonals,
     _map_rank_one,
+    _rank_one_diagonals,
     apply_A,
     apply_interference,
     random_unit_vector,
@@ -33,11 +35,12 @@ _BATCH = 1 << 14
 # The lower-bound search maps at most this many matrix entries at once.
 _BLOCK_ENTRIES = 1 << 22
 # Slack of the search's pruning test.  For its trace-one PSD matrices of
-# size d, the eigenvalue bounds and eigvalsh's top eigenvalue are each within
-# about d^2 ulp of exact (under 1e-12 at d = 64), so a matrix whose upper
-# bound falls this far below a lower bound has a smaller computed top
-# eigenvalue than the matrix that lower bound belongs to.
+# size d, the trace bound and eigvalsh's top eigenvalue are each within
+# about d^2 ulp of exact (under 1e-12 at d = 64), so a matrix whose bound
+# falls this far below a computed top eigenvalue has a smaller one.  The
+# _LEADS best-bounded samples of each block are solved first to set it.
 _PRUNE_MARGIN = 1e-9
+_LEADS = 4
 # Objectives this close are a tie for the third-cycle safeguard
 # (alternating_fidelity_max): near a stationary point the objective moves by
 # the square of the residual, below what a computed eigenvalue resolves.
@@ -379,40 +382,90 @@ def _top_eigenvalue_bounds(mats: np.ndarray, start: np.ndarray) -> tuple[np.ndar
 
     The lower bound is the Rayleigh quotient ``y* M y / y* y`` of one power
     step ``y = M x`` from the rows x of ``start`` (0 where y is below the
-    normal range).  The upper bound is ``min(m + s sqrt(d - 1), ||M||_F)``
-    with ``m = tr M / d`` and ``s^2 = ||M - m I||_F^2 / d`` (Wolkowicz &
-    Styan, Linear Algebra Appl. 29, 1980); both squared norms are sums of
-    nonnegative terms, so s keeps a relative error of a few ulp even where
-    ``tr M^2 / d - m^2`` would cancel.
+    normal range).  The upper bound is _trace_bound's.
     """
     d = mats.shape[-1]
     y = np.einsum("kij,kj->ki", mats, start)
     num = np.einsum("ki,kij,kj->k", y.conj(), mats, y).real
     den = np.einsum("ki,ki->k", y.conj(), y).real
     lower = np.divide(num, den, out=np.zeros_like(num), where=den >= np.finfo(float).tiny)
-    diag = np.einsum("kii->ki", mats).real
-    mean = diag.sum(-1) / d
     sq = mats.real**2 + mats.imag**2
     sq[:, np.arange(d), np.arange(d)] = 0.0
-    off = sq.sum((-2, -1))
-    dev = diag - mean[:, None]
-    spread = np.sqrt((off + (dev * dev).sum(-1)) / d)
-    return lower, np.fmin(mean + spread * math.sqrt(d - 1), np.sqrt(off + (diag * diag).sum(-1)))
+    return lower, _trace_bound(np.einsum("kii->ki", mats).real, sq.sum((-2, -1)))
 
 
-def _pruned_top_eigenvalue(mats: np.ndarray, start: np.ndarray, best: float) -> float:
-    """``max(best, largest top eigenvalue in mats)``, solving only matrices that can win.
+def _trace_bound(diag: np.ndarray, off) -> np.ndarray:
+    """Upper bound on the top eigenvalue of hermitian M from its diagonal and off-diagonal mass.
 
-    A matrix whose upper bound is below ``max(best, largest lower bound)``
-    less _PRUNE_MARGIN cannot hold the maximum, so eigvalsh runs on the
-    others, always including the one with the largest lower bound.  The
-    result is the float that eigvalsh on the whole stack would give.
+    ``diag`` (..., d) is the real diagonal of M and ``off`` the sum of
+    ``|M_ij|^2`` over ``i != j``.  The bound is
+    ``min(m + s sqrt(d - 1), ||M||_F)`` with ``m = tr M / d`` and
+    ``s^2 = ||M - m I||_F^2 / d`` (Wolkowicz & Styan, Linear Algebra Appl.
+    29, 1980); both squared norms are sums of nonnegative terms, so s keeps
+    a relative error of a few ulp even where ``tr M^2 / d - m^2`` would
+    cancel.
     """
-    lower, upper = _top_eigenvalue_bounds(mats, start)
-    lead = int(np.argmax(lower))
-    keep = upper >= max(best, float(lower[lead])) - _PRUNE_MARGIN
-    keep[lead] = True
-    return max(best, float(np.max(np.linalg.eigvalsh(mats[keep])[:, -1])))
+    d = diag.shape[-1]
+    mean = diag.sum(-1, keepdims=True) / d
+    dev = diag - mean
+    spread = np.sqrt((off + (dev * dev).sum(-1)) / d)
+    return np.fmin(mean[..., 0] + spread * math.sqrt(d - 1), np.sqrt(off + (diag * diag).sum(-1)))
+
+
+def _ambiguity_terms(C: ScatteringFunction) -> tuple[np.ndarray, list]:
+    """The diagonal ``C(mu_t)`` of the tap Gram of a unit pulse v, and its off-diagonal mass terms.
+
+    Its entries are ``sqrt(C(mu_s) C(mu_t)) <S_mu_s v, S_mu_t v>``, and
+    ``S_mu_s* S_mu_t`` is ``S_(mu_t - mu_s)`` up to a unit phase, so the
+    mass is ``sum_(nu in D) K(nu) |<v, S_nu v>|^2``: D holds the differences
+    of distinct taps and K(nu) sums ``C(mu_s) C(mu_t)`` over the pairs with
+    difference nu, -nu folded onto nu (the moduli are equal).  One term
+    ``(nu1, phase columns, K)`` per distinct nu1 of D (see _ambiguity_mass).
+    """
+    L = C.L
+    mu1, mu2 = C._tap_shifts()
+    weights = C.weights[mu1, mu2]
+    s, t = np.nonzero(~np.eye(weights.size, dtype=bool))
+    nu1, nu2 = (mu1[t] - mu1[s]) % L, (mu2[t] - mu2[s]) % L
+    flat = np.minimum(nu1 * L + nu2, -nu1 % L * L + -nu2 % L)
+    kernel = np.bincount(flat, weights[s] * weights[t], L * L).reshape(L, L)
+    phases = _layout(L)[2]
+    cols = [np.flatnonzero(row) for row in kernel]
+    return weights, [(n, phases[:, c], kernel[n, c]) for n, c in enumerate(cols) if c.size]
+
+
+def _ambiguity_mass(terms: list, pulses: np.ndarray) -> np.ndarray:
+    """``sum_nu K(nu) |<v, S_nu v>|^2`` for each row v (terms from _ambiguity_terms).
+
+    ``<v, S_nu v> = sum_m conj(v_m) w^(nu2 m) v_(m - nu1)``: per nu1 one
+    product with the columns of the ``_layout`` phase table.
+    """
+    lags = _layout(pulses.shape[-1])[1]
+    conj = pulses.conj()
+    mass = np.zeros(len(pulses))
+    for nu1, cols, kernel in terms:
+        amb = (conj * pulses[:, lags[:, nu1]]) @ cols
+        mass += (amb.real**2 + amb.imag**2) @ kernel
+    return mass
+
+
+def _bounded_images(operand, terms, pulses: np.ndarray) -> tuple:
+    """_trace_bound of each image ``A(v v*)`` of the rows v, and a maker of chosen images.
+
+    ``terms`` is _ambiguity_terms' on the tap path and None on the
+    diagonal-block path, where the bound is read off the images' cyclic
+    diagonals.  The maker maps an index into the rows to the images of
+    _rank_one_images, bit for bit.
+    """
+    if terms is not None:
+        weights, ambiguity = terms
+        upper = _trace_bound(weights, _ambiguity_mass(ambiguity, pulses))
+        return upper, lambda keep: _rank_one_images(operand, pulses[keep])[0]
+    diags = operand @ _rank_one_diagonals(pulses)  # diags[d, n, k] = A(v_k v_k*)[(n + d) % L, n]
+    rest = diags[1:].reshape(-1, len(pulses)).view(float)
+    sq = np.einsum("ij,ij->j", rest, rest)  # real and imaginary parts side by side
+    upper = _trace_bound(diags[0].real.T, sq[::2] + sq[1::2])
+    return upper, lambda keep: _from_diagonals(diags[..., keep])
 
 
 def alternating_fidelity_max(
@@ -695,28 +748,34 @@ def fidelity_lower_bound_search(
     matrix when the channel has T < L nonzero taps, as in
     alternating_fidelity_max.
 
-    Each batch is mapped in blocks of at most _BLOCK_ENTRIES matrix entries
-    (a power-of-two row count), and eigvalsh runs only on the matrices whose
-    trace upper bound can still reach the best Rayleigh lower bound (see
-    _pruned_top_eigenvalue).  Neither changes the result: it is the float
-    that eigvalsh on every sample would give.
+    Each batch is handled in blocks of at most _BLOCK_ENTRIES matrix
+    entries (a power-of-two row count).  Every sample of a block gets a
+    trace bound on its top eigenvalue (see _bounded_images), on the tap
+    Gram from the pulse's ambiguity function, with no image formed.
+    eigvalsh on the _LEADS best-bounded samples sets the threshold
+    ``max(best, their top) - _PRUNE_MARGIN``, and only the samples whose
+    bound reaches it have their images formed and solved.  Neither changes
+    the result: it is the float that eigvalsh on every sample would give.
     """
     n_samples = linalg.require_int(n_samples, "n_samples", 1)
     L = linalg.require_int(L, "dimension", 1)
     if L != C.L:
         raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
     forward = _half_step_operands(C)[0]
+    terms = _ambiguity_terms(C) if isinstance(forward, tuple) else None
     rows = 1 << (max(1, _BLOCK_ENTRIES // (L * L)).bit_length() - 1)
 
     def top(rng, m, best):
         vecs = _complex_gaussian(rng, (m, L))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
         for start in range(0, m, rows):
-            block = vecs[start:start + rows]
-            mats, frame = _rank_one_images(forward, block)
-            # The power step starts from v, or from conj(W) v on the tap Gram.
-            first = block if frame is None else np.einsum("ktl,kl->kt", frame.conj(), block)
-            best = _pruned_top_eigenvalue(mats, first, best)
+            upper, images = _bounded_images(forward, terms, vecs[start:start + rows])
+            lead = np.argpartition(upper, -min(_LEADS, upper.size))[-_LEADS:]
+            best = max(best, float(np.max(np.linalg.eigvalsh(images(lead))[:, -1])))
+            keep = upper >= best - _PRUNE_MARGIN
+            keep[lead] = False
+            if keep.any():
+                best = max(best, float(np.max(np.linalg.eigvalsh(images(keep))[:, -1])))
         return best
 
     return min(1.0, _sampled_max(top, n_samples, seed))

@@ -234,9 +234,14 @@ def _map_diagonals(blocks: np.ndarray, diags: np.ndarray) -> np.ndarray:
     ``diags[d, n, k] = X_k[(n + d) % L, n]`` for a stack of K operands X_k.
     Returns the (K, L, L) stack of outputs.
     """
-    L = blocks.shape[0]
+    return _from_diagonals(blocks @ diags)
+
+
+def _from_diagonals(diags: np.ndarray) -> np.ndarray:
+    """The (K, L, L) stack ``X_k[(n + d) % L, n] = diags[d, n, k]``: a scatter, no arithmetic."""
+    L = diags.shape[0]
     out = np.empty(diags.shape, dtype=complex)
-    out[_layout(L)[0], np.arange(L)] = blocks @ diags
+    out[_layout(L)[0], np.arange(L)] = diags
     return out.transpose(2, 0, 1)
 
 
@@ -256,10 +261,15 @@ def _map_rank_one(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     The diagonals come straight from the vectors, so the (R, L, L) stack of
     projectors is never formed.
     """
+    return _map_diagonals(blocks, _rank_one_diagonals(vectors))
+
+
+def _rank_one_diagonals(vectors: np.ndarray) -> np.ndarray:
+    """``diags[d, n, k] = v_k[(n + d) % L] conj(v_k[n])``: the diagonals of each row's ``v v*``."""
     vt = vectors.T
     diags = vt[_layout(vectors.shape[1])[0]]
     diags *= vt.conj()
-    return _map_diagonals(blocks, diags)
+    return diags
 
 
 def apply_A(C: ScatteringFunction, X) -> np.ndarray:

@@ -669,6 +669,82 @@ def test_blocked_search_is_the_unblocked_maximum(monkeypatch, L, n_samples, entr
     assert fidelity_lower_bound_search(C, L, n_samples, seed=3) == unpruned_search(C, n_samples, 3)
 
 
+def deck_cell(L, taps, seed):
+    """The origin tap plus ``taps`` other taps at distinct shifts, as in the sparse benchmark deck."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros(L * L)
+    w[0] = rng.uniform(0.3, 1.0)
+    w[rng.choice(np.arange(1, L * L), taps, replace=False)] = rng.uniform(0.05, 1.0, taps)
+    return ScatteringFunction(L, (w / w.sum()).reshape(L, L))
+
+
+@pytest.mark.parametrize("L", range(4, 11))
+@pytest.mark.parametrize("taps", [2, 3, 4])
+def test_pruned_search_is_the_unpruned_maximum_on_deck_cells(L, taps):
+    # The origin plus 3 taps at L = 4 and plus 4 at L = 5 take the L x L map.
+    C = deck_cell(L, taps, 10 * L + taps)
+    for n_samples in (2000, 2500, 3000):
+        seed = n_samples + L
+        assert fidelity_lower_bound_search(C, L, n_samples, seed) == unpruned_search(C, n_samples, seed)
+
+
+@pytest.mark.parametrize("n_samples", [2001, 16_387])
+@pytest.mark.parametrize("path", ["tap", "dense"])
+def test_pruned_search_is_the_unpruned_maximum_on_odd_sample_counts(path, n_samples):
+    # 2001 leaves one odd block; 16387 leaves three samples, fewer than
+    # _LEADS, after the 16384-sample batch.
+    C = deck_cell(6, 3, 1) if path == "tap" else isotropic(4)
+    assert (optimize._half_step_operands(C) is C.tap_frame()) == (path == "tap")
+    assert fidelity_lower_bound_search(C, C.L, n_samples, 7) == unpruned_search(C, n_samples, 7)
+
+
+@st.composite
+def bound_cases(draw):
+    """Channels at L = 1..10 of every shape the search meets, and 16 unit pulses."""
+    L = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "one", "two", "L-1", "equal", "uniform", "concentrated"]))
+    if kind == "uniform":
+        C = ScatteringFunction.uniform(L)
+    elif kind == "concentrated":
+        C = ScatteringFunction.concentrated(L, tuple(rng.integers(0, L, 2)))
+    elif kind == "equal":
+        w = np.zeros(L * L)
+        w[rng.choice(L * L, rng.integers(1, L * L + 1), replace=False)] = 1.0
+        C = ScatteringFunction(L, (w / w.sum()).reshape(L, L))
+    else:
+        taps = {"dense": L * L, "one": 1, "two": min(2, L * L), "L-1": max(1, L - 1)}[kind]
+        C = sparse_scattering(rng, L, taps)
+    pulses = _complex_gaussian(rng, (16, L))
+    pulses /= np.linalg.norm(pulses, axis=1)[:, None]
+    return C, pulses
+
+
+@settings(max_examples=150)
+@given(bound_cases())
+@example((ScatteringFunction.concentrated(5, (2, 3)), np.eye(5, dtype=complex)[1:]))
+@example((ScatteringFunction.uniform(4), np.eye(4, dtype=complex)))
+def test_search_bounds_hold_without_the_images(case):
+    # Every sample's bound is at least the top eigenvalue of its image, and
+    # the images the search forms for chosen samples have the bits of the
+    # images of the whole stack.  On the tap path the Gram's squared
+    # Frobenius norm is sum C(mu_t)^2 plus the ambiguity mass.
+    C, pulses = case
+    forward = optimize._half_step_operands(C)[0]
+    terms = optimize._ambiguity_terms(C) if forward is C.tap_frame()[0] else None
+    upper, images = optimize._bounded_images(forward, terms, pulses)
+    mats = optimize._rank_one_images(forward, pulses)[0]
+    chosen = np.random.default_rng(C.L).permutation(len(pulses))[:5]
+    assert np.array_equal(images(np.arange(len(pulses))), mats)
+    assert np.array_equal(images(chosen), mats[chosen])
+    assert np.all(upper >= np.linalg.eigvalsh(mats)[:, -1] - 1e-12)
+    if terms is not None:
+        weights, ambiguity = terms
+        mass = (weights**2).sum() + optimize._ambiguity_mass(ambiguity, pulses)
+        frobenius = (mats.real**2 + mats.imag**2).sum((-2, -1))
+        np.testing.assert_allclose(mass, frobenius, rtol=0, atol=1e-13)
+
+
 def psd_stacks(d, rng):
     """Trace-one PSD stacks: random ranks 1..d, rank one, spike plus flat, and I/d."""
     x = rng.standard_normal((40, d, d)) + 1j * rng.standard_normal((40, d, d))
