@@ -173,9 +173,12 @@ def _require_sign(sign) -> int:
 
 def axis_unit_vector(n: int, sign: int = +1) -> np.ndarray:
     """Unit pulse whose projector is (sigma_0 + sign*sigma_n)/2, n in 1..3."""
-    n = require_int(n, "axis index", 1, 3)
-    table = _AXIS_PLUS if _require_sign(sign) > 0 else _AXIS_MINUS
-    return table[n - 1].copy()
+    return _axis_pulse(require_int(n, "axis index", 1, 3), _require_sign(sign))
+
+
+def _axis_pulse(n: int, sign: int) -> np.ndarray:
+    """``axis_unit_vector(n, sign)`` for an axis and sign already checked."""
+    return (_AXIS_PLUS if sign > 0 else _AXIS_MINUS)[n - 1].copy()
 
 
 def optimal_projectors(n: int, sign: int = +1) -> tuple[np.ndarray, np.ndarray]:
@@ -196,7 +199,7 @@ def optimal_precoder_vector(n: int) -> np.ndarray:
     same gain and ``optimal_projectors`` exposes either.
     """
     n = require_int(n, "axis index", 1, 3)
-    return axis_unit_vector(n, _TABLE_SIGNS[n - 1])
+    return _axis_pulse(n, _TABLE_SIGNS[n - 1])
 
 
 def solve_fidelity(p) -> FidelitySolution:
@@ -208,32 +211,33 @@ def solve_fidelity(p) -> FidelitySolution:
     2(p0+p_n)-1 is negative (sign(0) is taken as +1, where the objective
     is insensitive to the choice).
     """
-    gains = 2.0 * np.diag(map_matrix_rep(p))[1:]  # 2(p0 + p_k) - 1, k = 1..3
-    mags = np.abs(gains)
-    best = float(np.max(mags))
+    q = ScatteringQuad.coerce(p)
+    # 2(p0 + p_k) - 1, k = 1..3: twice the diagonal of map_matrix_rep, in
+    # the same floating-point operations, so the same bits.
+    gains = [2.0 * (q.p0 + pk - 0.5) for pk in (q.p1, q.p2, q.p3)]
+    mags = [abs(g) for g in gains]
+    best = max(mags)
     tied = tuple(k + 1 for k in range(3) if best - mags[k] <= TIE_TOL)
     n_star = tied[0]
     sign = +1 if gains[n_star - 1] >= 0.0 else -1
     fidelity = 0.5 * (1.0 + best)
 
-    x_opt = np.zeros(4)
-    x_opt[0] = 1.0
+    x_opt = [1.0, 0.0, 0.0, 0.0]
     x_opt[n_star] = 1.0
-    y_opt = x_opt.copy()
-    y_opt[n_star] *= sign
+    y_opt = list(x_opt)
+    y_opt[n_star] = float(sign)
 
-    precoder = optimal_precoder_vector(n_star)
-    # The equalizer tracks the precoder's orientation so that the pair's
-    # realized gain equals the closed form for either table sign.
-    equalizer = axis_unit_vector(n_star, _TABLE_SIGNS[n_star - 1] * sign)
+    table_sign = _TABLE_SIGNS[n_star - 1]
     return FidelitySolution(
-        fidelity=float(fidelity),
+        fidelity=fidelity,
         n_star=n_star,
         sign=sign,
-        x_opt=x_opt,
-        y_opt=y_opt,
-        precoder=precoder,
-        equalizer=equalizer,
+        x_opt=np.array(x_opt),
+        y_opt=np.array(y_opt),
+        precoder=_axis_pulse(n_star, table_sign),
+        # The equalizer tracks the precoder's orientation so that the pair's
+        # realized gain equals the closed form for either table sign.
+        equalizer=_axis_pulse(n_star, table_sign * sign),
         degenerate=len(tied) > 1,
         tied=tied,
     )

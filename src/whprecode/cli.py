@@ -1,6 +1,6 @@
 """Command line front end.
 
-Subcommands: ``solve`` (closed-form pulse design), ``classify`` (channel
+Commands: ``solve`` (closed-form pulse design), ``classify`` (channel
 regime), ``oracle`` (closed form vs brute-force cross-check), ``simulate``
 (Monte Carlo verification of the designed link), ``sweep`` (evenly-spread
 family over a p0 grid) and ``general`` (numerical optimization at general L).
@@ -21,9 +21,9 @@ import dataclasses
 import functools
 import io
 import json
-import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii as _json_string
 
 import numpy as np
 
@@ -67,6 +67,8 @@ _VALUE_FLAG_PREFIXES = frozenset(
     for prefix in (flag[:end] for end in range(3, len(flag) + 1))
     if prefix in _VALUE_FLAGS or sum(f.startswith(prefix) for f in _VALUE_FLAGS) == 1
 )
+# A value argparse would take for an option: a minus sign, then a digit, a point, inf or nan.
+_NEGATIVE_NUMBER = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
 _CASE_NUMBERS = {
     ChannelClass.NON_DISPERSIVE: 1,
     ChannelClass.SINGLE_DISPERSIVE: 2,
@@ -101,29 +103,25 @@ class RunConfig:
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     # Built once per process: parse_args keeps no state between calls and
-    # returns a fresh namespace each time.  SUPPRESS keeps unset flags off
-    # the namespace entirely, so flags may appear before or after the
-    # subcommand without the subparser's defaults clobbering values parsed
-    # at the top level.
+    # returns a fresh namespace each time.  One flat parser reads each argv
+    # once: the command is a positional, and argparse interleaves it with
+    # the flags, so flags may come before or after it.  SUPPRESS keeps unset
+    # flags off the namespace, so a config-file value shows through them.
     absent = argparse.SUPPRESS
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--p", default=absent, metavar="P0,P1,P2,P3",
-                        help="four scattering weights, comma separated")
-    for name, kind, _, text in _NUMBER_FLAGS:
-        common.add_argument(f"--{name}", type=kind, default=absent, help=text)
-    common.add_argument("--format", dest="output_format", choices=("json", "csv", "text"),
-                        default=absent, help="output format (default json)")
-    common.add_argument("--out", default=absent, metavar="PATH", help="write output to PATH")
-    common.add_argument("--config", default=absent, metavar="PATH", help="JSON config file")
-
     parser = argparse.ArgumentParser(
         prog="whprecode",
         description="Design and verify statistics-adapted pulses for dispersive channels.",
-        parents=[common],
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (_, text, _) in _COMMANDS.items():
-        sub.add_parser(name, parents=[common], help=text)
+    parser.add_argument("command", choices=tuple(_COMMANDS), help="; ".join(
+        f"{name}: {text}" for name, (_, text, _) in _COMMANDS.items()))
+    parser.add_argument("--p", default=absent, metavar="P0,P1,P2,P3",
+                        help="four scattering weights, comma separated")
+    for name, kind, _, text in _NUMBER_FLAGS:
+        parser.add_argument(f"--{name}", type=kind, default=absent, help=text)
+    parser.add_argument("--format", dest="output_format", choices=("json", "csv", "text"),
+                        default=absent, help="output format (default json)")
+    parser.add_argument("--out", default=absent, metavar="PATH", help="write output to PATH")
+    parser.add_argument("--config", default=absent, metavar="PATH", help="JSON config file")
     return parser
 
 
@@ -136,8 +134,7 @@ def _attach_negative_numbers(argv: list[str]) -> list[str]:
     """
     out: list[str] = []
     for arg in argv:
-        if (out and out[-1] in _VALUE_FLAG_PREFIXES
-                and re.match(r"-([\d.]|inf|nan)", arg, re.IGNORECASE)):
+        if out and out[-1] in _VALUE_FLAG_PREFIXES and _NEGATIVE_NUMBER.match(arg):
             out[-1] += "=" + arg
         else:
             out.append(arg)
@@ -276,7 +273,7 @@ def parse_config(argv=None) -> RunConfig:
 
 
 def _complex_pairs(v) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(v, dtype=complex)]
+    return [[z.real, z.imag] for z in np.asarray(v, dtype=complex).tolist()]
 
 
 def _scheme_doc(scheme) -> list[list[int]]:
@@ -298,8 +295,8 @@ def _cmd_solve(cfg: RunConfig) -> dict:
         "sign": solution.sign,
         "degenerate": solution.degenerate,
         "tied": list(solution.tied),
-        "x_opt": [float(v) for v in solution.x_opt],
-        "y_opt": [float(v) for v in solution.y_opt],
+        "x_opt": solution.x_opt.tolist(),
+        "y_opt": solution.y_opt.tolist(),
         "precoder": _complex_pairs(solution.precoder),
         "equalizer": _complex_pairs(solution.equalizer),
         "channel_class": classify_channel(cfg.quad).value,
@@ -435,7 +432,7 @@ def dispatch(cfg: RunConfig) -> dict:
     run, _, reads_quad = _COMMANDS[cfg.command]
     doc = {"command": cfg.command}
     if reads_quad:
-        doc["p"] = [float(v) for v in cfg.quad.as_tuple()]
+        doc["p"] = list(cfg.quad.as_tuple())
     doc.update(run(cfg))
     return doc
 
@@ -450,23 +447,42 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _canonical(value):
+def _json(value, pad: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` at indent pad, its floats canonical.
+
+    A float is rounded to 12 significant digits, an infinity becomes the
+    string "inf" or "-inf" as in the CSV and text formats, and NaN raises
+    FloatingPointError.
+    """
     if isinstance(value, float):
-        if math.isnan(value):
+        text = f"{value:.12g}"
+        if text[-1].isdigit():  # not "inf", "-inf" or "nan"
+            return repr(float(text))
+        if text == "nan":
             raise FloatingPointError("NaN in the report")
-        if math.isinf(value):
-            return _fmt(value)  # "inf" or "-inf", as in the CSV and text formats
-        return float(f"{value:.12g}")
-    if isinstance(value, dict):
-        return {k: _canonical(v) for k, v in value.items()}
+        return f'"{text}"'
+    if isinstance(value, str):
+        return _json_string(value)
     if isinstance(value, (list, tuple)):
-        return [_canonical(v) for v in value]
-    return value
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_json(v, inner) for v in value]
+        return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [f"{_json_string(k)}: {_json(value[k], inner)}" for k in sorted(value)]
+        return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    return json.dumps(value)  # True, False or None; other objects raise TypeError
 
 
 def render_json(doc: dict) -> str:
-    """Canonical JSON: sorted keys, floats at 12 significant digits, infinities as "inf"."""
-    return json.dumps(_canonical(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    """Canonical JSON: sorted string keys, 12 significant digits, infinities as "inf"."""
+    return _json(doc, "") + "\n"
 
 
 def _joined(sep, item=_fmt):

@@ -71,7 +71,7 @@ class ScatteringFunction:
                 f"weights must have shape ({self.L}, {self.L}), got {w.shape}"
             )
         # Written so that NaN fails both checks.
-        if not np.all(w >= 0.0):
+        if not w.min() >= 0.0:
             raise InvalidWeightsError("weights must be nonnegative numbers")
         total = float(w.sum())
         if not abs(total - 1.0) <= WEIGHT_SUM_TOL:

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whprecode.bloch import (
+    TIE_TOL,
     ChannelClass,
     ScatteringQuad,
     axis_unit_vector,
@@ -184,6 +187,67 @@ def test_solve_negative_gain_flips_equalizer():
     C = ScatteringFunction.from_quad(0.05, 0.05, 0.6, 0.3)
     realized = np.trace(apply_A(C, Gamma) @ G).real
     assert abs(realized - sol.fidelity) <= 1e-12
+
+
+def _normalized(w):
+    total = sum(w)
+    return [v / total for v in w]
+
+
+def _tied(p0, share, delta, order):
+    # Axes order[0] and order[1] hold share of the off-origin power and
+    # differ in gain by 2 * delta.
+    a = share * (1.0 - p0) / 2.0
+    p = [p0, 0.0, 0.0, 0.0]
+    p[order[0]], p[order[1]], p[order[2]] = a, a + delta, 1.0 - p0 - 2.0 * a - delta
+    return p
+
+
+def _with_tiny(w, tiny, k):
+    # Weight k set to a tiny (often subnormal) value, its mass moved to the largest weight.
+    w = list(w)
+    big = max(range(4), key=w.__getitem__)
+    if big != k:
+        w[big] += w[k] - tiny
+        w[k] = tiny
+    return w
+
+
+_DIRICHLET = st.builds(lambda seed, alpha: list(np.random.default_rng(seed).dirichlet([alpha] * 4)),
+                       st.integers(0, 2**32 - 1), st.sampled_from([0.3, 1.0, 3.0]))
+_NORMALIZED = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+    lambda w: sum(w) > 0.0).map(_normalized)
+# Gain differences of 0.5 to 2 TIE_TOL, either way round.
+_TIE_DELTAS = [0.0] + [sign * f * TIE_TOL / 2.0
+                       for sign in (1.0, -1.0) for f in (0.5, 0.999, 1.0, 1.001, 2.0)]
+_QUADS = st.one_of(
+    st.just([0.25] * 4),  # every gain exactly zero
+    _DIRICHLET,
+    _NORMALIZED,
+    st.builds(_tied, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from(_TIE_DELTAS),
+              st.permutations([1, 2, 3])).filter(lambda p: min(p) >= 0.0),
+    # Exact zeros, concentrated quads among them.
+    st.builds(lambda w, zeros: _normalized([0.0 if i in zeros else v for i, v in enumerate(w)]),
+              st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+              st.sets(st.integers(0, 3), max_size=3)),
+    st.builds(_with_tiny, _NORMALIZED | _DIRICHLET,
+              st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.0]),
+              st.integers(0, 3)).filter(lambda p: min(p) >= 0.0),
+).filter(lambda p: abs(sum(p) - 1.0) <= 1e-10)
+
+
+@settings(max_examples=500)
+@given(p=_QUADS)
+def test_solve_matches_the_map_diagonal_bit_for_bit(p):
+    q = ScatteringQuad(*p)
+    gains = 2.0 * np.diag(map_matrix_rep(q))[1:]
+    mags = np.abs(gains)
+    best = float(np.max(mags))
+    tied = tuple(k + 1 for k in range(3) if best - mags[k] <= TIE_TOL)
+    sign = +1 if gains[tied[0] - 1] >= 0.0 else -1
+    sol = solve_fidelity(q)
+    assert sol.fidelity.hex() == (0.5 * (1.0 + best)).hex()
+    assert (sol.n_star, sol.sign, sol.tied) == (tied[0], sign, tied)
 
 
 def test_solution_bloch_vectors_on_manifold():

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import pathlib
 import subprocess
@@ -271,6 +272,75 @@ def test_json_round_trip_is_stable(capsys):
         assert render_json(strict_json(out)) == out
 
 
+def _canon(value):
+    """The canonical report value: floats at 12 significant digits, infinities as strings."""
+    if isinstance(value, float):
+        if math.isnan(value):
+            raise FloatingPointError("NaN in the report")
+        if math.isinf(value):
+            return "inf" if value > 0 else "-inf"
+        return float(f"{value:.12g}")
+    if isinstance(value, dict):
+        return {k: _canon(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canon(v) for v in value]
+    return value
+
+
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=False),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+                     1.7976931348623157e308, math.inf, -math.inf, 1e16, 123456789012.0]),
+    # A 13-digit decimal ending in 5: it rounds at the 12th digit.
+    st.builds(lambda digits, exp: float(f"{digits}5e{exp}"),
+              st.integers(10**11, 10**12 - 1), st.integers(-330, 290)),
+)
+_JSON_TEXT = st.text(st.sampled_from('az09 "\\/\n\t\x00\x7féß€😀'), max_size=6)
+_JSON_LEAVES = st.one_of(
+    _JSON_FLOATS,
+    st.integers(-(2**70), 2**70),
+    st.booleans(),
+    st.none(),
+    _JSON_TEXT,
+)
+
+
+def _json_trees(leaves):
+    return st.recursive(
+        leaves,
+        lambda children: st.one_of(
+            st.lists(children, max_size=4),
+            st.lists(children, max_size=3).map(tuple),
+            st.dictionaries(_JSON_TEXT, children, max_size=4),
+        ),
+        max_leaves=24,
+    )
+
+
+@settings(max_examples=400)
+@given(doc=st.dictionaries(_JSON_TEXT, _json_trees(_JSON_LEAVES), max_size=5))
+def test_render_json_writes_the_canonical_dump(doc):
+    expected = json.dumps(_canon(doc), sort_keys=True, indent=2, allow_nan=False) + "\n"
+    assert render_json(doc) == expected
+
+
+def _holds_nan(value):
+    if isinstance(value, float):
+        return math.isnan(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (list, tuple)) and any(map(_holds_nan, value))
+
+
+@settings(max_examples=200)
+@given(doc=st.dictionaries(_JSON_TEXT, _json_trees(_JSON_LEAVES | st.just(math.nan)), max_size=5))
+def test_render_json_rejects_a_nan_anywhere(doc):
+    if not _holds_nan(doc):
+        doc["nan"] = [doc.copy(), math.nan]
+    with pytest.raises(FloatingPointError):
+        render_json(doc)
+
+
 def test_infinite_sinr_renders_as_inf_token(capsys):
     for fmt, token in (("json", '"inf"'), ("csv", "inf"), ("text", "inf")):
         code, out, _ = run_cli(
@@ -422,14 +492,19 @@ def test_solve_oracle_agreement(capsys):
 
 
 def _reuse_argvs(config):
+    """The argvs of the reuse test, and the groups among them that must print the same.
+
+    Each group places one command after, before and in the middle of its
+    flags.
+    """
     argvs = [
         ["--help"],
-        ["oracle", "--help"],
+        *([command, "--help"] for command in cli._COMMANDS),
         [],
+        ["bogus", "--p", "0.4,0.3,0.2,0.1"],
         ["--format", "xml", "solve", "--p", "1,0,0,0"],
         ["solve", "--nope", "1"],
         ["solve", "--p", "0.4,0.3,0.4,0.1"],
-        ["--p", "0.4,0.3,0.2,0.1", "--format", "csv", "solve"],
         ["--seed", "4", "oracle", "--samples", "300", "--p", "0.1,0.2,0.3,0.4"],
         ["--config", config, "simulate", "--trials", "200"],
         ["general", "--config", config, "--seed", "2"],
@@ -442,22 +517,38 @@ def _reuse_argvs(config):
         "sweep": ["--trials", "20"],
         "general": ["--p", "0.4,0.3,0.2,0.1", "--samples", "200"],
     }
+    groups = []
     for command, args in commands.items():
         for fmt in ("json", "csv", "text"):
-            argvs.append([command, *args, "--format", fmt])
-    return argvs
+            flags = [*args, "--format", fmt]
+            middle = 2 * (len(flags) // 4)  # flags come in name-value pairs
+            groups.append([[command, *flags], [*flags, command],
+                           [*flags[:middle], command, *flags[middle:]]])
+    return argvs + [argv for group in groups for argv in group], groups
 
 
 def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"p": [0.1, 0.2, 0.3, 0.4], "samples": 300}))
-    argvs = _reuse_argvs(str(config))
+    argvs, groups = _reuse_argvs(str(config))
     reused = [run_cli(capsys, *argv) for argv in argvs]
     for argv, result in zip(argvs, reused):
         cli._build_parser.cache_clear()
         assert run_cli(capsys, *argv) == result, argv
     codes = {code for code, _, _ in reused}
     assert codes == {0, 2}
+
+    results = {tuple(argv): result for argv, result in zip(argvs, reused)}
+    for group in groups:
+        (code, out, _), *others = (results[tuple(argv)] for argv in group)
+        assert code == 0 and out
+        assert all(other[:2] == (code, out) for other in others), group
+    for argv in (["--help"], *([command, "--help"] for command in cli._COMMANDS)):
+        code, out, _ = results[tuple(argv)]
+        assert code == 0 and all(command in out for command in cli._COMMANDS), argv
+    for argv in ([], ["bogus", "--p", "0.4,0.3,0.2,0.1"]):
+        code, out, err = results[tuple(argv)]
+        assert (code, out) == (2, "") and err.splitlines()[-1].startswith("whprecode: error:"), argv
 
 
 def test_main_builds_the_parser_once(capsys):
