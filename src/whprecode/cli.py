@@ -69,18 +69,18 @@ _VALUE_FLAG_PREFIXES = frozenset(
 )
 # A value argparse would take for an option: a minus sign, then a digit, a point, inf or nan.
 _NEGATIVE_NUMBER = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
-_CASE_NUMBERS = {
-    ChannelClass.NON_DISPERSIVE: 1,
-    ChannelClass.SINGLE_DISPERSIVE: 2,
-    ChannelClass.UNDERSPREAD: 3,
-    ChannelClass.COMPLETELY_OVERSPREAD: 4,
-}
-_CASE_NARRATIVES = {
-    ChannelClass.NON_DISPERSIVE: "all power on a single shift: flat fading, gain 1 with any pulse",
-    ChannelClass.SINGLE_DISPERSIVE: "dispersion confined to one shift axis: gain 1 with the matching pulse",
-    ChannelClass.UNDERSPREAD: "a dominant weight above one half keeps the gain above one half",
-    ChannelClass.COMPLETELY_OVERSPREAD: "uniform weights over all four shifts: gain pinned at the floor 1/2",
-    ChannelClass.GENERIC: "doubly dispersive profile without a dominant weight",
+# Per channel class: its case number (None for a generic channel, whose
+# case comes from the extremal families) and its narrative.
+_CASES = {
+    ChannelClass.NON_DISPERSIVE: (1, "all power on a single shift: flat fading, gain 1 with any pulse"),
+    ChannelClass.SINGLE_DISPERSIVE: (
+        2, "dispersion confined to one shift axis: gain 1 with the matching pulse"
+    ),
+    ChannelClass.UNDERSPREAD: (3, "a dominant weight above one half keeps the gain above one half"),
+    ChannelClass.COMPLETELY_OVERSPREAD: (
+        4, "uniform weights over all four shifts: gain pinned at the floor 1/2"
+    ),
+    ChannelClass.GENERIC: (None, "doubly dispersive profile without a dominant weight"),
 }
 
 
@@ -307,10 +307,9 @@ def _cmd_solve(cfg: RunConfig) -> dict:
 def _cmd_classify(cfg: RunConfig) -> dict:
     channel_class = classify_channel(cfg.quad)
     worst, best = _family_flags(cfg.quad)
-    case = _CASE_NUMBERS.get(channel_class)
+    case, narrative = _CASES[channel_class]
     if case is None:
         case = 5 if worst else (6 if best else None)
-    narrative = _CASE_NARRATIVES[channel_class]
     if worst:
         narrative += "; evenly spread off-origin power (gain-minimizing family for this p0)"
     if best:

@@ -38,7 +38,7 @@ _BLOCK_ENTRIES = 1 << 22
 # size d, the trace bound and eigvalsh's top eigenvalue are each within
 # about d^2 ulp of exact (under 1e-12 at d = 64), so a matrix whose bound
 # falls this far below a computed top eigenvalue has a smaller one.  The
-# _LEADS best-bounded samples of each block are solved first to set it.
+# _LEADS best-bounded samples of each batch are solved first to set it.
 _PRUNE_MARGIN = 1e-9
 _LEADS = 4
 # Objectives this close are a tie for the third-cycle safeguard
@@ -141,7 +141,7 @@ def optimal_receiver(
 
 
 def _half_step_operands(C: ScatteringFunction) -> tuple:
-    """Operands of ``A`` and ``A*`` for _top_eigenpairs, chosen once per call.
+    """Operands of ``A`` and ``A*`` for _rank_one_images, chosen once per call.
 
     ``A(v v*)`` has rank at most T, the number of nonzero taps, so with
     T < L the top eigenpair comes from a T x T Gram matrix on the tap
@@ -152,19 +152,104 @@ def _half_step_operands(C: ScatteringFunction) -> tuple:
     return C.diagonal_blocks()
 
 
-def _rank_one_images(operand, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-    """Hermitian matrices with the top eigenpairs of the map applied to each ``v v*``.
+@dataclass(eq=False)
+class _Images:
+    """Images M of K rank-one operands under A or A*, and the half-step arithmetic on them.
+
+    _rank_one_images makes them, one of two kinds fixed by the operand:
+    _Full holds each M as an L x L matrix, _Gram as the T x T Gram
+    ``conj(W) W^T`` of its (T, L) tap frame W, with ``M = W^T conj(W)``.
+    ``mats`` is the (K, d, d) hermitian stack that eigh solves; ``x[rows]``
+    selects images and ``x[rows] = other`` overwrites them.
+    """
+
+    mats: np.ndarray
+
+    def __getitem__(self, rows) -> _Images:
+        return type(self)(*(a[rows] for a in vars(self).values()))
+
+    def __setitem__(self, rows, other: _Images) -> None:
+        for mine, theirs in zip(vars(self).values(), vars(other).values()):
+            mine[rows] = theirs
+
+    def residuals(self, pulses: np.ndarray) -> np.ndarray:
+        """``||M v - (v* M v) v||`` for each unit pulse v: zero exactly when v is an eigenvector."""
+        image = self.apply(pulses[:, None])[:, 0]
+        value = np.einsum("ki,ki->k", pulses.conj(), image).real
+        return np.linalg.norm(image - value[:, None] * pulses, axis=1)
+
+    def gap_inverse(self, lam: np.ndarray, u: np.ndarray) -> tuple:
+        """``R = sum_j v_j v_j* / (f - lambda_j)`` over the non-top eigenpairs of each M in C^L.
+
+        ``(lam, u)`` is the eigendecomposition of ``mats`` and f = lam[:, -1].
+        Also returns the rows where every gap ``f - lambda_j`` exceeds the
+        top eigenvalue's roundoff; elsewhere R is finite but meaningless.
+        """
+        f = lam[:, -1:]
+        floor = f * np.finfo(float).eps
+        gaps = f - lam[:, :-1]
+        ok = np.all(gaps > floor, axis=1)
+        return self._gap_sum(u, f, np.maximum(gaps, floor)), ok
+
+
+class _Full(_Images):
+    """The L x L images of the diagonal-block path."""
+
+    def lift(self, u: np.ndarray, top: np.ndarray) -> np.ndarray:
+        """Top eigenvectors in C^L from the eigenvectors ``u`` of ``mats``."""
+        return u[..., -1]
+
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        """``M x`` for each row x of a (K, n, L) stack, as rows."""
+        return rows @ self.mats.swapaxes(-1, -2)
+
+    def _gap_sum(self, u, f, gaps):
+        rest = u[..., :-1]
+        return (rest / gaps[:, None, :]) @ rest.conj().swapaxes(-1, -2)
+
+
+@dataclass(eq=False)
+class _Gram(_Images):
+    """The T x T tap Grams ``conj(W) W^T`` and their (K, T, L) frames W."""
+
+    frame: np.ndarray
+
+    def lift(self, u: np.ndarray, top: np.ndarray) -> np.ndarray:
+        # W^T u is an eigenvector of norm sqrt(top); top >= Tr(gram)/T = 1/T.
+        return (u[:, None, :, -1] @ self.frame)[:, 0] / np.sqrt(top)[:, None]
+
+    def apply(self, rows: np.ndarray) -> np.ndarray:
+        # x^T M^T = (x^T W^H) W.
+        return (rows @ self.frame.conj().swapaxes(-1, -2)) @ self.frame
+
+    def _gap_sum(self, u, f, gaps):
+        # The L - T zero eigenvalues of M have no eigenvectors among u; with
+        # W^T u_j = sqrt(lambda_j) v_j and gamma the top eigenvector,
+        # R = (I - gamma gamma*) / f + sum_j (W^T u_j)(W^T u_j)* / (f (f - lambda_j)).
+        scaled = self.frame.swapaxes(-1, -2) @ u  # columns W^T u_j
+        top, rest = scaled[..., -1:], scaled[..., :-1]
+        # W^T u of the top eigenpair is sqrt(f) gamma.
+        inverse = np.eye(scaled.shape[1]) - top @ top.conj().swapaxes(-1, -2) / f[:, None]
+        inverse /= f[:, None]
+        return inverse + (rest / (f * gaps)[:, None, :]) @ rest.conj().swapaxes(-1, -2)
+
+
+def _rank_one_images(operand, pulses: np.ndarray) -> tuple[np.ndarray, _Images]:
+    """The map's images ``M = map(v v*)`` of K unit pulses v, the rows of ``pulses``.
 
     ``operand`` is a tap frame ``(rows, coef)`` or a stack of diagonal
-    blocks (see _half_step_operands); ``pulses`` holds K unit pulses as rows.
-    Returns the (K, d, d) hermitian stack, with its (K, T, L) tap frames on
-    the tap-frame path (d = T) and None on the diagonal-block path (d = L).
+    blocks (see _half_step_operands); this is the one place that tells them
+    apart.  Returns the (K, d, d) hermitian stack whose top eigenpairs are
+    M's, and the images object that holds it (_Gram, d = T, or _Full,
+    d = L).
     """
     if isinstance(operand, tuple):
         rows, coef = operand
         frame = pulses[:, rows] * coef  # (K, T, L): rows W_t, map(v v*) = W^T conj(W)
-        return frame.conj() @ frame.swapaxes(-1, -2), frame
-    return _map_rank_one(operand, pulses), None
+        images = _Gram(frame.conj() @ frame.swapaxes(-1, -2), frame)
+    else:
+        images = _Full(_map_rank_one(operand, pulses))
+    return images.mats, images
 
 
 def _top_eigenpairs(operand, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -173,65 +258,28 @@ def _top_eigenpairs(operand, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray
     Returns the (K,) top eigenvalues and (K, L) eigenvectors for the K unit
     pulses in the rows of ``pulses`` (see _rank_one_images).
     """
-    return _top_of_images(*_rank_one_images(operand, pulses))
+    mats, images = _rank_one_images(operand, pulses)
+    return _top_of(*np.linalg.eigh(mats), images)
 
 
-def _top_of_images(mats: np.ndarray, frame: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenvalues and (K, L) unit eigenvectors of _rank_one_images output."""
-    return _top_of(*np.linalg.eigh(mats), frame)
-
-
-def _top_of(lam: np.ndarray, u: np.ndarray, frame: np.ndarray | None) -> tuple:
+def _top_of(lam: np.ndarray, u: np.ndarray, images: _Images) -> tuple:
     """Top eigenvalues and (K, L) unit eigenvectors from the images' eigendecomposition."""
     top = lam[:, -1]
-    if frame is None:
-        return top, u[..., -1]
-    # W^T u is an eigenvector of norm sqrt(top); top >= Tr(gram)/T = 1/T.
-    return top, (u[:, None, :, -1] @ frame)[:, 0] / np.sqrt(top)[:, None]
+    return top, images.lift(u, top)
 
 
-def _stationarity_residuals(
-    mats: np.ndarray, frame: np.ndarray | None, pulses: np.ndarray
-) -> np.ndarray:
-    """``||M v - (v* M v) v||`` for each unit pulse v and map image M.
+def _receive(forward, adjoint, gammas: np.ndarray) -> tuple:
+    """The receive half-step from the transmit pulses ``gammas``, and its residuals.
 
-    ``(mats, frame)`` holds the images M of K rank-one operands (see
-    _rank_one_images); on the tap-frame path ``M v = W^T (conj(W) v)``.
-    The value is zero exactly when v is an eigenvector of M.
+    Returns the objectives and receivers (top eigenpairs of the images
+    ``A(gamma gamma*)``), the stationarity residuals
+    ``||A*(g g*) gamma - F gamma||``, and the images ``A*(g g*)`` and
+    ``A(gamma gamma*)`` (see _rank_one_images).
     """
-    if frame is None:
-        image = np.einsum("kij,kj->ki", mats, pulses)
-    else:
-        image = np.einsum("ktl,kt->kl", frame, np.einsum("ktl,kl->kt", frame.conj(), pulses))
-    value = np.einsum("ki,ki->k", pulses.conj(), image).real
-    return np.linalg.norm(image - value[:, None] * pulses, axis=1)
-
-
-def _gap_inverse(lam: np.ndarray, u: np.ndarray, frame: np.ndarray | None) -> tuple:
-    """``R = sum_j v_j v_j* / (f - lambda_j)`` over the non-top eigenpairs of each image.
-
-    ``(lam, u)`` is the eigendecomposition of images ``A*(r r*)`` (see
-    _rank_one_images) and f = lam[:, -1].  On the tap-frame path the L - T
-    zero eigenvalues have no eigenvectors there; with
-    ``W^T u_j = sqrt(lambda_j) v_j`` and ``gamma`` the top eigenvector,
-    ``R = (I - gamma gamma*) / f + sum_j (W^T u_j)(W^T u_j)* / (f (f - lambda_j))``.
-    Also returns the rows where every gap ``f - lambda_j`` exceeds the top
-    eigenvalue's roundoff; elsewhere R is finite but meaningless.
-    """
-    f = lam[:, -1:]
-    floor = f * np.finfo(float).eps
-    gaps = f - lam[:, :-1]
-    ok = np.all(gaps > floor, axis=1)
-    gaps = np.maximum(gaps, floor)
-    if frame is None:
-        rest = u[..., :-1]
-        return (rest / gaps[:, None, :]) @ rest.conj().swapaxes(-1, -2), ok
-    scaled = frame.swapaxes(-1, -2) @ u  # columns W^T u_j
-    top, rest = scaled[..., -1:], scaled[..., :-1]
-    # W^T u of the top eigenpair is sqrt(f) gamma.
-    inverse = np.eye(scaled.shape[1]) - top @ top.conj().swapaxes(-1, -2) / f[:, None]
-    inverse /= f[:, None]
-    return inverse + (rest / (f * gaps)[:, None, :]) @ rest.conj().swapaxes(-1, -2), ok
+    ahead = _rank_one_images(forward, gammas)[1]
+    top, receivers = _top_of(*np.linalg.eigh(ahead.mats), ahead)
+    held = _rank_one_images(adjoint, receivers)[1]
+    return top, receivers, held.residuals(gammas), held, ahead
 
 
 def _reduced_model(
@@ -239,25 +287,25 @@ def _reduced_model(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradient and Hessian of ``f(r) = lambda_max(A*(r r*))`` on the tangent space at r.
 
-    ``eigs = (lam, u, frame)`` is the eigendecomposition of the images
-    ``A*(r r*)`` and their tap frames (None on the diagonal-block path),
-    ``gammas`` their top eigenvectors and ``forward`` the images
-    ``N = A(gamma gamma*)`` (see _rank_one_images).  The tangent vectors
+    ``eigs = (lam, u, images)`` is the eigendecomposition of the images
+    ``A*(r r*)`` and those images, ``gammas`` their top eigenvectors and
+    ``forward`` the images ``N = A(gamma gamma*)`` (both as
+    _rank_one_images returns them).  The tangent vectors
     ``h`` with ``<r, h> = 0`` have real coordinates x, ``h = sum_m x_m b_m``
     over the rows ``b = [U; iU]``, U an orthonormal basis of the complement
     of r.  In them the gradient is ``Re <b_m, g>`` with ``g = 2 (N r - f r)``,
     and the Hessian is the form ``2 h*(N - f) h + 2 y* R y``, the second
     derivative of f along ``r cos s + h sin s``: there
     ``y = Q h + Z conj(h)``, ``Q = sum_mu C(mu) <r, S_mu gamma> S_mu*``,
-    ``Z = sum_mu C(mu) (S_mu* r)(S_mu gamma)^T`` and R is from
-    _gap_inverse.  Returns the rows b (K, 2L - 2, L), the gradients
-    (K, 2L - 2), the Hessians (K, 2L - 2, 2L - 2) and the rows with nonzero
-    gaps.
+    ``Z = sum_mu C(mu) (S_mu* r)(S_mu gamma)^T`` and R is the images' gap
+    inverse (_Images.gap_inverse).  Returns the rows b (K, 2L - 2, L), the
+    gradients (K, 2L - 2), the Hessians (K, 2L - 2, 2L - 2) and the rows
+    with nonzero gaps.
     """
-    lam, u, frame = eigs
+    lam, u, held = eigs
     L = C.L
     rows, lags, phases = _layout(L)
-    inverse, ok = _gap_inverse(lam, u, frame)
+    inverse, ok = held.gap_inverse(lam, u)
     # Q^T[m, j] = sum_mu2 C(mu) <r, S_mu gamma> w^(-mu2 m) with mu1 = m - j.
     spread = (C.weights * _ambiguity(receivers, gammas).swapaxes(-1, -2)) @ phases.conj()
     q_t = spread[:, lags, np.arange(L)[:, None]]
@@ -266,13 +314,9 @@ def _reduced_model(
     zc = (C.weights @ phases)[np.arange(L), lags[lags.T]]  # zc[j, n, a]
     z_t = np.einsum("kja,kna,jna->knj", receivers[:, rows], gammas[:, lags], zc)
     comp = np.linalg.qr(receivers[:, :, None], mode="complete")[0][..., 1:].swapaxes(-1, -2)
-    # The rows b, then r, and their images under N^T (N^T = W^H W on the tap frame).
+    # The rows b, then r, and their images under N.
     ext = np.concatenate([comp, 1j * comp, receivers[:, None, :]], axis=1)
-    mats, fwd_frame = forward
-    if fwd_frame is None:
-        images = ext @ mats.swapaxes(-1, -2)
-    else:
-        images = (ext @ fwd_frame.conj().swapaxes(-1, -2)) @ fwd_frame
+    images = forward[1].apply(ext)
     y = ext @ q_t + ext.conj() @ z_t
     y[:, -1] = 0.0
     # Re <a, b> is the dot product of the float views of the rows, so the
@@ -363,7 +407,7 @@ def _newton_points(
     Gallivan, Found. Comput. Math. 7(3), 2007); mu = 0 is the Newton step.
     mu also stays above theta_max by many times the eigenvalue's roundoff,
     so the solve never meets a singular matrix.  Also returns the rows
-    whose gaps are nonzero (see _gap_inverse) and whose point is finite.
+    whose gaps are nonzero (see _Images.gap_inverse) and whose point is finite.
     """
     basis, grad, hess, ok = model
     dim = hess.shape[-1]
@@ -382,7 +426,9 @@ def _top_eigenvalue_bounds(mats: np.ndarray, start: np.ndarray) -> tuple[np.ndar
 
     The lower bound is the Rayleigh quotient ``y* M y / y* y`` of one power
     step ``y = M x`` from the rows x of ``start`` (0 where y is below the
-    normal range).  The upper bound is _trace_bound's.
+    normal range).  The upper bound is _trace_bound's.  No library path
+    calls it: it is kept, with its test, for the power step of the search's
+    large-L Rayleigh lever (see ROADMAP.md).
     """
     d = mats.shape[-1]
     y = np.einsum("kij,kj->ki", mats, start)
@@ -528,7 +574,9 @@ def alternating_fidelity_max(
 
     With T nonzero taps, each half step is a T x T Gram eigenproblem when
     T < L and an L x L one otherwise; the path is fixed once per call and
-    changes only the cost of a step, not the iteration.
+    changes only the cost of a step, not the iteration.  _rank_one_images
+    is the one reader of the path: every later step works on the images
+    object it returns (see _Images).
     """
     L = linalg.require_int(L, "dimension", 1)
     if L != C.L:
@@ -538,14 +586,13 @@ def alternating_fidelity_max(
 
     # Per restart: the pair, its objective and its residual, the start of
     # its next third cycle and its trust radius.  The adjoint images of the
-    # live receivers feed both the residual and the next transmit half-step.
+    # live receivers (``held``) feed both the residual and the next transmit
+    # half-step.
     # Each restart's pair (gamma, g) is one (2, L) row of ``pulses``.
     pulses = np.empty((cfg.restarts, 2, L), dtype=complex)
     gammas, receivers = pulses[:, 0], pulses[:, 1]
     gammas[:] = [random_unit_vector(np.random.default_rng(s), L) for s in children]
-    values, receivers[:] = _top_eigenpairs(forward, gammas)
-    mats, frame = _rank_one_images(adjoint, receivers)
-    residuals = _stationarity_residuals(mats, frame, gammas)
+    values, receivers[:], residuals, held, _ = _receive(forward, adjoint, gammas)
     history = [values.copy()]
     starts = np.empty_like(receivers)
     radius = np.full(cfg.restarts, _RADIUS)
@@ -568,8 +615,7 @@ def alternating_fidelity_max(
             target[ids[park]] = twin[park]
             going[np.flatnonzero(going)[park]] = False
         if not going.all():
-            live, mats = live[going], mats[going]
-            frame = None if frame is None else frame[going]
+            live, held = live[going], held[going]
         if not live.size and np.any(target >= 0):
             # Snap each parked restart onto the shift image of the
             # stationary restart its twins lead to; those the image does
@@ -581,10 +627,7 @@ def alternating_fidelity_max(
             target[:] = -1
             shift = _twin_distances(pulses[ids], pulses[lead])[1]
             images = _shifted(gammas[lead], shift)
-            top, new_receivers = _top_eigenpairs(forward, images)
-            new_residuals = _stationarity_residuals(
-                *_rank_one_images(adjoint, new_receivers), images
-            )
+            top, new_receivers, new_residuals, _, _ = _receive(forward, adjoint, images)
             ok = (new_residuals <= cfg.tol) & (top >= values[ids] - _TIE)
             rows = ids[ok]
             gammas[rows], receivers[rows] = images[ok], new_receivers[ok]
@@ -594,18 +637,15 @@ def alternating_fidelity_max(
             live = ids[~ok]
             if live.size:
                 starts[live] = receivers[live]
-                mats, frame = _rank_one_images(adjoint, receivers[live])
+                held = _rank_one_images(adjoint, receivers[live])[1]
         if not live.size or cycles == cfg.max_iters:
             break
         phase = cycles % 3
         cycles += 1
-        images = _rank_one_images(adjoint, starts[live]) if phase == 2 else (mats, frame)
-        lam, u = np.linalg.eigh(images[0])
-        top_t, new_gammas = _top_of(lam, u, images[1])
-        ahead = _rank_one_images(forward, new_gammas)
-        top, new_receivers = _top_of_images(*ahead)
-        new_images = _rank_one_images(adjoint, new_receivers)
-        new_residuals = _stationarity_residuals(*new_images, new_gammas)
+        images = _rank_one_images(adjoint, starts[live])[1] if phase == 2 else held
+        lam, u = np.linalg.eigh(images.mats)
+        top_t, new_gammas = _top_of(lam, u, images)
+        top, new_receivers, new_residuals, new_held, ahead = _receive(forward, adjoint, new_gammas)
         if phase == 1:
             # The next cycle starts from r2, or from a Newton point of r1
             # for the restarts that go on (see the docstring).
@@ -614,9 +654,8 @@ def alternating_fidelity_max(
             if L > 1 and going.any():
                 on = slice(None) if going.all() else going
                 ids = live[on]
-                eigs = lam[on], u[on], None if images[1] is None else images[1][on]
-                fwd = ahead[0][on], None if ahead[1] is None else ahead[1][on]
-                model = _reduced_model(C, receivers[ids], eigs, new_gammas[on], fwd)
+                eigs, fwd = (lam[on], u[on], images[on]), ahead[on]
+                model = _reduced_model(C, receivers[ids], eigs, new_gammas[on], (fwd.mats, fwd))
                 points, ok = _newton_points(receivers[ids], model, radius[ids])
                 starts[ids[ok]] = points[ok]
         # The transmit half-step's entry: a third cycle holds the objective
@@ -625,14 +664,12 @@ def alternating_fidelity_max(
         if phase < 2:
             history[-1][live] = top_t
             moved = slice(None)
-            mats, frame = new_images
+            held = new_held
         else:
-            held = values[live]
-            tied = (top >= held - _TIE) & (new_residuals <= residuals[live])
-            moved = (top > held + _TIE) | tied
-            mats[moved] = new_images[0][moved]
-            if frame is not None:
-                frame[moved] = new_images[1][moved]
+            kept = values[live]
+            tied = (top >= kept - _TIE) & (new_residuals <= residuals[live])
+            moved = (top > kept + _TIE) | tied
+            held[moved] = new_held[moved]
             size = radius[live]
             radius[live] = np.where(
                 moved, np.minimum(2.0 * size, 1.0), np.maximum(size / 4.0, _RADIUS_FLOOR)
@@ -688,17 +725,20 @@ def _trailing(ids: np.ndarray, reps: np.ndarray, values: np.ndarray, pulses: np.
     return np.where(found.any(axis=1), others[np.argmax(found, axis=1)], -1)
 
 
-def _sampled_max(score, n_samples: int, seed: int) -> float:
+def _sampled_max(score, n_samples: int, seed: int, batch: int = _BATCH) -> float:
     """Largest ``score(rng, m, best)`` entry over n_samples draws, taken in batches.
 
-    One generator seeded with ``seed`` feeds every batch of at most _BATCH
-    draws, so the result depends only on (seed, n_samples).  ``best`` is
-    the largest entry of the earlier batches (-inf before the first).
+    One generator seeded with ``seed`` feeds every batch of at most
+    ``batch`` draws.  numpy's normal draws do not depend on how a request
+    is split, so where ``score`` draws its m rows in one call, the same
+    samples come in any batch size and the result depends only on
+    (seed, n_samples).  ``best`` is the largest entry of the earlier
+    batches (-inf before the first).
     """
     rng = np.random.default_rng(linalg.require_int(seed, "seed", 0))
     best = -np.inf
-    for start in range(0, n_samples, _BATCH):
-        best = max(best, float(np.max(score(rng, min(_BATCH, n_samples - start), best))))
+    for start in range(0, n_samples, batch):
+        best = max(best, float(np.max(score(rng, min(batch, n_samples - start), best))))
     return best
 
 
@@ -748,11 +788,12 @@ def fidelity_lower_bound_search(
     matrix when the channel has T < L nonzero taps, as in
     alternating_fidelity_max.
 
-    Each batch is handled in blocks of at most _BLOCK_ENTRIES matrix
-    entries (a power-of-two row count).  Every sample of a block gets a
-    trace bound on its top eigenvalue (see _bounded_images), on the tap
-    Gram from the pulse's ambiguity function, with no image formed.
-    eigvalsh on the _LEADS best-bounded samples sets the threshold
+    Samples are drawn in batches of at most _BATCH rows and at most
+    _BLOCK_ENTRIES matrix entries (a power-of-two row count that divides
+    _BATCH), so the batches hold the same samples at every L.  Every sample
+    of a batch gets a trace bound on its top eigenvalue (see
+    _bounded_images), on the tap Gram from the pulse's ambiguity function,
+    with no image formed.  eigvalsh on the _LEADS best-bounded samples sets the threshold
     ``max(best, their top) - _PRUNE_MARGIN``, and only the samples whose
     bound reaches it have their images formed and solved.  Neither changes
     the result: it is the float that eigvalsh on every sample would give.
@@ -768,14 +809,13 @@ def fidelity_lower_bound_search(
     def top(rng, m, best):
         vecs = _complex_gaussian(rng, (m, L))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        for start in range(0, m, rows):
-            upper, images = _bounded_images(forward, terms, vecs[start:start + rows])
-            lead = np.argpartition(upper, -min(_LEADS, upper.size))[-_LEADS:]
-            best = max(best, float(np.max(np.linalg.eigvalsh(images(lead))[:, -1])))
-            keep = upper >= best - _PRUNE_MARGIN
-            keep[lead] = False
-            if keep.any():
-                best = max(best, float(np.max(np.linalg.eigvalsh(images(keep))[:, -1])))
+        upper, images = _bounded_images(forward, terms, vecs)
+        lead = np.argpartition(upper, -min(_LEADS, upper.size))[-_LEADS:]
+        best = max(best, float(np.max(np.linalg.eigvalsh(images(lead))[:, -1])))
+        keep = upper >= best - _PRUNE_MARGIN
+        keep[lead] = False
+        if keep.any():
+            best = max(best, float(np.max(np.linalg.eigvalsh(images(keep))[:, -1])))
         return best
 
-    return min(1.0, _sampled_max(top, n_samples, seed))
+    return min(1.0, _sampled_max(top, n_samples, seed, min(_BATCH, rows)))

@@ -228,15 +228,6 @@ def _circulant_blocks(w: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray((w @ phases)[lags].transpose(2, 0, 1))
 
 
-def _map_diagonals(blocks: np.ndarray, diags: np.ndarray) -> np.ndarray:
-    """Multiply each cyclic diagonal by its block; the kernel behind every map.
-
-    ``diags[d, n, k] = X_k[(n + d) % L, n]`` for a stack of K operands X_k.
-    Returns the (K, L, L) stack of outputs.
-    """
-    return _from_diagonals(blocks @ diags)
-
-
 def _from_diagonals(diags: np.ndarray) -> np.ndarray:
     """The (K, L, L) stack ``X_k[(n + d) % L, n] = diags[d, n, k]``: a scatter, no arithmetic."""
     L = diags.shape[0]
@@ -252,7 +243,7 @@ def _map_operand(blocks: np.ndarray, X) -> np.ndarray:
     if A.shape != (L, L):
         raise DimensionMismatchError(f"operand shape {A.shape} does not match L={L}")
     diags = A[_layout(L)[0], np.arange(L)]
-    return _map_diagonals(blocks, diags[..., None])[0]
+    return _from_diagonals(blocks @ diags[..., None])[0]
 
 
 def _map_rank_one(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
@@ -261,7 +252,7 @@ def _map_rank_one(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     The diagonals come straight from the vectors, so the (R, L, L) stack of
     projectors is never formed.
     """
-    return _map_diagonals(blocks, _rank_one_diagonals(vectors))
+    return _from_diagonals(blocks @ _rank_one_diagonals(vectors))
 
 
 def _rank_one_diagonals(vectors: np.ndarray) -> np.ndarray:

@@ -313,6 +313,20 @@ def test_squared_scoring_stays_within_two_ulp_of_normalized_scoring():
         assert abs(value - reference) <= 2 * np.spacing(reference)
 
 
+@pytest.mark.parametrize("n_samples", [20, optimize._BATCH + 3])
+@pytest.mark.parametrize("draw", ["real", "complex"])
+def test_sampled_max_does_not_depend_on_the_batch_size(draw, n_samples):
+    # numpy's normal draws are the same however a request is split, so the
+    # batches of the lower-bound search (at most _BATCH rows) see the same
+    # samples at every batch size.
+    if draw == "real":
+        score = lambda rng, m, best: rng.standard_normal(m)
+    else:
+        score = lambda rng, m, best: _complex_gaussian(rng, (m, 3)).real.max(axis=1)
+    values = {optimize._sampled_max(score, n_samples, 11, size) for size in (1, 7, optimize._BATCH)}
+    assert values == {optimize._sampled_max(score, n_samples, 11)}
+
+
 class _ZeroDraws:
     def standard_normal(self, shape):
         return np.zeros(shape)
@@ -483,6 +497,50 @@ def test_accelerated_loop_is_stationary_monotone_and_no_worse_than_plain(case):
     # climbing, so at a cap of a few cycles it can trail them; by 300 cycles
     # the Newton steps have more than made up for it.
     assert trace.best_value >= plain_alternating_best(C, cfg) - 1e-12
+
+
+@st.composite
+def tap_channels_and_rows(draw):
+    """A channel at L = 2..8 with T < L taps, twice 6 unit pulses and (6, 3, L) rows."""
+    L = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    C = sparse_scattering(rng, L, draw(st.integers(1, L - 1)))
+    pulses, others = _complex_gaussian(rng, (2, 6, L))
+    pulses /= np.linalg.norm(pulses, axis=1)[:, None]
+    others /= np.linalg.norm(others, axis=1)[:, None]
+    return C, pulses, others, _complex_gaussian(rng, (6, 3, L))
+
+
+@settings(max_examples=150)
+@given(tap_channels_and_rows())
+def test_tap_gram_and_full_images_agree(case):
+    # The same pulses' images of A and of A*, once as T x T tap Grams and
+    # once as L x L maps: every half-step operation reads the same in C^L.
+    C, pulses, others, rows = case
+    for frame, blocks in zip(C.tap_frame(), C.diagonal_blocks()):
+        gram_mats, gram = optimize._rank_one_images(frame, pulses)
+        full_mats, full = optimize._rank_one_images(blocks, pulses)
+        assert gram_mats.shape[-1] < C.L == full_mats.shape[-1]
+        gram_eigs, full_eigs = np.linalg.eigh(gram_mats), np.linalg.eigh(full_mats)
+        top_g, vec_g = optimize._top_of(*gram_eigs, gram)
+        top_f, vec_f = optimize._top_of(*full_eigs, full)
+        np.testing.assert_allclose(top_g, top_f, rtol=0, atol=1e-12)
+        lam = full_eigs[0]
+        for gap, a, b in zip(lam[:, -1] - lam[:, -2], vec_g, vec_f):
+            if gap > 1e-6:
+                assert abs(np.vdot(a, b)) >= 1 - 1e-9
+        residuals = gram.residuals(others), full.residuals(others)
+        np.testing.assert_allclose(*residuals, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(gram.apply(rows), full.apply(rows), rtol=0, atol=1e-12)
+        # The gap inverse, on the rows whose L x L gaps all exceed 1e-2
+        # (the L - T zero eigenvalues of M have gap f >= 1/T): measured
+        # relative errors stay below 2e-14, the bound is 1e-10.
+        wide = np.all(lam[:, -1:] - lam[:, :-1] > 1e-2, axis=1)
+        inv_g, ok_g = gram.gap_inverse(*gram_eigs)
+        inv_f, ok_f = full.gap_inverse(*full_eigs)
+        assert np.all(ok_g[wide]) and np.all(ok_f[wide])
+        error = np.linalg.norm(inv_g[wide] - inv_f[wide], axis=(1, 2))
+        assert np.all(error <= 1e-10 * np.linalg.norm(inv_f[wide], axis=(1, 2)))
 
 
 def reduced_objective(C, r):
