@@ -21,6 +21,7 @@ import dataclasses
 import functools
 import io
 import json
+import os
 import re
 import sys
 from json.encoder import encode_basestring_ascii as _json_string
@@ -555,33 +556,42 @@ def main(argv=None) -> int:
     """Entry point; returns the process exit code."""
     try:
         cfg = parse_config(argv)
-    except InvalidConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
-    try:
         rendered = _RENDERERS[cfg.output_format](dispatch(cfg))
-    except WHPrecodeError as exc:
+    except SystemExit as exc:  # argparse: --help, or a flag it rejects
+        return 0 if exc.code in (0, None) else 2
+    except WHPrecodeError as exc:  # InvalidConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (np.linalg.LinAlgError, FloatingPointError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    if cfg.output_path:
-        try:
+    # One guarded write for both destinations: a file that cannot be
+    # written and a full or closed stdout are input errors, not tracebacks.
+    try:
+        if cfg.output_path:
             with open(cfg.output_path, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
-        except OSError as exc:
-            print(f"error: out: {exc}", file=sys.stderr)
-            return 2
-    else:
-        sys.stdout.write(rendered)
+        elif sys.stdout is None:
+            raise OSError("standard output is closed")
+        else:
+            sys.stdout.write(rendered)
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: {'out' if cfg.output_path else 'stdout'}: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
 def run() -> None:
-    raise SystemExit(main())
+    code = main()
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # A failed stdout keeps its unwritten bytes; send them to
+            # os.devnull, or the exit flush fails again and exits 120.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

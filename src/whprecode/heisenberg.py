@@ -89,8 +89,3 @@ def _reduced_shift(mu, L: int) -> tuple[int, int]:
 def pauli(i: int) -> np.ndarray:
     """Return the Pauli matrix sigma_i, i in {0, 1, 2, 3}."""
     return _PAULI[require_int(i, "pauli index", 0, 3)].copy()
-
-
-def all_shifts(L: int) -> tuple[tuple[int, int], ...]:
-    """All L*L shift indices in row-major (mu1, mu2) order."""
-    return tuple((m, n) for m in range(L) for n in range(L))

@@ -121,18 +121,16 @@ def require_hermitian(M, name: str = "matrix") -> np.ndarray:
     return A
 
 
-def unit_vector(v) -> np.ndarray:
-    """Normalize a nonzero vector to unit l2 norm."""
-    x = np.asarray(v, dtype=complex).reshape(-1)
-    norm = np.linalg.norm(x)
-    if norm == 0.0:
-        raise NotUnitNormError("cannot normalize the zero vector")
-    return x / norm
-
-
 def require_unit_vector(v, name: str = "vector") -> np.ndarray:
-    """Return v flattened to complex, raising unless its norm is 1 within 1e-12."""
-    x = require_array(v, name).reshape(-1)
+    """Return v flattened to complex, raising unless it is a vector of norm 1 within 1e-12.
+
+    Shapes (L,), (L, 1) and (1, L) read as the same vector; an array with
+    more than one axis longer than 1 is a matrix, not a pulse, and fails.
+    """
+    x = require_array(v, name)
+    if sum(n > 1 for n in x.shape) > 1:
+        raise DimensionMismatchError(f"{name} must be a vector, got shape {x.shape}")
+    x = x.reshape(-1)
     norm = float(np.linalg.norm(x))
     if not abs(norm - 1.0) <= 1e-12:
         raise NotUnitNormError(f"{name} norm {norm!r} is not 1 within 1e-12")

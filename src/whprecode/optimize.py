@@ -234,32 +234,19 @@ class _Gram(_Images):
         return inverse + (rest / (f * gaps)[:, None, :]) @ rest.conj().swapaxes(-1, -2)
 
 
-def _rank_one_images(operand, pulses: np.ndarray) -> tuple[np.ndarray, _Images]:
+def _rank_one_images(operand, pulses: np.ndarray) -> _Images:
     """The map's images ``M = map(v v*)`` of K unit pulses v, the rows of ``pulses``.
 
     ``operand`` is a tap frame ``(rows, coef)`` or a stack of diagonal
     blocks (see _half_step_operands); this is the one place that tells them
-    apart.  Returns the (K, d, d) hermitian stack whose top eigenpairs are
-    M's, and the images object that holds it (_Gram, d = T, or _Full,
-    d = L).
+    apart.  Returns the images object (_Gram, d = T, or _Full, d = L) whose
+    ``mats`` is the (K, d, d) hermitian stack with M's top eigenpairs.
     """
     if isinstance(operand, tuple):
         rows, coef = operand
         frame = pulses[:, rows] * coef  # (K, T, L): rows W_t, map(v v*) = W^T conj(W)
-        images = _Gram(frame.conj() @ frame.swapaxes(-1, -2), frame)
-    else:
-        images = _Full(_map_rank_one(operand, pulses))
-    return images.mats, images
-
-
-def _top_eigenpairs(operand, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Top eigenvalue and unit eigenvector of the map applied to each ``v v*``.
-
-    Returns the (K,) top eigenvalues and (K, L) eigenvectors for the K unit
-    pulses in the rows of ``pulses`` (see _rank_one_images).
-    """
-    mats, images = _rank_one_images(operand, pulses)
-    return _top_of(*np.linalg.eigh(mats), images)
+        return _Gram(frame.conj() @ frame.swapaxes(-1, -2), frame)
+    return _Full(_map_rank_one(operand, pulses))
 
 
 def _top_of(lam: np.ndarray, u: np.ndarray, images: _Images) -> tuple:
@@ -276,21 +263,21 @@ def _receive(forward, adjoint, gammas: np.ndarray) -> tuple:
     ``||A*(g g*) gamma - F gamma||``, and the images ``A*(g g*)`` and
     ``A(gamma gamma*)`` (see _rank_one_images).
     """
-    ahead = _rank_one_images(forward, gammas)[1]
+    ahead = _rank_one_images(forward, gammas)
     top, receivers = _top_of(*np.linalg.eigh(ahead.mats), ahead)
-    held = _rank_one_images(adjoint, receivers)[1]
+    held = _rank_one_images(adjoint, receivers)
     return top, receivers, held.residuals(gammas), held, ahead
 
 
 def _reduced_model(
-    C: ScatteringFunction, receivers: np.ndarray, eigs: tuple, gammas: np.ndarray, forward: tuple
+    C: ScatteringFunction, receivers: np.ndarray, eigs: tuple, gammas: np.ndarray, forward: _Images
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Gradient and Hessian of ``f(r) = lambda_max(A*(r r*))`` on the tangent space at r.
 
     ``eigs = (lam, u, images)`` is the eigendecomposition of the images
     ``A*(r r*)`` and those images, ``gammas`` their top eigenvectors and
-    ``forward`` the images ``N = A(gamma gamma*)`` (both as
-    _rank_one_images returns them).  The tangent vectors
+    ``forward`` the images ``N = A(gamma gamma*)``, both objects as
+    _rank_one_images returns them.  The tangent vectors
     ``h`` with ``<r, h> = 0`` have real coordinates x, ``h = sum_m x_m b_m``
     over the rows ``b = [U; iU]``, U an orthonormal basis of the complement
     of r.  In them the gradient is ``Re <b_m, g>`` with ``g = 2 (N r - f r)``,
@@ -316,7 +303,7 @@ def _reduced_model(
     comp = np.linalg.qr(receivers[:, :, None], mode="complete")[0][..., 1:].swapaxes(-1, -2)
     # The rows b, then r, and their images under N.
     ext = np.concatenate([comp, 1j * comp, receivers[:, None, :]], axis=1)
-    images = forward[1].apply(ext)
+    images = forward.apply(ext)
     y = ext @ q_t + ext.conj() @ z_t
     y[:, -1] = 0.0
     # Re <a, b> is the dot product of the float views of the rows, so the
@@ -360,29 +347,12 @@ def _twin_distances(pairs: np.ndarray, reps: np.ndarray) -> tuple[np.ndarray, np
 def _twins(pairs: np.ndarray, reps: np.ndarray, radius) -> np.ndarray:
     """(K, R) mask of the K pulse pairs within ``radius`` of each of R representatives.
 
-    ``radius`` (at most 1) broadcasts to (K, R); a negative radius makes
-    no twin, and costs no ambiguity table.  Pairs are (2, L) rows,
-    distances as in _twin_distances.  A screen runs first: for unit a, b and any shift nu,
-    with ``x = |<a, S_nu b>|``,
-    ``||sort|a| - sort|b|||^2 <= || |a| - |S_nu b| ||^2 <= 2 (1 - x) = 2 (1 - x^2) / (1 + x)``,
-    since a shift permutes and rephases entries, and the same holds for
-    the unitary DFTs of a and b, whose entries a shift permutes and
-    rephases too.  A pair within r of a representative has ``1 - x^2 <= r``
-    for both pulses, so its sorted entry magnitudes are within
-    ``2 r / (1 + sqrt(1 - r))`` (about r) of the representative's in
-    squared distance, in time and in frequency; only the pairs that pass
-    get ambiguity tables.
+    ``radius`` broadcasts to (K, R); a negative radius makes no twin, and
+    costs no ambiguity table.  Pairs are (2, L) rows, distances as in
+    _twin_distances.
     """
-    both = np.concatenate([pairs, reps])
-    L = both.shape[-1]
-    # Time and frequency entries side by side; the DFT from the phase table.
-    spectra = both.reshape(-1, L) @ (_layout(L)[2] / math.sqrt(L))
-    keys = np.abs(np.concatenate([both, spectra.reshape(both.shape)], axis=-1))
-    keys = np.sort(keys.reshape(*both.shape[:-1], 2, L), axis=-1)
-    gap = keys[:len(pairs), None] - keys[None, len(pairs):]
     radius = np.zeros((len(pairs), len(reps))) + radius
-    bound = 2.0 * radius / (1.0 + np.sqrt(1.0 - radius))
-    near = np.all(np.einsum("krpdi,krpdi->krd", gap, gap) <= bound[..., None] + 1e-12, axis=-1)
+    near = radius >= 0.0
     k, s = np.nonzero(near)
     if k.size:
         near[k, s] = _twin_distances(pairs[k], reps[s])[0] <= radius[k, s]
@@ -419,25 +389,6 @@ def _newton_points(
     points = receivers + (x.swapaxes(-1, -2) @ basis)[:, 0]
     points /= np.linalg.norm(points, axis=1)[:, None]
     return points, ok & np.all(np.isfinite(points), axis=1)
-
-
-def _top_eigenvalue_bounds(mats: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on the top eigenvalue of each matrix in a hermitian stack.
-
-    The lower bound is the Rayleigh quotient ``y* M y / y* y`` of one power
-    step ``y = M x`` from the rows x of ``start`` (0 where y is below the
-    normal range).  The upper bound is _trace_bound's.  No library path
-    calls it: it is kept, with its test, for the power step of the search's
-    large-L Rayleigh lever (see ROADMAP.md).
-    """
-    d = mats.shape[-1]
-    y = np.einsum("kij,kj->ki", mats, start)
-    num = np.einsum("ki,kij,kj->k", y.conj(), mats, y).real
-    den = np.einsum("ki,ki->k", y.conj(), y).real
-    lower = np.divide(num, den, out=np.zeros_like(num), where=den >= np.finfo(float).tiny)
-    sq = mats.real**2 + mats.imag**2
-    sq[:, np.arange(d), np.arange(d)] = 0.0
-    return lower, _trace_bound(np.einsum("kii->ki", mats).real, sq.sum((-2, -1)))
 
 
 def _trace_bound(diag: np.ndarray, off) -> np.ndarray:
@@ -500,13 +451,13 @@ def _bounded_images(operand, terms, pulses: np.ndarray) -> tuple:
 
     ``terms`` is _ambiguity_terms' on the tap path and None on the
     diagonal-block path, where the bound is read off the images' cyclic
-    diagonals.  The maker maps an index into the rows to the images of
+    diagonals.  The maker maps an index into the rows to the ``mats`` of
     _rank_one_images, bit for bit.
     """
     if terms is not None:
         weights, ambiguity = terms
         upper = _trace_bound(weights, _ambiguity_mass(ambiguity, pulses))
-        return upper, lambda keep: _rank_one_images(operand, pulses[keep])[0]
+        return upper, lambda keep: _rank_one_images(operand, pulses[keep]).mats
     diags = operand @ _rank_one_diagonals(pulses)  # diags[d, n, k] = A(v_k v_k*)[(n + d) % L, n]
     rest = diags[1:].reshape(-1, len(pulses)).view(float)
     sq = np.einsum("ij,ij->j", rest, rest)  # real and imaginary parts side by side
@@ -637,12 +588,12 @@ def alternating_fidelity_max(
             live = ids[~ok]
             if live.size:
                 starts[live] = receivers[live]
-                held = _rank_one_images(adjoint, receivers[live])[1]
+                held = _rank_one_images(adjoint, receivers[live])
         if not live.size or cycles == cfg.max_iters:
             break
         phase = cycles % 3
         cycles += 1
-        images = _rank_one_images(adjoint, starts[live])[1] if phase == 2 else held
+        images = _rank_one_images(adjoint, starts[live]) if phase == 2 else held
         lam, u = np.linalg.eigh(images.mats)
         top_t, new_gammas = _top_of(lam, u, images)
         top, new_receivers, new_residuals, new_held, ahead = _receive(forward, adjoint, new_gammas)
@@ -654,8 +605,8 @@ def alternating_fidelity_max(
             if L > 1 and going.any():
                 on = slice(None) if going.all() else going
                 ids = live[on]
-                eigs, fwd = (lam[on], u[on], images[on]), ahead[on]
-                model = _reduced_model(C, receivers[ids], eigs, new_gammas[on], (fwd.mats, fwd))
+                eigs = lam[on], u[on], images[on]
+                model = _reduced_model(C, receivers[ids], eigs, new_gammas[on], ahead[on])
                 points, ok = _newton_points(receivers[ids], model, radius[ids])
                 starts[ids[ok]] = points[ok]
         # The transmit half-step's entry: a third cycle holds the objective

@@ -8,6 +8,7 @@ import json
 import time
 
 import numpy as np
+from conftest import unit_vector
 
 from whprecode.bloch import (
     map_matrix_rep,
@@ -17,7 +18,7 @@ from whprecode.bloch import (
 )
 from whprecode.cli import main
 from whprecode.heisenberg import pauli, shift_operator
-from whprecode.linalg import rank_one_projector, unit_vector
+from whprecode.linalg import rank_one_projector
 from whprecode.mc import estimate_expectations
 from whprecode.multiplex import best_scheme, crosstalk, frame_bounds, select_schemes
 from whprecode.optimize import (

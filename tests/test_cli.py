@@ -362,6 +362,43 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert doc["fidelity"] == 1.0
 
 
+class _FullStream(io.StringIO):
+    """A stdout whose writes fail as on a full device."""
+
+    def write(self, text):
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("stdout", [_FullStream(), None], ids=["full", "closed"])
+def test_unwritable_stdout_exits_two(monkeypatch, capsys, stdout):
+    # Like an unwritable --out path: one error line and exit 2, no traceback.
+    monkeypatch.setattr(sys, "stdout", stdout)
+    code = main(["solve", "--p", "0.4,0.3,0.2,0.1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: stdout: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("target", ["full", "closed"])
+def test_console_script_unwritable_stdout_exits_two(target):
+    # A fresh interpreter with block-buffered stdout: the exit flush must not
+    # fail again on the bytes the failed write left behind (exit 120).
+    package_root = str(pathlib.Path(whprecode.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = path
+    with open("/dev/full" if target == "full" else os.devnull, "w") as sink:
+        child = subprocess.run(
+            [sys.executable, "-m", "whprecode.cli", "solve", "--p", "0.4,0.3,0.2,0.1"],
+            env=env, stdout=sink, stderr=subprocess.PIPE, text=True, timeout=60,
+            preexec_fn=(lambda: os.close(1)) if target == "closed" else None,
+        )
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("error: stdout: ") and child.stderr.count("\n") == 1
+
+
 def test_byte_identical_reruns(tmp_path, capsys):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     for path in (a, b):

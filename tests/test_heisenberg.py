@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import all_shifts
 
-from whprecode.heisenberg import PAULI_SHIFTS, all_shifts, pauli, shift_operator, unit_phase
+from whprecode.heisenberg import PAULI_SHIFTS, pauli, shift_operator, unit_phase
 
 # The four L=2 operators written out: identity, sample swap, sign flip on
 # the second bin, and the combined swap-and-flip.

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import unit_vector
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -17,13 +18,14 @@ from whprecode.bloch import (
     optimal_projectors,
 )
 from whprecode.errors import (
+    DimensionMismatchError,
     NonHermitianError,
     NotUnitNormError,
     SingularDenominatorError,
     WHPrecodeError,
 )
 from whprecode.heisenberg import pauli, shift_operator
-from whprecode.linalg import max_generalized_eigenpair, rank_one_projector, unit_vector
+from whprecode.linalg import max_generalized_eigenpair, rank_one_projector
 from whprecode.mc import estimate_expectations
 from whprecode.multiplex import Scheme, best_scheme, crosstalk, select_schemes
 from whprecode.optimize import (
@@ -167,6 +169,36 @@ def test_projector_properties_random():
 def test_projector_rejects_non_unit():
     with pytest.raises(NotUnitNormError):
         rank_one_projector([1.0, 1.0])
+
+
+_PULSE_READERS = {
+    "rank_one_projector": rank_one_projector,
+    "crosstalk": lambda x: crosstalk(x, (1, 1)),
+    "estimate_expectations": lambda x: estimate_expectations(
+        ScatteringFunction.uniform(x.size), x, x, [(0, 0)], 0.1, trials=2
+    ),
+}
+
+
+@settings(max_examples=150)
+@given(
+    st.lists(st.integers(1, 3), max_size=3),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(_PULSE_READERS)),
+)
+def test_pulses_are_vectors(shape, seed, reader):
+    # A unit-norm array of any shape: a matrix (two or more axes longer
+    # than 1) fails, and a row, a column or a scalar reads as its entries.
+    rng = np.random.default_rng(seed)
+    size = math.prod(shape)
+    flat = rng.standard_normal(size) + 1j * rng.standard_normal(size)
+    flat /= np.linalg.norm(flat)
+    call = _PULSE_READERS[reader]
+    if sum(n > 1 for n in shape) > 1:
+        with pytest.raises(DimensionMismatchError):
+            call(flat.reshape(shape))
+    else:
+        np.testing.assert_array_equal(call(flat.reshape(shape)), call(flat))
 
 
 # A NaN or infinite entry must fail every weight, vector and operator check,

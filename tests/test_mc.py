@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
+from conftest import unit_vector
 
 from whprecode import mc
 from whprecode.bloch import optimal_precoder_vector, solve_fidelity, worst_case_fidelity
 from whprecode.errors import InvalidWeightsError
 from whprecode.heisenberg import shift_operator
-from whprecode.linalg import rank_one_projector, unit_vector
+from whprecode.linalg import rank_one_projector
 from whprecode.mc import estimate_expectations, sweep_p0
 from whprecode.multiplex import Scheme, best_scheme
 from whprecode.wssus import ScatteringFunction, apply_A

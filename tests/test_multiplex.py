@@ -4,11 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from conftest import unit_vector
 
 from whprecode.bloch import optimal_precoder_vector, solve_fidelity
 from whprecode.errors import InvalidSchemeError, NotUnitNormError, WHPrecodeError
 from whprecode.heisenberg import PAULI_SHIFTS, shift_operator
-from whprecode.linalg import rank_one_projector, unit_vector
+from whprecode.linalg import rank_one_projector
 from whprecode import multiplex
 from whprecode.multiplex import Scheme, best_scheme, crosstalk, frame_bounds, select_schemes
 from whprecode.wssus import ScatteringFunction, apply_A, sinr

@@ -6,6 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from conftest import top_eigenpairs, top_eigenvalue_bounds, unit_vector
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from whprecode import optimize
 from whprecode.bloch import ScatteringQuad, map_matrix_rep, solve_fidelity
 from whprecode.errors import InvalidWeightsError, SingularDenominatorError
 from whprecode.heisenberg import shift_operator
-from whprecode.linalg import rank_one_projector, unit_vector
+from whprecode.linalg import rank_one_projector
 from whprecode.optimize import (
     OptimizerConfig,
     alternating_fidelity_max,
@@ -398,10 +399,10 @@ def test_tap_gram_matches_the_diagonal_kernel(case):
     C, pulses = case
     assert optimize._half_step_operands(C) is C.tap_frame()
     for frame, blocks in zip(C.tap_frame(), C.diagonal_blocks()):
-        top, vecs = optimize._top_eigenpairs(frame, pulses)
+        top, vecs = top_eigenpairs(frame, pulses)
         lam, ref = np.linalg.eigh(_map_rank_one(blocks, pulses))
         np.testing.assert_allclose(top, lam[:, -1], rtol=0, atol=1e-12)
-        gram, _ = optimize._rank_one_images(frame, pulses)
+        gram = optimize._rank_one_images(frame, pulses).mats
         np.testing.assert_allclose(np.linalg.eigvalsh(gram)[:, -1], lam[:, -1], rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.linalg.norm(vecs, axis=1), 1.0, rtol=0, atol=1e-12)
         for gap, a, b in zip(lam[:, -1] - lam[:, -2], vecs, ref[..., -1]):
@@ -518,8 +519,8 @@ def test_tap_gram_and_full_images_agree(case):
     # once as L x L maps: every half-step operation reads the same in C^L.
     C, pulses, others, rows = case
     for frame, blocks in zip(C.tap_frame(), C.diagonal_blocks()):
-        gram_mats, gram = optimize._rank_one_images(frame, pulses)
-        full_mats, full = optimize._rank_one_images(blocks, pulses)
+        gram_mats = (gram := optimize._rank_one_images(frame, pulses)).mats
+        full_mats = (full := optimize._rank_one_images(blocks, pulses)).mats
         assert gram_mats.shape[-1] < C.L == full_mats.shape[-1]
         gram_eigs, full_eigs = np.linalg.eigh(gram_mats), np.linalg.eigh(full_mats)
         top_g, vec_g = optimize._top_of(*gram_eigs, gram)
@@ -554,7 +555,7 @@ def newton_model(C, receivers):
     Returns the model and the eigenvalues of each ``A*(r r*)``.
     """
     forward, adjoint = optimize._half_step_operands(C)
-    mats, frame = optimize._rank_one_images(adjoint, receivers)
+    mats = (frame := optimize._rank_one_images(adjoint, receivers)).mats
     lam, u = np.linalg.eigh(mats)
     _, gammas = optimize._top_of(lam, u, frame)
     ahead = optimize._rank_one_images(forward, gammas)
@@ -687,7 +688,7 @@ def unpruned_search(C, n_samples, seed):
     for start in range(0, n_samples, optimize._BATCH):
         vecs = _complex_gaussian(rng, (min(optimize._BATCH, n_samples - start), C.L))
         vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        mats, _ = optimize._rank_one_images(forward, vecs)
+        mats = optimize._rank_one_images(forward, vecs).mats
         best = max(best, float(np.max(np.linalg.eigvalsh(mats)[:, -1])))
     return min(1.0, best)
 
@@ -791,7 +792,7 @@ def test_search_bounds_hold_without_the_images(case):
     forward = optimize._half_step_operands(C)[0]
     terms = optimize._ambiguity_terms(C) if forward is C.tap_frame()[0] else None
     upper, images = optimize._bounded_images(forward, terms, pulses)
-    mats = optimize._rank_one_images(forward, pulses)[0]
+    mats = optimize._rank_one_images(forward, pulses).mats
     chosen = np.random.default_rng(C.L).permutation(len(pulses))[:5]
     assert np.array_equal(images(np.arange(len(pulses))), mats)
     assert np.array_equal(images(chosen), mats[chosen])
@@ -823,7 +824,7 @@ def test_top_eigenvalue_bounds_hold_and_are_tight_where_exact(d):
     rng = np.random.default_rng(d)
     mats = psd_stacks(d, rng)
     start = rng.standard_normal((len(mats), d)) + 1j * rng.standard_normal((len(mats), d))
-    lower, upper = optimize._top_eigenvalue_bounds(mats, start)
+    lower, upper = top_eigenvalue_bounds(mats, start)
     top = np.linalg.eigvalsh(mats)[:, -1]
     assert np.all(lower <= top + 1e-12) and np.all(top <= upper + 1e-12)
     # Rank one: one power step lands on the eigenvector, and ||M||_F is the
@@ -898,6 +899,22 @@ def test_twin_screen_never_drops_a_twin(case, step, radius_and_scale):
     np.testing.assert_array_equal(optimize._twins(near, pair[None], radius), dist <= radius)
     both = np.array([optimize._TWIN, radius])
     np.testing.assert_array_equal(optimize._twins(near, np.stack([pair, pair]), both), dist <= both)
+
+
+@settings(max_examples=40)
+@given(channels_and_pairs())
+def test_twins_are_the_threshold_at_every_radius(case):
+    # Twin distances lie in [0, 2]: above radius 1 the mask is still the
+    # plain threshold, and at 2 every pair, a phase copy of the
+    # representative included, is a twin.
+    C, pair, phases = case
+    pairs = _complex_gaussian(np.random.default_rng(C.L), (6, 2, C.L))
+    pairs[0] = pair * phases
+    pairs /= np.linalg.norm(pairs, axis=-1)[..., None]
+    dist, _ = optimize._twin_distances(pairs[:, None], pair[None])
+    for radius in (1.5, 2.0):
+        np.testing.assert_array_equal(optimize._twins(pairs, pair[None], radius), dist <= radius)
+    assert np.all(optimize._twins(pairs, pair[None], 2.0))
 
 
 def no_parking():

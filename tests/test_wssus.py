@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from conftest import all_shifts, unit_vector
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -14,8 +15,8 @@ from whprecode.errors import (
     InvalidSchemeError,
     InvalidWeightsError,
 )
-from whprecode.heisenberg import all_shifts, pauli, shift_operator
-from whprecode.linalg import rank_one_projector, unit_vector
+from whprecode.heisenberg import pauli, shift_operator
+from whprecode.linalg import rank_one_projector
 from whprecode.mc import estimate_expectations, sweep_p0
 from whprecode.optimize import (
     OptimizerConfig,
