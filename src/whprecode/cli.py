@@ -15,7 +15,6 @@ per-command columns, or human-oriented text.  Exit codes: 0 success,
 
 from __future__ import annotations
 
-import argparse
 import csv
 import dataclasses
 import functools
@@ -47,21 +46,31 @@ from .optimize import (
 from .wssus import ScatteringFunction
 
 _CONFIG_KEYS = ("p", "L", "sigma2", "trials", "samples", "seed", "scattering")
-# Number flags as (name, type, default, help): p0..p3 (no default), then the scalars.
-_NUMBER_FLAGS = (
-    ("p0", float, None, "weight of the identity shift"),
-    ("p1", float, None, "weight of the time shift"),
-    ("p2", float, None, "weight of the joint shift"),
-    ("p3", float, None, "weight of the frequency shift"),
-    ("L", int, 2, "signal space dimension"),
-    ("sigma2", float, 0.1, "noise power (default 0.1)"),
-    ("trials", int, 100_000, "Monte Carlo trials (default 1e5)"),
-    ("samples", int, 100_000, "oracle/search samples (default 1e5)"),
-    ("seed", int, 0, "master RNG seed (default 0)"),
-)
-# The flags whose value may be a negative number, and each prefix that
-# argparse resolves to one of them (no other option shares a first letter).
-_VALUE_FLAGS = frozenset(["--p", *(f"--{name}" for name, *_ in _NUMBER_FLAGS)])
+# The one option table, flag: (namespace name, type, choices, metavar, help).
+# It builds the parser, _scan's lookups and _VALUE_FLAGS, in this order.
+_OPTIONS = {
+    "--p": ("p", str, None, "P0,P1,P2,P3", "four scattering weights, comma separated"),
+    "--p0": ("p0", float, None, None, "weight of the identity shift"),
+    "--p1": ("p1", float, None, None, "weight of the time shift"),
+    "--p2": ("p2", float, None, None, "weight of the joint shift"),
+    "--p3": ("p3", float, None, None, "weight of the frequency shift"),
+    "--L": ("L", int, None, None, "signal space dimension"),
+    "--sigma2": ("sigma2", float, None, None, "noise power (default 0.1)"),
+    "--trials": ("trials", int, None, None, "Monte Carlo trials (default 1e5)"),
+    "--samples": ("samples", int, None, None, "oracle/search samples (default 1e5)"),
+    "--seed": ("seed", int, None, None, "master RNG seed (default 0)"),
+    "--format": ("output_format", str, ("json", "csv", "text"), None,
+                 "output format (default json)"),
+    "--out": ("out", str, None, "PATH", "write output to PATH"),
+    "--config": ("config", str, None, "PATH", "JSON config file"),
+}
+# The scalars a flag or the config file may set, and their defaults.
+_SCALAR_DEFAULTS = {"L": 2, "sigma2": 0.1, "trials": 100_000, "samples": 100_000, "seed": 0}
+# The flags whose value may be a negative number (the number flags and
+# --p's weights), and each prefix that argparse resolves to one of them
+# (no other option shares a first letter).
+_VALUE_FLAGS = frozenset(flag for flag, (_, kind, *_) in _OPTIONS.items()
+                         if kind is not str or flag == "--p")
 _VALUE_FLAG_PREFIXES = frozenset(
     prefix
     for flag in _VALUE_FLAGS
@@ -102,28 +111,64 @@ class RunConfig:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    # Built once per process: parse_args keeps no state between calls and
-    # returns a fresh namespace each time.  One flat parser reads each argv
-    # once: the command is a positional, and argparse interleaves it with
-    # the flags, so flags may come before or after it.  SUPPRESS keeps unset
-    # flags off the namespace, so a config-file value shows through them.
-    absent = argparse.SUPPRESS
+def _build_parser():
+    # Built once per process, and only for an argv that _scan declines:
+    # parse_args keeps no state between calls and returns a fresh namespace
+    # each time.  One flat parser reads each argv once: the command is a
+    # positional, and argparse interleaves it with the flags, so flags may
+    # come before or after it.  SUPPRESS keeps unset flags off the
+    # namespace, so a config-file value shows through them.
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="whprecode",
         description="Design and verify statistics-adapted pulses for dispersive channels.",
     )
     parser.add_argument("command", choices=tuple(_COMMANDS), help="; ".join(
         f"{name}: {text}" for name, (_, text, _) in _COMMANDS.items()))
-    parser.add_argument("--p", default=absent, metavar="P0,P1,P2,P3",
-                        help="four scattering weights, comma separated")
-    for name, kind, _, text in _NUMBER_FLAGS:
-        parser.add_argument(f"--{name}", type=kind, default=absent, help=text)
-    parser.add_argument("--format", dest="output_format", choices=("json", "csv", "text"),
-                        default=absent, help="output format (default json)")
-    parser.add_argument("--out", default=absent, metavar="PATH", help="write output to PATH")
-    parser.add_argument("--config", default=absent, metavar="PATH", help="JSON config file")
+    for flag, (dest, kind, choices, metavar, text) in _OPTIONS.items():
+        parser.add_argument(flag, dest=dest, type=kind, choices=choices, metavar=metavar,
+                            default=argparse.SUPPRESS, help=text)
     return parser
+
+
+def _scan(argv: list[str]) -> dict | None:
+    """``vars(_build_parser().parse_args(argv))`` for an argv of full flag names, else None.
+
+    One pass: each token is the command or an exact flag name, with its
+    value after "=" or in the next token.  Any other argv gets None and goes
+    to argparse, the one reader of abbreviations, ``-h``/``--help``, ``--``
+    and usage errors.  So does an argv with a second command, no command, a
+    missing value, a value after a space that starts with "-", a value "--"
+    after "=" (some Python versions drop it), or a value its flag's type or
+    choices reject.
+    """
+    given = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if not token.startswith("-"):
+            if "command" in given or token not in _COMMANDS:
+                return None
+            given["command"] = token
+            continue
+        flag, eq, value = token.partition("=")
+        if flag not in _OPTIONS:
+            return None
+        if eq:
+            if value == "--":
+                return None
+        else:
+            value = next(tokens, None)
+            if value is None or value.startswith("-"):
+                return None
+        dest, kind, choices, _, _ = _OPTIONS[flag]
+        try:
+            given[dest] = kind(value)
+        except ValueError:
+            return None
+        if choices and given[dest] not in choices:
+            return None
+    return given if "command" in given else None
 
 
 def _attach_negative_numbers(argv: list[str]) -> list[str]:
@@ -170,7 +215,7 @@ def _read(violations: list[str], field: str, reader, *args):
         return None
 
 
-def _assemble_quad(args, file_cfg, violations) -> ScatteringQuad | None:
+def _assemble_quad(given, file_cfg, violations) -> ScatteringQuad | None:
     components: list[float | None] = [None, None, None, None]
     if "p" in file_cfg:
         raw = _read(violations, "p", require_array, file_cfg["p"], "config value", float)
@@ -178,7 +223,7 @@ def _assemble_quad(args, file_cfg, violations) -> ScatteringQuad | None:
             violations.append("p: config value must be a list of four numbers")
         elif raw is not None:
             components = list(raw)
-    p_flag = getattr(args, "p", None)
+    p_flag = given.get("p")
     if p_flag is not None:
         try:
             components = [float(v) for v in p_flag.split(",")]
@@ -188,7 +233,7 @@ def _assemble_quad(args, file_cfg, violations) -> ScatteringQuad | None:
             violations.append("p: expected four comma-separated numbers")
             return None
     for i, name in enumerate(("p0", "p1", "p2", "p3")):
-        flag = getattr(args, name, None)
+        flag = given.get(name)
         if flag is not None:
             components[i] = flag
     if all(v is None for v in components):
@@ -218,38 +263,50 @@ def _assemble_scattering(file_cfg, L, quad, violations) -> ScatteringFunction | 
 def parse_config(argv=None) -> RunConfig:
     """Parse flags and optional config file into a validated RunConfig.
 
-    Values are read by the library's readers; every violation found is
-    reported at once, each naming the offending field, via InvalidConfigError.
+    ``argv`` is a sequence of strings (default ``sys.argv[1:]``); a string,
+    bytes or a non-string entry is an InvalidConfigError.  Values are read
+    by the library's readers; every violation found is reported at once,
+    each naming the offending field, via InvalidConfigError.
     """
-    argv = sys.argv[1:] if argv is None else list(argv)
-    args = _build_parser().parse_args(_attach_negative_numbers(argv))
+    argv = sys.argv[1:] if argv is None else argv
+    if isinstance(argv, (str, bytes)):
+        raise InvalidConfigError(f"argv: expected a list of strings, got {type(argv).__name__}")
+    argv = list(argv)
+    for i, arg in enumerate(argv):
+        if not isinstance(arg, str):
+            raise InvalidConfigError(f"argv: entry {i} is {type(arg).__name__}, not str")
+    argv = _attach_negative_numbers(argv)
+    given = _scan(argv)
+    if given is None:
+        given = vars(_build_parser().parse_args(argv))
+    command = given["command"]
     violations: list[str] = []
-    config_path = getattr(args, "config", None)
+    config_path = given.get("config")
     file_cfg = _load_config_file(config_path, violations) if config_path else {}
 
     # Lower bounds; trials and samples bind only the commands that use them.
     lower = {"L": 1, "sigma2": 0.0, "seed": 0,
-             "trials": 2 if args.command in ("simulate", "sweep") else None,
-             "samples": 1 if args.command in ("oracle", "general") else None}
+             "trials": 2 if command in ("simulate", "sweep") else None,
+             "samples": 1 if command in ("oracle", "general") else None}
     # A flag overrides the file; a value given by neither takes its default,
     # which is valid, so only given values are read.
     L, sigma2, trials, samples, seed = (
-        _read(violations, name, require_int if kind is int else require_real,
-              getattr(args, name, file_cfg.get(name)), "value", lower[name])
-        if hasattr(args, name) or name in file_cfg else default
-        for name, kind, default, _ in _NUMBER_FLAGS[4:]
+        _read(violations, name, require_int if _OPTIONS[f"--{name}"][1] is int else require_real,
+              given.get(name, file_cfg.get(name)), "value", lower[name])
+        if name in given or name in file_cfg else default
+        for name, default in _SCALAR_DEFAULTS.items()
     )
 
-    quad = _assemble_quad(args, file_cfg, violations)
-    _, _, reads_quad = _COMMANDS[args.command]
+    quad = _assemble_quad(given, file_cfg, violations)
+    _, _, reads_quad = _COMMANDS[command]
     if reads_quad:
         if quad is None and not any(v.startswith("p:") for v in violations):
             violations.append("p: four scattering weights are required (--p or --p0..--p3)")
         if L not in (2, None):
-            violations.append(f"L: command '{args.command}' is defined for L=2, got {L}")
+            violations.append(f"L: command '{command}' is defined for L=2, got {L}")
 
     scattering = None
-    if args.command == "general" and L is not None:
+    if command == "general" and L is not None:
         scattering = _assemble_scattering(file_cfg, L, quad, violations)
         if scattering is None and not any(v.startswith("scattering:") for v in violations):
             violations.append(
@@ -260,7 +317,7 @@ def parse_config(argv=None) -> RunConfig:
     if violations:
         raise InvalidConfigError("; ".join(violations))
     return RunConfig(
-        command=args.command,
+        command=command,
         quad=quad,
         scattering=scattering,
         L=L,
@@ -268,8 +325,8 @@ def parse_config(argv=None) -> RunConfig:
         trials=trials,
         samples=samples,
         seed=seed,
-        output_format=getattr(args, "output_format", None) or "json",
-        output_path=getattr(args, "out", None),
+        output_format=given.get("output_format") or "json",
+        output_path=given.get("out"),
     )
 
 

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import whprecode
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from whprecode import cli
@@ -594,6 +594,101 @@ def test_main_builds_the_parser_once(capsys):
         main(argv)
     capsys.readouterr()
     assert cli._build_parser.cache_info().misses == 1
+
+
+# Tokens for the scan-vs-argparse test: every command and exact flag, some
+# abbreviations, "=" forms, and values a type or choice may reject.
+_SCAN_FLAGS = [*cli._OPTIONS, "--sig", "--form", "--s"]
+_SCAN_VALUES = ["0.4,0.3,0.2,0.1", "1", "-1", "-1e-3", "-.5", "nan", "inf", "-inf", "1_000",
+                " 3", "", "abc", "0x10", "json", "csv", "xml", "solve", "=1", "-", "--"]
+_SCAN_CHUNKS = st.one_of(
+    st.tuples(st.sampled_from(_SCAN_FLAGS), st.sampled_from(_SCAN_VALUES)).map(list),
+    st.tuples(st.sampled_from(_SCAN_FLAGS), st.sampled_from(_SCAN_VALUES)).map(
+        lambda pair: ["=".join(pair)]),
+    st.sampled_from([*cli._COMMANDS, "bogus", "-h", "--help", "--", "-", "--p==1", "--p0="]).map(
+        lambda token: [token]),
+)
+
+
+@settings(max_examples=1000)
+@given(st.sampled_from(list(cli._COMMANDS)), st.lists(_SCAN_CHUNKS, max_size=5), st.integers(0, 5))
+@example("solve", [["--p=--"]], 1)  # Python 3.11's argparse reads "--p=--" as p = []
+def test_scan_reads_what_argparse_reads(command, chunks, at):
+    # The command sits among the chunks, so repeats, flags on both sides
+    # of it and a second command all occur.
+    argv = [token for chunk in chunks[:at] for token in chunk]
+    argv += [command, *(token for chunk in chunks[at:] for token in chunk)]
+    argv = cli._attach_negative_numbers(argv)
+    scanned = cli._scan(argv)
+    if scanned is None:
+        return
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            parsed = vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            parsed = None
+    # repr, so that a NaN value equals itself.
+    assert parsed is not None and repr(sorted(parsed.items())) == repr(sorted(scanned.items()))
+
+
+def test_argparse_alone_prints_what_the_scan_prints(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"p": [0.1, 0.2, 0.3, 0.4], "samples": 300}))
+    argvs, _ = _reuse_argvs(str(config))
+    scanned = [run_cli(capsys, *argv) for argv in argvs]
+    monkeypatch.setattr(cli, "_scan", lambda argv: None)
+    assert [run_cli(capsys, *argv) for argv in argvs] == scanned
+
+
+def test_benchmark_request_shapes_skip_argparse(tmp_path, capsys):
+    # One argv of each shape the benchmark decks send, valid or not; a scan
+    # that declined them all would print the same and lose its speed.
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"L": 4, "scattering": [0.7] + [0.0] * 4 + [0.3] + [0.0] * 10}))
+    quad = ["--p0", "0.4", "--p1", "0.3", "--p2", "0.2", "--p3", "0.1"]
+    argvs = [
+        ["solve", "--p", "0.4,0.3,0.2,0.1", "--format", "json"],
+        ["classify", *quad, "--format", "csv"],
+        ["solve", *quad, "--format", "text"],
+        ["classify", "--p", "-0.1,0.5,0.3,0.3"],
+        ["solve", "--p", "0.4,0.3,0.2,0.1", "--L", "4"],
+        ["simulate", "--p", "0.4,0.3,0.2,0.1", "--trials", "200", "--sigma2", "0.01",
+         "--seed", "5", "--format", "csv"],
+        ["oracle", "--p", "0.4,0.3,0.2,0.1", "--samples", "300", "--seed", "7", "--format", "json"],
+        ["general", "--config", str(config), "--samples", "200", "--seed", "3"],
+    ]
+    cli._build_parser.cache_clear()
+    codes = [main(argv) for argv in argvs]
+    capsys.readouterr()
+    assert codes == [0, 0, 0, 2, 2, 0, 0, 0]
+    assert cli._build_parser.cache_info().misses == 0
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--p", "1,0,0,0", "--seed", 3], "argv: entry 4 is int, not str"),
+        ([b"solve"], "argv: entry 0 is bytes, not str"),
+        ("solve --p 1,0,0,0", "argv: expected a list of strings, got str"),
+        (["solve", None], "argv: entry 1 is NoneType, not str"),
+    ],
+    ids=["int_entry", "bytes_entry", "str_argv", "none_entry"],
+)
+def test_argv_that_is_not_a_list_of_strings_exits_two(argv, message, capsys):
+    code = main(argv)
+    assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
+
+
+def test_full_flag_names_never_import_argparse():
+    package_root = str(pathlib.Path(whprecode.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
+    code = ("import contextlib, io, sys; from whprecode import cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    assert cli.main(['solve', '--p', '0.4,0.3,0.2,0.1']) == 0\n"
+            "assert 'argparse' not in sys.modules\n")
+    child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
+                           capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
 
 
 @pytest.mark.parametrize("seed", [0, 3, 17])
