@@ -38,12 +38,16 @@ from .linalg import max_generalized_eigenpair, rank_one_projector
 from .mc import McReport, SweepRow, estimate_expectations, sweep_p0
 from .multiplex import Scheme, best_scheme, crosstalk, frame_bounds, select_schemes
 from .optimize import (
+    CosetBound,
     OptimizationTrace,
     OptimizerConfig,
     alternating_fidelity_max,
     brute_force_bloch_oracle,
+    coset_bound,
     fidelity_lower_bound_search,
+    fidelity_upper_bound,
     optimal_receiver,
+    pair_gain,
 )
 from .wssus import (
     CpPropertyReport,
@@ -53,6 +57,7 @@ from .wssus import (
     apply_interference,
     channel_fidelity,
     sinr,
+    spreading_eigenvalues,
     verify_cp_properties,
 )
 
@@ -60,6 +65,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelClass",
+    "CosetBound",
     "CpPropertyReport",
     "DimensionMismatchError",
     "FidelitySolution",
@@ -87,9 +93,11 @@ __all__ = [
     "brute_force_bloch_oracle",
     "channel_fidelity",
     "classify_channel",
+    "coset_bound",
     "crosstalk",
     "estimate_expectations",
     "fidelity_lower_bound_search",
+    "fidelity_upper_bound",
     "frame_bounds",
     "is_on_bloch_manifold",
     "map_matrix_rep",
@@ -98,12 +106,14 @@ __all__ = [
     "optimal_precoder_vector",
     "optimal_projectors",
     "optimal_receiver",
+    "pair_gain",
     "pauli",
     "rank_one_projector",
     "select_schemes",
     "shift_operator",
     "sinr",
     "solve_fidelity",
+    "spreading_eigenvalues",
     "sweep_p0",
     "verify_cp_properties",
     "worst_case_fidelity",

@@ -38,10 +38,14 @@ from .linalg import rank_one_projector, require_array, require_int, require_real
 from .mc import estimate_expectations, sweep_p0
 from .multiplex import best_scheme, select_schemes
 from .optimize import (
+    CERTIFY_TOL,
     OptimizerConfig,
     alternating_fidelity_max,
     brute_force_bloch_oracle,
+    coset_bound,
     fidelity_lower_bound_search,
+    fidelity_upper_bound,
+    pair_gain,
 )
 from .wssus import ScatteringFunction
 
@@ -279,6 +283,12 @@ def parse_config(argv=None) -> RunConfig:
     given = _scan(argv)
     if given is None:
         given = vars(_build_parser().parse_args(argv))
+        # Some Python versions read an explicit "--flag=--" as an empty list.
+        wrong = [f"{flag}: expected one value, got {given[dest]!r}"
+                 for flag, (dest, kind, *_) in _OPTIONS.items()
+                 if dest in given and not isinstance(given[dest], kind)]
+        if wrong:
+            raise InvalidConfigError("; ".join(wrong))
     command = given["command"]
     violations: list[str] = []
     config_path = given.get("config")
@@ -451,20 +461,33 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
 def _cmd_general(cfg: RunConfig) -> dict:
     C = cfg.scattering
     lower = fidelity_lower_bound_search(C, cfg.L, cfg.samples, seed=cfg.seed)
-    trace = alternating_fidelity_max(C, cfg.L, OptimizerConfig(seed=cfg.seed))
+    optimizer = OptimizerConfig(seed=cfg.seed)
+    # The coset pair certifies itself optimal when its gain reaches the
+    # upper bound; then no restart runs.
+    upper = fidelity_upper_bound(C)
+    value, residual = pair_gain(C, *coset_bound(C).pair)
+    certified = value >= upper - CERTIFY_TOL
+    if certified:
+        alternating = {"best_value": min(1.0, value), "converged": residual <= optimizer.tol,
+                       "restarts": 0, "half_steps": 0, "restart_values": []}
+    else:
+        trace = alternating_fidelity_max(C, cfg.L, optimizer)
+        alternating = {
+            "best_value": trace.best_value,
+            "converged": trace.converged,
+            "restarts": len(trace.restart_values),
+            "half_steps": len(trace.objective_history),
+            "restart_values": list(trace.restart_values),
+        }
     return {
         "L": cfg.L,
         "samples": cfg.samples,
         "seed": cfg.seed,
         "scattering": [[float(v) for v in row] for row in C.weights],
         "lower_bound": lower,
-        "alternating": {
-            "best_value": trace.best_value,
-            "converged": trace.converged,
-            "restarts": len(trace.restart_values),
-            "half_steps": len(trace.objective_history),
-            "restart_values": list(trace.restart_values),
-        },
+        "upper_bound": upper,
+        "certified": certified,
+        "alternating": alternating,
     }
 
 

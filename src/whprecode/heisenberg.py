@@ -8,6 +8,8 @@ the Pauli matrices up to a factor ``i`` on the double shift.
 
 One exact index and phase table per L, ``_layout``, builds these operators
 and every map kernel, Kraus stack and tap frame in ``wssus``, bit for bit.
+``_lagrangian_lines`` lists, once per L, the maximal commuting subgroups
+that the coset bound of ``optimize`` sums over.
 """
 
 from __future__ import annotations
@@ -57,6 +59,40 @@ def _layout(L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     n = np.arange(L)
     turns = np.array([unit_phase(k, L) for k in range(L)])
     tables = ((n + n[:, None]) % L, (n[:, None] - n) % L, turns[np.outer(n, n) % L])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@functools.lru_cache(maxsize=None)
+def _lagrangian_lines(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only generators and coset tables of the cyclic Lagrangian lines at dimension L.
+
+    A line is the subgroup ``{k g : k in Z_L}`` of a shift g of order L
+    (``gcd(g1, g2, L) = 1``); its shifts commute, since
+    ``S_mu S_nu = w^(mu2 nu1 - mu1 nu2) S_nu S_mu`` and that symplectic form
+    vanishes on multiples of one g.  The form ``nu -> nu2 g1 - nu1 g2`` maps
+    onto Z_L with the line as its kernel, so the L cosets of a line are its
+    level sets, and coset t holds ``t h + k g`` for any h of form 1.  The
+    generators are ``(1, 0), (1, 1), .., (1, L - 1)``, then the lines whose
+    generators have a first index that is not a unit, ``(0, 1)`` last: at
+    L = 2, the Pauli axes 1, 2, 3.  Returns the (n, 2) generators and the
+    (n, L, L) table of flat shift indices ``mu1 * L + mu2`` of ``t h + k g``.
+    """
+    n = np.arange(L)
+    g1, g2 = np.divmod(np.arange(L * L), L)
+    order_L = np.gcd(np.gcd(g1, g2), L) == 1
+    units = n[np.gcd(n, L) == 1]
+    # A line's generator: the unit multiple u g with the smallest ((u g1 - 1) mod L, u g2).
+    m1, m2 = units[:, None] * g1[order_L] % L, units[:, None] * g2[order_L] % L
+    keys = np.flatnonzero(np.bincount(((m1 - 1) % L * L + m2).min(axis=0), minlength=L * L))
+    a, b = (keys // L + 1) % L, keys % L
+    # h: the first shift of form 1 against each generator (1 % L: at L = 1 every form is 0).
+    h1, h2 = np.divmod(np.argmax((g2 * a[:, None] - g1 * b[:, None]) % L == 1 % L, axis=1), L)
+    t, k = n[:, None], n
+    rows = (t * h1[:, None, None] + k * a[:, None, None]) % L
+    cols = (t * h2[:, None, None] + k * b[:, None, None]) % L
+    tables = (np.stack([a, b], axis=1), rows * L + cols)
     for table in tables:
         table.setflags(write=False)
     return tables

@@ -273,6 +273,24 @@ def apply_A(C: ScatteringFunction, X) -> np.ndarray:
     return _map_operand(C.diagonal_blocks()[0], X)
 
 
+def spreading_eigenvalues(C: ScatteringFunction) -> np.ndarray:
+    """The eigenvalues of ``A`` on the shift basis: ``A(S_nu) = lambda[nu] S_nu``.
+
+    ``S_mu S_nu S_mu* = w^(mu2 nu1 - mu1 nu2) S_nu`` with ``w = exp(2 pi i / L)``,
+    so ``lambda[nu1, nu2] = sum_mu C(mu) w^(mu2 nu1 - mu1 nu2)``, the
+    symplectic Fourier transform of C: two L x L products with the
+    ``_layout`` phase table.  ``lambda[0, 0]`` is the total weight, 1, and
+    at L = 2 the other three are twice the Pauli diagonal of
+    ``bloch.map_matrix_rep``.  Read-only, cached on C.
+    """
+
+    def build():
+        phases = _layout(C.L)[2]
+        return (phases @ C.weights.T @ phases.conj(),)
+
+    return C._cached("_spreading", build)[0]
+
+
 def apply_adjoint_A(C: ScatteringFunction, Y) -> np.ndarray:
     """Adjoint map  sum_mu C(mu) S_mu* Y S_mu.
 

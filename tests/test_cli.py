@@ -839,3 +839,74 @@ def test_cli_contract_holds_for_any_input(tmp_path_factory, invocation):
         assert out.getvalue() == ""
     elif [v for f, v in zip(argv, argv[1:]) if f == "--format"][-1:] in ([], ["json"]):
         strict_json(out.getvalue())
+
+
+@pytest.mark.parametrize("flag", ["--p", "--format", "--out", "--config"])
+def test_an_explicit_double_dash_value_exits_two(flag, capsys, tmp_path, monkeypatch):
+    # Python 3.11's argparse reads "--flag=--" as an empty list.
+    if isinstance(vars(cli._build_parser().parse_args(["solve", f"{flag}=--"]))[cli._OPTIONS[flag][0]], str):
+        pytest.skip("this Python's argparse reads '--' after '=' as the value")
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "solve", "--p", "0.4,0.3,0.2,0.1", f"{flag}=--")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag}: expected one value, got ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+def _gaussian_grid(L, delay_width, doppler_width):
+    """The cyclic Gaussian delay-Doppler profile on the L x L grid, every tap nonzero."""
+    d = np.minimum(np.arange(L), L - np.arange(L))
+    w = np.exp(-((d[:, None] / delay_width) ** 2) - (d[None, :] / doppler_width) ** 2)
+    return (w / w.sum()).tolist()
+
+
+def _general_docs(tmp_path, capsys, grid):
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"L": len(grid), "scattering": grid}))
+    argv = ["general", "--config", str(config), "--samples", "2000", "--seed", "3"]
+    docs = {}
+    for fmt in ("json", "csv", "text"):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
+        assert (code, err) == (0, ""), fmt
+        docs[fmt] = out
+    return argv, docs
+
+
+def test_general_certifies_the_coset_pair_and_skips_the_restarts(tmp_path, capsys):
+    # Elongated along the delay axis: the coset pair reaches the bound U.
+    _, docs = _general_docs(tmp_path, capsys, _gaussian_grid(4, 0.5, 1.0))
+    doc = strict_json(docs["json"])
+    alternating = doc["alternating"]
+    assert doc["certified"] is True
+    assert (alternating["restarts"], alternating["half_steps"], alternating["restart_values"]) == (0, 0, [])
+    assert alternating["converged"] is True
+    assert alternating["best_value"] >= doc["upper_bound"] - 1e-12
+    assert doc["lower_bound"] <= alternating["best_value"] + 1e-12
+    header, row = docs["csv"].splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["certified"], cells["restarts"]) == ("true", "0")
+    assert float(cells["upper_bound"]) == doc["upper_bound"]
+    assert "certified: true" in docs["text"].splitlines()
+
+
+def test_general_runs_the_restarts_when_uncertified(tmp_path, capsys):
+    # The isotropic L = 8 grid: the coset pair falls short of U.
+    grid = [[math.exp(-a * a - b * b) for b in (0, 1, 2, 3, 4, 3, 2, 1)] for a in (0, 1, 2, 3, 4, 3, 2, 1)]
+    total = sum(map(sum, grid))
+    argv, docs = _general_docs(tmp_path, capsys, [[v / total for v in row] for row in grid])
+    doc = strict_json(docs["json"])
+    assert doc["certified"] is False
+    assert doc["alternating"]["best_value"] <= doc["upper_bound"] + 1e-12
+    assert docs["csv"].splitlines()[0] == (
+        "L,samples,seed,scattering,lower_bound,upper_bound,certified,"
+        "alternating_best,alternating_converged,restarts"
+    )
+    cfg = parse_config(argv)
+    trace = whprecode.alternating_fidelity_max(cfg.scattering, 8, whprecode.OptimizerConfig(seed=3))
+    assert dispatch(cfg)["alternating"] == {
+        "best_value": trace.best_value,
+        "converged": trace.converged,
+        "restarts": len(trace.restart_values),
+        "half_steps": len(trace.objective_history),
+        "restart_values": list(trace.restart_values),
+    }
