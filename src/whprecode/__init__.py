@@ -48,6 +48,8 @@ from .optimize import (
     fidelity_upper_bound,
     optimal_receiver,
     pair_gain,
+    ppt_bound,
+    ppt_certificate,
 )
 from .wssus import (
     CpPropertyReport,
@@ -108,6 +110,8 @@ __all__ = [
     "optimal_receiver",
     "pair_gain",
     "pauli",
+    "ppt_bound",
+    "ppt_certificate",
     "rank_one_projector",
     "select_schemes",
     "shift_operator",

@@ -46,6 +46,8 @@ from .optimize import (
     fidelity_lower_bound_search,
     fidelity_upper_bound,
     pair_gain,
+    ppt_bound,
+    ppt_certificate,
 )
 from .wssus import ScatteringFunction
 
@@ -458,15 +460,28 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
     }
 
 
+# general seeks a PPT certificate up to this L, the largest the benchmark
+# decks run: there an attempt costs 0.17-0.30 of the optimizer's time on the
+# same job at every L = 4..10.  An attempt's O(L^6) Schur solves outgrow the
+# optimizer at larger L (about 0.9-1.0x at L = 24 on one grid), so a larger
+# cap needs a benchmark workload above this L first.
+_PPT_LARGEST_L = 10
+
+
 def _cmd_general(cfg: RunConfig) -> dict:
     C = cfg.scattering
     lower = fidelity_lower_bound_search(C, cfg.L, cfg.samples, seed=cfg.seed)
     optimizer = OptimizerConfig(seed=cfg.seed)
     # The coset pair certifies itself optimal when its gain reaches the
-    # upper bound; then no restart runs.
+    # upper bound U, or else a PPT dual's bound; then no restart runs.  The
+    # dual is sought only where the search has not beaten the pair.
     upper = fidelity_upper_bound(C)
     value, residual = pair_gain(C, *coset_bound(C).pair)
     certified = value >= upper - CERTIFY_TOL
+    if not certified and lower <= value + CERTIFY_TOL and cfg.L <= _PPT_LARGEST_L:
+        W = ppt_certificate(C, value)
+        if W is not None:
+            upper, certified = ppt_bound(C, W), True
     if certified:
         alternating = {"best_value": min(1.0, value), "converged": residual <= optimizer.tol,
                        "restarts": 0, "half_steps": 0, "restart_values": []}

@@ -1,15 +1,19 @@
-"""Numerical optimizers and brute-force oracles.
+"""Numerical optimizers, brute-force oracles and upper bounds.
 
 Everything here works at general L and serves two purposes: producing
 SINR-optimal receivers (a generalized eigenproblem), and independently
 validating the L=2 closed form through alternating maximization, sphere
 sampling in Bloch coordinates, and random-precoder lower-bound searches.
+The upper bounds (U, the coset bound K and the PPT relaxation's dual)
+certify a pulse pair optimal without the optimizer.
 All stochastic routines derive their randomness from an explicit seed and
 produce bit-identical results for identical (seed, sample count) inputs.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,6 +74,20 @@ _TWIN_STATIONARY = 1.5e-1
 # random and Gaussian grids at L = 4..64, U is within 1.2e-15 of U in long
 # double, and a coset pair's measured gain within 5e-16 of its coset sum.
 CERTIFY_TOL = 1e-12
+# ppt_certificate: at most this many interior-point iterations; steps go
+# this fraction of the way to the boundary; and a relaxed state whose gain
+# exceeds the pair's by this margin proves that no certificate exists.  On
+# the general decks at seeds 1 and 4242 every attempt ended within 5
+# iterations (a cap of 4 loses 3 of their 78 certificates).
+_PPT_ITERS = 12
+_PPT_STEP = 0.98
+_PPT_EXIT = 1e-9
+# The primal start's weight on the coset states r* (the rest is uniform)
+# and the dual start Y_s = _PPT_DUAL I / L: on those decks they cut the
+# iterations from 496 (uniform r, Y_s = I / L) to 292, with the same
+# certificates.
+_PPT_MIX = 0.9
+_PPT_DUAL = 3.0
 
 
 @dataclass(frozen=True)
@@ -816,6 +834,16 @@ class CosetBound:
     pair: tuple[np.ndarray, np.ndarray]
 
 
+def _coset_sums(C: ScatteringFunction) -> np.ndarray:
+    """The weight of every coset of _lagrangian_lines(L), (lines, L).
+
+    Read-only and cached on C: coset_bound and ppt_certificate's face both
+    read it, so a general job sums the cosets once.
+    """
+    cosets = _lagrangian_lines(C.L)[1]
+    return C._cached("_coset_sums", lambda: (C.weights.ravel()[cosets].sum(axis=-1),))[0]
+
+
 def coset_bound(C: ScatteringFunction) -> CosetBound:
     """The coset bound K: the largest sum of C over a coset ``nu + Lambda`` of a cyclic Lagrangian line.
 
@@ -841,7 +869,7 @@ def coset_bound(C: ScatteringFunction) -> CosetBound:
     """
     L = C.L
     lines, cosets = _lagrangian_lines(L)
-    sums = C.weights.ravel()[cosets].sum(axis=-1)
+    sums = _coset_sums(C)
     line, t = np.unravel_index(np.argmax(sums), sums.shape)
     generator = (int(lines[line, 0]), int(lines[line, 1]))
     coset = divmod(int(cosets[line, t, 0]), L)
@@ -868,3 +896,302 @@ def pair_gain(C: ScatteringFunction, gamma, g) -> tuple[float, float]:
         )
     value, residual = _rank_one_images(_half_step_operands(C)[1], g).rayleigh(gamma)
     return float(value[0]), float(residual[0])
+
+
+@functools.lru_cache(maxsize=None)
+def _ppt_layout(L: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only index and phase tables of the reduced partial transpose at dimension L.
+
+    For the blocks s (s = 0 at odd L, s = 0 and 1 at even L; see
+    ppt_bound), row k of ``D_(s, (a, b))`` holds
+    ``phases[s, a, k, b] = w^(b (2k - a - s))`` in column
+    ``anti[s, a, k] = (a + s - k) mod L`` and is zero elsewhere.
+    """
+    n = np.arange(L)
+    s = np.arange(2 - L % 2)[:, None, None]
+    a, k = n[:, None, None], n[:, None]
+    tables = ((n[:, None] + s - n) % L, _layout(L)[2][1 % L][n * (2 * k - a - s[..., None]) % L])
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+@functools.lru_cache(maxsize=8)
+def _ppt_tables(L: int) -> tuple:
+    """Read-only tables of ppt_certificate at dimension L, O(L^4) entries.
+
+    ``D`` is the (L^2, blocks L^2) stack of the flattened ``D_(s, mu)``, mu
+    row-major: the blocks ``G(r)`` are ``r @ D``, and
+    ``sum_s Re Tr(X_s D_(s, mu))`` is the real part of ``D @ conj(X)`` for a
+    flattened X, each D being hermitian.  _ppt_schur transforms with the
+    phases of its first h columns b, ``half``: at even L, h = L / 2, since
+    ``w^(2 (L / 2) k) = 1`` makes column ``b + L / 2`` column b times
+    ``(-1)^(a + s)``.  ``gather`` reads the L^2 x L^2 matrix, row-major, out
+    of its (L, L, h, h) transform over ``(a, a', b' mod h, b mod h)``, and
+    ``signs`` (None at odd L) holds ``sigma_s(a, b) sigma_s(a', b')``, with
+    ``sigma_s(a, b) = (-1)^(a + s)`` for ``b >= L / 2``, else 1.
+    """
+    anti, phases = _ppt_layout(L)
+    blocks, h = len(anti), L // (2 - L % 2)
+    m, s, k = np.ogrid[:L * L, :blocks, :L]
+    D = np.zeros((L * L, blocks, L, L), dtype=complex)
+    D[m, s, k, anti[s, m // L, k]] = phases[s, m // L, k, m % L]
+    D = D.reshape(L * L, -1)
+    a, b = np.divmod(np.arange(L * L), L)
+    gather = (((a[:, None] * L + a) * h + b % h) * h + b[:, None] % h).ravel().astype(np.int32)
+    sigma = np.where((b >= h) & ((a + np.arange(blocks)[:, None]) % 2 == 1), -1, 1).astype(np.int8)
+    signs = (sigma[:, :, None] * sigma[:, None]).reshape(blocks, -1) if h < L else None
+    tables = (D, np.ascontiguousarray(phases[..., :h]).reshape(blocks * L, L, h), gather, signs)
+    for table in tables:
+        if table is not None:
+            table.setflags(write=False)
+    return tables
+
+
+def _ppt_schur(Y: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """The L^2 x L^2 matrix ``sum_s Re Tr(D_(s, mu) Y_s D_(s, nu) P_s)``, in O(L^5).
+
+    With ``Q[s, a, a', k, k'] = Y_s[anti[s, a, k], k'] P_s[anti[s, a', k'], k]``,
+    entry ``((a, b), (a', b'))`` is the real part of
+    ``sum_s sum_(k, k') phases[s, a, k, b] phases[s, a', k', b'] Q``: two
+    batched products with the phase table, over k' and then over k, on the
+    first h columns b and b' (_ppt_tables), then one gather into place.
+    """
+    blocks, L = Y.shape[:2]
+    anti = _ppt_layout(L)[0]
+    _, half, gather, signs = _ppt_tables(L)
+    h = half.shape[-1]
+    s = np.arange(blocks)[:, None, None]
+    q = Y[s, anti][:, None] * P[s, anti].swapaxes(-1, -2)[:, :, None]  # [s, a', a, k, k']
+    t = (q.reshape(blocks * L, L * L, L) @ half).reshape(blocks, L, L, L, h)
+    t = t.transpose(0, 2, 1, 4, 3).reshape(blocks * L, L * h, L) @ half  # [s, a, a', b', b]
+    t = np.take(t.real.reshape(blocks, -1), gather, axis=1)
+    if signs is None:  # odd L: one block
+        return t.reshape(L * L, L * L)
+    return (signs[0] * t[0] + signs[1] * t[1]).reshape(L * L, L * L)
+
+
+def _floors(lam: np.ndarray, u: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """The smallest eigenvalue of ``X^(-1/2) d X^(-1/2)`` for each ``X = u diag(lam) u*`` of a stack.
+
+    ``X + alpha d`` stays positive semidefinite while ``1 + alpha floor >= 0``.
+    """
+    root = 1.0 / np.sqrt(lam)
+    scaled = root[..., :, None] * (u.conj().swapaxes(-1, -2) @ d @ u) * root[..., None, :]
+    return np.linalg.eigvalsh(scaled)[:, 0]
+
+
+def _reach(floor: float, fraction: float = 1.0) -> float:
+    """The step, at most 1, that goes ``fraction`` of the way to the boundary ``1 + alpha floor = 0``."""
+    return 1.0 if floor >= -fraction else -fraction / floor
+
+
+def _hermitian(X: np.ndarray) -> np.ndarray:
+    return (X + X.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _ppt_iterates(gain: np.ndarray, rstar: np.ndarray, D: np.ndarray):
+    """The primal-dual iterates (r, Y) of the PPT relaxation of ppt_certificate, one per iteration.
+
+    Mehrotra's predictor-corrector steps in the HKM direction on the
+    relaxation ``max gain @ r`` over ``r >= 0, sum r = 1, G_s(r) >= 0`` and
+    its dual ``min t`` over ``Y_s >= 0, z >= 0`` with
+    ``gain + sum_s Re Tr(Y_s D_(s, .)) + z = t``.  Both start feasible,
+    r at ``_PPT_MIX rstar + (1 - _PPT_MIX) / L^2`` and ``Y_s = _PPT_DUAL I / L``,
+    and the steps keep them so.
+    """
+    n = len(gain)
+    L, blocks = math.isqrt(n), D.shape[1] // n
+    cone = n + blocks * L
+
+    def dual(X):  # sum_s Re Tr(X_s D_(s, mu)) for each mu
+        return (D @ X.ravel().conj()).real
+
+    r = _PPT_MIX * rstar + (1.0 - _PPT_MIX) / n
+    Y = np.repeat(np.eye(L, dtype=complex)[None] * (_PPT_DUAL / L), blocks, axis=0)
+    z = -gain - dual(Y)
+    t = 1.0 - z.min()
+    z += t
+    while True:
+        S = (r @ D).reshape(blocks, L, L)
+        lam, u = np.linalg.eigh(np.concatenate([S, Y]))
+        P = (u[:blocks] / lam[:blocks, None, :]) @ u[:blocks].conj().swapaxes(-1, -2)
+        mu = (np.vdot(Y, S).real + z @ r) / cone
+        M = _ppt_schur(Y, P)
+        M.ravel()[:: n + 1] += z / r
+        rd = t - gain - dual(Y) - z
+        rp = 1.0 - r.sum()
+
+        def direction(target, corr_y, corr_z, ones=None):
+            # HKM: dY = target P - Y - herm(Y dS P) - corr_y; the Schur
+            # system gives dr up to a multiple of M^-1 1, fixed by sum(dr) = rp.
+            h = dual(target * P - Y - corr_y) + (target - corr_z) / r - z - rd
+            if ones is None:
+                wh, ones = np.linalg.solve(M, np.stack([h, np.ones(n)], axis=1)).T
+            else:
+                wh = np.linalg.solve(M, h)
+            dt = (wh.sum() - rp) / ones.sum()
+            dr = wh - dt * ones
+            dS = (dr @ D).reshape(blocks, L, L)
+            dY = target * P - Y - _hermitian(Y @ dS @ P) - corr_y
+            dz = rd - dual(dY) + dt
+            low = _floors(lam, u, np.concatenate([dS, dY]))
+            floors = min(low[:blocks].min(), (dr / r).min()), min(low[blocks:].min(), (dz / z).min())
+            return dr, dt, dS, dY, dz, ones, floors
+
+        dr, dt, dS, dY, dz, ones, floors = direction(0.0, 0.0, 0.0)
+        ap, ad = map(_reach, floors)
+        affine = (np.vdot(Y + ad * dY, S + ap * dS).real + (z + ad * dz) @ (r + ap * dr)) / cone
+        dr, dt, dS, dY, dz, _, floors = direction(
+            mu * (affine / mu) ** 3, _hermitian(dY @ dS @ P), dz * dr, ones
+        )
+        ap, ad = (_reach(f, _PPT_STEP) for f in floors)
+        r, z, t = r + ap * dr, z + ad * dz, t + ad * dt
+        Y = _hermitian(Y + ad * dY)
+        yield r, Y
+
+
+@dataclass(frozen=True, eq=False)
+class _Face:
+    """The duals that complementary slackness allows if the coset pairs are optimal.
+
+    ``rstar`` averages the uniform states on every coset of a cyclic
+    Lagrangian line whose weight is K (coset_bound); m runs over the shifts
+    of those cosets.  If those states are optimal for the relaxation, so is
+    rstar, and every optimal dual has ``Y_s G_s(rstar) = 0`` and reaches
+    the bound on each such coset: ``L C(m) + sum_s Re Tr(Y_s D_(s, m)) = K``.
+    ``project`` is the projector onto the kernel of each ``G_s(rstar)`` (for
+    one coset: rank one at odd L, total rank two at even L), ``spans`` the
+    flattened ``E_m = project D_(s, m) project``, ``solve`` the
+    pseudoinverse of their Gram matrix ``Re Tr(E_m E_m')`` (singular: the
+    E_m of one coset sum to ``L project G(its state) project = 0``) and
+    ``target`` the values ``K - L C(m)`` that ``Re Tr(Y E_m)`` must take.
+    With K's coset alone, the L = 6 origin-plus-2-taps cells of the sparse
+    deck, where three cosets reach K, never certified: their polished
+    bounds stalled 1e-9 to 1e-8 above K.
+    """
+
+    rstar: np.ndarray
+    project: np.ndarray
+    spans: np.ndarray
+    solve: np.ndarray
+    target: np.ndarray
+
+    @classmethod
+    def of(cls, C: ScatteringFunction, D: np.ndarray) -> _Face:
+        L = C.L
+        sums = _coset_sums(C)
+        tied = _lagrangian_lines(L)[1][sums >= sums.max() - CERTIFY_TOL]
+        rstar = np.bincount(tied.ravel(), minlength=L * L) / tied.size
+        coset = np.flatnonzero(rstar)
+        lam, u = np.linalg.eigh((rstar @ D).reshape(-1, L, L))
+        kernel = u * (lam <= 1e-9 * lam.max())[:, None, :]
+        project = kernel @ kernel.conj().swapaxes(-1, -2)
+        spans = (project @ D[coset].reshape(len(coset), -1, L, L) @ project).reshape(len(coset), -1)
+        gram = (spans.conj() @ spans.T).real
+        return cls(rstar, project, spans, np.linalg.pinv(gram, rcond=1e-10, hermitian=True),
+                   sums.max() - L * C.weights.ravel()[coset])
+
+    def polish(self, Y: np.ndarray) -> np.ndarray:
+        """Factors W of Y moved onto the face, its coset values set to K.
+
+        Y is projected onto the face, then the least-norm combination of
+        the E_m that sets the coset values is added; negative eigenvalues
+        left by roundoff are dropped.
+        """
+        Y = (self.project @ Y @ self.project).ravel()
+        miss = self.target - (self.spans.conj() @ Y).real
+        lam, u = np.linalg.eigh((Y + (self.solve @ miss) @ self.spans).reshape(self.project.shape))
+        return u * np.sqrt(np.maximum(lam, 0.0))[:, None, :]
+
+
+def ppt_bound(C: ScatteringFunction, W) -> float:
+    """The bound that the factors ``W_s`` of a PPT dual certify for the mean gain of every unit pulse pair.
+
+    W stacks one ``L x m`` factor per block: one at odd L, two at even L.
+
+    The relaxation.  A pair (gamma, g) has ``r_mu = |<g, S_mu gamma>|^2 / L``
+    >= 0, with ``sum_mu r_mu = 1`` (Parseval) and gain ``L sum_mu C(mu) r_mu``.
+    With ``t_mu = vec(S_mu*)``, row-major (``t_mu[i, j] = [j = i + mu1]
+    w^(-mu2 j)``), and ``x = gamma (x) conj(g)``, ``|<t_mu, x>|^2 = L r_mu``.
+    The common shifts ``U_nu = S_nu (x) conj(S_nu)`` have the t_mu as
+    eigenvectors with distinct characters (``U_nu t_mu = vec(S_nu S_mu* S_nu*)``),
+    so the average of ``U_nu x x* U_nu*`` over nu is the Weyl-diagonal state
+    ``rho(r) = sum_mu r_mu t_mu t_mu* / L``.  Partial transposition on the
+    second factor takes ``U_nu X U_nu*`` to ``V X^T2 V*``, ``V = S_nu (x) S_nu``
+    unitary, and ``(x x*)^T2 = gamma gamma* (x) g g* >= 0``; so
+    ``rho(r)^T2 >= 0`` (Peres, PRL 77, 1996).
+
+    The blocks.  Entrywise ``rho[(i, j), (k, l)] = [j - i = l - k]
+    rhat_(j - i)(l - j) / L``, ``rhat_a(t) = sum_b r[a, b] w^(b t)``, so
+    ``rho^T2[(k, l), (i, j)] = rho[(k, j), (i, l)]`` vanishes unless
+    ``k + l = i + j``.  Block ``s' = k + l`` of rho^T2, rows k and columns i,
+    holds ``rhat_(s' - i - k)(i - k) / L``; relabelled by ``k -> -k``,
+    ``i -> -i`` it is ``G_(-s')(r) / L`` with
+    ``G_s(r)[k, i] = rhat_(k + i - s)(k - i)``.  As
+    ``G_(s + 2)[k + 1, i + 1] = G_s[k, i]``, the blocks of one parity of s
+    are permutations of each other, so ``rho(r)^T2 >= 0`` exactly when
+    ``G_0(r) >= 0`` at odd L, where 2 generates Z_L, and when
+    ``G_0(r), G_1(r) >= 0`` at even L.
+
+    Weak duality.  ``G_s(r) = sum_mu r_mu D_(s, mu)`` with the hermitian
+    ``D_(s, mu)[k, i] = [k + i = s + mu1] w^(mu2 (k - i))``.  For
+    ``Y_s = W_s W_s* >= 0``, ``Tr(Y_s G_s(r)) >= 0``, so the gain is at most
+    ``L sum_mu C(mu) r_mu + sum_s Tr(Y_s G_s(r)) =
+    sum_mu r_mu (L C(mu) + sum_s Re Tr(Y_s D_(s, mu)))``, and, r being a
+    probability vector, at most the largest bracket: the value returned.
+    Every W gives a valid bound; W only decides how tight it is.  It is
+    read from W alone, in O(L^3): ``Y = W W*``, then each bracket sums one
+    anti-diagonal of Y against the _ppt_layout phases.
+    """
+    L = C.L
+    anti, phases = _ppt_layout(L)
+    W = linalg.require_array(W, "certificate")
+    if W.ndim != 3 or W.shape[:2] != (len(anti), L):
+        raise DimensionMismatchError(
+            f"certificate must stack {len(anti)} matrices of {L} rows at L={L}, got shape {W.shape}"
+        )
+    Y = W @ W.conj().swapaxes(-1, -2)
+    gathered = Y[np.arange(len(anti))[:, None, None], anti, np.arange(L)]
+    dual = (gathered[..., None, :] @ phases)[..., 0, :].real.sum(axis=0)
+    return float(np.max(L * C.weights + dual))
+
+
+def ppt_certificate(C: ScatteringFunction, value) -> np.ndarray | None:
+    """Factors W of a PPT dual whose ppt_bound is at most ``value + CERTIFY_TOL``, or None.
+
+    ``value`` is the measured gain of K's coset pair (coset_bound,
+    pair_gain); a W returned certifies that no unit pulse pair gains more
+    than ``value + CERTIFY_TOL``.  The PPT relaxation (ppt_bound), the
+    largest ``L sum_mu C(mu) r_mu`` over ``r >= 0, sum_mu r_mu = 1,
+    G_s(r) >= 0``, and its dual are solved together by a Mehrotra
+    predictor-corrector interior-point method in the HKM direction
+    (Helmberg, Rendl, Vanderbei & Wolkowicz, SIAM J. Optim. 6, 1996;
+    _ppt_iterates).  Each direction solves one L^2 x L^2 Schur system, the
+    O(L^5) _ppt_schur plus ``z / r`` on its diagonal for the signs of r.
+    The primal starts near rstar, the average of the uniform states on
+    every coset of weight K (_Face).
+
+    After each iteration: a primal whose relaxed gain exceeds value by
+    _PPT_EXIT proves that the relaxation's optimum lies above the pair's
+    gain, and None is returned.  Otherwise the dual is polished onto the
+    face that the pairs' optimality would leave (_Face.polish), and the
+    checker ppt_bound decides.  None is also returned after _PPT_ITERS
+    iterations and when the solver breaks down numerically.  Each
+    iteration takes O(L^6) time (the Schur solve) and O(L^4) memory.
+    """
+    value = linalg.require_real(value, "value")
+    D = _ppt_tables(C.L)[0]
+    face = _Face.of(C, D)
+    gain = C.L * C.weights.ravel()
+    try:
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            for r, Y in itertools.islice(_ppt_iterates(gain, face.rstar, D), _PPT_ITERS):
+                if gain @ r > value + _PPT_EXIT:
+                    return None
+                W = face.polish(Y)
+                if ppt_bound(C, W) <= value + CERTIFY_TOL:
+                    return W
+    except (FloatingPointError, np.linalg.LinAlgError):
+        pass  # a solver that breaks down certifies nothing
+    return None

@@ -13,6 +13,7 @@ from hypothesis import settings
 
 from whprecode import optimize
 from whprecode.errors import NotUnitNormError
+from whprecode.heisenberg import shift_operator
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
@@ -57,3 +58,16 @@ def top_eigenvalue_bounds(mats: np.ndarray, start: np.ndarray) -> tuple[np.ndarr
     sq = mats.real**2 + mats.imag**2
     sq[:, np.arange(d), np.arange(d)] = 0.0
     return lower, optimize._trace_bound(np.einsum("kii->ki", mats).real, sq.sum((-2, -1)))
+
+
+def explicit_partial_transpose(r: np.ndarray) -> np.ndarray:
+    """The L^2 x L^2 partial transpose, on the second factor, of the Weyl-diagonal state of r.
+
+    The state is ``sum_mu r_mu t_mu t_mu* / L`` with ``t_mu = vec(S_mu*)``
+    row-major, r an L x L grid indexed by ``mu = (mu1, mu2)``; built entry
+    by entry from shift_operator, with none of the library's reduction.
+    """
+    L = r.shape[0]
+    t = [shift_operator(L, mu).conj().T.reshape(-1) for mu in all_shifts(L)]
+    rho = sum(w * np.outer(v, v.conj()) for w, v in zip(r.ravel(), t)) / L
+    return rho.reshape(L, L, L, L).transpose(0, 3, 2, 1).reshape(L * L, L * L)

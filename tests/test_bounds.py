@@ -1,4 +1,4 @@
-"""Tests for the spreading eigenvalues, the upper bound U and the coset bound K."""
+"""Tests for the spreading eigenvalues, the upper bound U, the coset bound K and the PPT certificate."""
 
 import math
 
@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+
+from conftest import explicit_partial_transpose, unit_vector
 
 from whprecode import optimize
 from whprecode.bloch import map_matrix_rep, solve_fidelity
@@ -17,6 +19,8 @@ from whprecode.optimize import (
     coset_bound,
     fidelity_upper_bound,
     pair_gain,
+    ppt_bound,
+    ppt_certificate,
 )
 from whprecode.wssus import ScatteringFunction, apply_A, spreading_eigenvalues
 
@@ -198,3 +202,152 @@ def test_pair_gain_checks_its_pulses():
         pair_gain(C, np.eye(3) / math.sqrt(3.0), unit)
     with pytest.raises(WHPrecodeError):
         pair_gain(C, unit, 2.0 * unit)
+
+
+def _blocks(r):
+    """Every block ``G_s(r)[k, i] = rhat_(k + i - s)(k - i)``, s in Z_L, from the definition."""
+    L = r.shape[0]
+    w = np.exp(2j * np.pi / L)
+    rhat = np.array([[sum(r[a, b] * w ** (b * t) for b in range(L)) for t in range(L)] for a in range(L)])
+    k = np.arange(L)
+    return [rhat[(k[:, None] + k - s) % L, (k[:, None] - k) % L] for s in range(L)]
+
+
+def _library_blocks(r):
+    """The blocks the certificate works with: s = 0, and s = 1 at even L."""
+    L = r.shape[0]
+    D = optimize._ppt_tables(L)[0]
+    return (r.ravel() @ D).reshape(-1, L, L)
+
+
+def _pair_grid(L, rng):
+    """``r_mu = |<g, S_mu gamma>|^2 / L`` of a random unit pulse pair."""
+    gamma, g = (unit_vector(rng.standard_normal(L) + 1j * rng.standard_normal(L)) for _ in range(2))
+    return np.array([[abs(np.vdot(g, shift_operator(L, (a, b)) @ gamma)) ** 2 / L for b in range(L)]
+                     for a in range(L)])
+
+
+def _grid(L, taps):
+    w = np.zeros((L, L))
+    for mu, v in taps.items():
+        w[mu] = v
+    return ScatteringFunction(L, w / w.sum())
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_reduced_blocks_carry_the_spectrum_of_the_partial_transpose(L, seed):
+    r = np.random.default_rng(seed).random((L, L))
+    r /= r.sum()
+    blocks = _blocks(r)
+    spectra = [np.linalg.eigvalsh(B) for B in blocks]
+    explicit = np.linalg.eigvalsh(explicit_partial_transpose(r))
+    assert np.max(np.abs(np.sort(np.concatenate(spectra)) / L - explicit)) <= 1e-14
+    # The blocks of one parity share a spectrum.
+    for s in range(L):
+        assert np.max(np.abs(spectra[s] - spectra[(s + 2) % L])) <= 1e-13
+    library = _library_blocks(r)
+    assert len(library) == 2 - L % 2
+    assert np.max(np.abs(library - np.array(blocks[: len(library)]))) <= 1e-14
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_pulse_pairs_give_positive_semidefinite_blocks(L, seed):
+    r = _pair_grid(L, np.random.default_rng(seed))
+    assert abs(r.sum() - 1.0) <= 1e-13
+    assert np.linalg.eigvalsh(_library_blocks(r)).min() >= -1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(channels(largest=6).filter(lambda C: C.L >= 2), st.integers(0, 2**32 - 1))
+def test_every_dual_bounds_the_alternating_optimum(C, seed):
+    rng = np.random.default_rng(seed)
+    blocks = 2 - C.L % 2
+    W = rng.standard_normal((blocks, C.L, 3)) + 1j * rng.standard_normal((blocks, C.L, 3))
+    W *= rng.choice([1e-3, 0.1, 1.0])
+    trace = alternating_fidelity_max(C, C.L, OptimizerConfig(max_iters=60, restarts=4, seed=seed))
+    bound = ppt_bound(C, W)
+    assert bound >= trace.best_value - 1e-12
+    # The zero dual gives L max C, and the checker agrees with the dense constraint stack.
+    assert ppt_bound(C, np.zeros((blocks, C.L, 1))) == C.L * C.weights.max()
+    D = optimize._ppt_tables(C.L)[0]
+    dense = C.L * C.weights.ravel() + (D @ (W @ W.conj().swapaxes(-1, -2)).ravel().conj()).real
+    assert abs(bound - dense.max()) <= 1e-12 * max(1.0, abs(bound))
+
+
+@settings(max_examples=30)
+@given(st.integers(1, 7), st.integers(0, 2**32 - 1))
+def test_schur_matrix_is_the_trace_form(L, seed):
+    rng = np.random.default_rng(seed)
+    blocks = 2 - L % 2
+    Y, P = (A @ A.conj().swapaxes(-1, -2) for A in
+            (rng.standard_normal((2, blocks, L, L)) + 1j * rng.standard_normal((2, blocks, L, L))))
+    D = optimize._ppt_tables(L)[0].reshape(L * L, blocks, L, L)
+    direct = np.einsum("msij,sjk,nskl,sli->mn", D, Y, D, P).real
+    assert np.max(np.abs(optimize._ppt_schur(Y, P) - direct)) <= 1e-12 * max(1.0, np.abs(direct).max())
+
+
+@pytest.mark.parametrize("quad", _l2_quads(np.random.default_rng(24)))
+def test_certificate_at_L2_is_the_closed_form(quad):
+    C = ScatteringFunction.from_quad(*quad)
+    closed = solve_fidelity(quad).fidelity
+    W = ppt_certificate(C, closed)
+    assert W is not None
+    assert abs(ppt_bound(C, W) - closed) <= 1e-9
+
+
+def test_certificate_reaches_the_coset_pair_on_an_L7_grid():
+    C = _grid(7, {(0, 0): 0.315, (0, 2): 0.202, (1, 2): 0.483})
+    value, _ = pair_gain(C, *coset_bound(C).pair)
+    assert abs(value - 0.798) <= 1e-12
+    # U is far above: only the PPT dual certifies.
+    assert fidelity_upper_bound(C) > value + 0.1
+    W = ppt_certificate(C, value)
+    assert W is not None and W.shape[:2] == (1, 7)
+    assert 0.0 <= ppt_bound(C, W) - value <= 1e-14
+
+
+def test_certificate_uses_every_tied_coset_on_an_L6_grid():
+    # The origin and the tap (2, 0) lie on one coset of three lines, so
+    # three cosets reach K = 0.869; a face built from one of them stalls.
+    C = _grid(6, {(0, 0): 0.437, (1, 5): 0.131, (2, 0): 0.432})
+    sums = optimize._coset_sums(C)
+    assert np.count_nonzero(sums >= sums.max() - optimize.CERTIFY_TOL) == 3
+    assert not sums.flags.writeable and optimize._coset_sums(C) is sums
+    value, _ = pair_gain(C, *coset_bound(C).pair)
+    assert abs(value - 0.869) <= 1e-12 and fidelity_upper_bound(C) > value + 0.05
+    W = ppt_certificate(C, value)
+    assert W is not None and W.shape[:2] == (2, 6)
+    assert 0.0 <= ppt_bound(C, W) - value <= 1e-14
+
+
+def test_a_solver_breakdown_certifies_nothing(monkeypatch):
+    C = _grid(7, {(0, 0): 0.315, (0, 2): 0.202, (1, 2): 0.483})
+
+    def singular(*args):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(np.linalg, "solve", singular)
+    assert ppt_certificate(C, 0.798) is None
+
+
+def test_certificate_fails_where_the_relaxation_is_loose():
+    # K = 0.776 lies below the relaxation's optimum, 0.778272.
+    C = _grid(4, {(0, 0): 0.365, (2, 1): 0.125, (3, 0): 0.099, (3, 3): 0.411})
+    value, _ = pair_gain(C, *coset_bound(C).pair)
+    assert abs(value - 0.776) <= 1e-12
+    assert ppt_certificate(C, value) is None
+    assert ppt_certificate(C, value + 0.01) is None
+
+
+def test_ppt_bound_checks_its_factors():
+    C = ScatteringFunction.uniform(4)
+    with pytest.raises(DimensionMismatchError):
+        ppt_bound(C, np.zeros((1, 4, 2)))
+    with pytest.raises(DimensionMismatchError):
+        ppt_bound(C, np.zeros((2, 3, 2)))
+    with pytest.raises(WHPrecodeError):
+        ppt_bound(C, np.full((2, 4, 1), np.nan))
+    with pytest.raises(WHPrecodeError):
+        ppt_certificate(C, math.nan)

@@ -910,3 +910,59 @@ def test_general_runs_the_restarts_when_uncertified(tmp_path, capsys):
         "half_steps": len(trace.objective_history),
         "restart_values": list(trace.restart_values),
     }
+
+
+def _l7_grid():
+    """The origin and two taps on the 7 x 7 grid: U is 0.13 above the coset pair's gain 0.798."""
+    grid = [[0.0] * 7 for _ in range(7)]
+    grid[0][0], grid[0][2], grid[1][2] = 0.315, 0.202, 0.483
+    return grid
+
+
+def test_general_certifies_the_coset_pair_by_the_ppt_dual(tmp_path, capsys):
+    argv, docs = _general_docs(tmp_path, capsys, _l7_grid())
+    doc = strict_json(docs["json"])
+    alternating = doc["alternating"]
+    assert doc["certified"] is True
+    assert (alternating["restarts"], alternating["half_steps"], alternating["restart_values"]) == (0, 0, [])
+    assert alternating["converged"] is True
+    assert 0.0 <= doc["upper_bound"] - alternating["best_value"] <= 1e-12
+    assert abs(alternating["best_value"] - 0.798) <= 1e-12
+    C = parse_config(argv).scattering
+    assert doc["upper_bound"] < whprecode.fidelity_upper_bound(C) - 0.1
+    header, row = docs["csv"].splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert (cells["certified"], cells["restarts"]) == ("true", "0")
+    assert float(cells["upper_bound"]) == doc["upper_bound"]
+
+
+def test_general_seeks_no_dual_where_the_search_beats_the_pair_or_L_is_large(tmp_path, capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("ppt_certificate called")
+
+    monkeypatch.setattr(cli, "ppt_certificate", refuse)
+    # The isotropic L = 4 grid: the search's 0.5825 beats the coset pair's 0.5701.
+    doc = strict_json(_general_docs(tmp_path, capsys, _gaussian_grid(4, 1.0, 1.0))[1]["json"])
+    assert doc["certified"] is False and doc["lower_bound"] > 0.58
+    # The L = 7 grid's taps at L = 11, above the largest L of the benchmark
+    # decks: U is not reached and the search stays below the pair's 0.798,
+    # so only the L cap keeps the dual from being sought.
+    grid = [[0.0] * 11 for _ in range(11)]
+    grid[0][0], grid[0][2], grid[1][2] = 0.315, 0.202, 0.483
+    doc = strict_json(_general_docs(tmp_path, capsys, grid)[1]["json"])
+    assert doc["certified"] is False and doc["lower_bound"] < 0.798
+    assert doc["alternating"]["restarts"] == 32
+
+
+def test_general_keeps_the_restarts_where_the_dual_fails(tmp_path, capsys):
+    # L = 4, origin and three taps: the relaxation's optimum lies above K = 0.776.
+    grid = [[0.0] * 4 for _ in range(4)]
+    grid[0][0], grid[2][1], grid[3][0], grid[3][3] = 0.365, 0.125, 0.099, 0.411
+    argv, docs = _general_docs(tmp_path, capsys, grid)
+    assert strict_json(docs["json"])["certified"] is False
+    cfg = parse_config(argv)
+    doc = dispatch(cfg)
+    assert doc["upper_bound"] == whprecode.fidelity_upper_bound(cfg.scattering)
+    trace = whprecode.alternating_fidelity_max(cfg.scattering, 4, whprecode.OptimizerConfig(seed=3))
+    assert doc["alternating"]["best_value"] == trace.best_value
+    assert doc["alternating"]["restart_values"] == list(trace.restart_values)
