@@ -57,17 +57,18 @@ _TIE = 1e-14
 _RADIUS = 0.5
 _RADIUS_FLOOR = 1e-30
 # Twin distance at or below which a restart trails a shift copy of the lead
-# and is parked, and at which two stationary pairs are one (see
-# alternating_fidelity_max): each pulse is within an angle of about 0.03 of
-# the copy's.  The lead may still climb: on 1,200 random channels at
-# L = 2..8, one radius of 3e-2 or 1e-1 for the lead and the stationary
-# pairs alike lost 1.3e-8 of the best value, this one about 1e-14.
+# and is parked (see alternating_fidelity_max): each pulse is within an
+# angle of about 0.03 of the copy's.  The lead may still climb: on 1,200
+# random channels at L = 2..8, one radius of 3e-2 or 1e-1 for the lead and
+# the stationary pairs alike lost 1.3e-8 of the best value, this one about
+# 1e-14.
 _TWIN = 1e-3
-# The wider twin distance at which a restart trails a stationary
-# representative, whose pair no longer moves.  On another 1,200 such
-# channels it lost no best value beyond what _TWIN alone loses, and no
-# restart's value fell by more than 1e-12; at 0.2 and 0.3 single restarts
-# fell by 6.9e-4 and 5.1e-3, having trailed a lower optimum than their own.
+# The wider twin distance at which a restart trails a stationary restart,
+# whose pair no longer moves.  On another 1,200 such channels it lost no
+# best value beyond what _TWIN alone loses, and, with parked restarts then
+# moved onto their twin's shift copy, no restart's value fell by more than
+# 1e-12; at 0.2 and 0.3 single restarts fell by 6.9e-4 and 5.1e-3, having
+# trailed a lower optimum than their own.
 _TWIN_STATIONARY = 1.5e-1
 # A pulse pair whose measured gain is at least the upper bound U less this
 # is optimal to within it (see fidelity_upper_bound and pair_gain).  On
@@ -125,15 +126,10 @@ class OptimizationTrace:
     objective unless its result is at least as good.
     ``restart_values`` and ``residuals`` record every restart's final
     objective and stationarity residual, each measured on that restart's
-    own final pair; ``converged`` is true when the best restart's residual
-    is at most the configured ``tol``.  ``snapped`` marks the restarts
-    whose final pair is the shift image of a stationary restart's pair,
-    taken once they had been parked as its twin (see
-    alternating_fidelity_max); their entries in ``objective_history``
-    step to the snapped value at the last half-step.  A restart parked at
-    the wider radius around a stationary representative reports the gain
-    of its snapped pair, which may differ from what its own run would have
-    reached.
+    own final pair: a parked restart (see alternating_fidelity_max) reports
+    the gain it reached, at most that of the twin it trails, and a residual
+    that may exceed ``tol``.  ``converged`` is true when the best restart's
+    residual is at most the configured ``tol``.
     """
 
     objective_history: tuple[float, ...]
@@ -142,7 +138,6 @@ class OptimizationTrace:
     best_pair: tuple[np.ndarray, np.ndarray]
     restart_values: tuple[float, ...]
     residuals: tuple[float, ...]
-    snapped: tuple[bool, ...]
 
 
 def optimal_receiver(
@@ -354,8 +349,8 @@ def _ambiguity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return phases @ (a.conj()[..., :, None] * b[..., lags])
 
 
-def _twin_distances(pairs: np.ndarray, reps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Distance of pulse pairs to representative pairs up to a common shift, and the shift.
+def _twin_distances(pairs: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Distance of pulse pairs to representative pairs up to a common shift.
 
     ``pairs`` and ``reps`` stack pairs ``(gamma, g)`` as (..., 2, L) rows
     that broadcast against each other.  For a pair and a representative
@@ -364,12 +359,10 @@ def _twin_distances(pairs: np.ndarray, reps: np.ndarray) -> tuple[np.ndarray, np
     zero exactly when ``(gamma, g) = (S_nu gamma_s e^ia, S_nu g_s e^ib)``
     for some nu, a and b, where the mean gain and the stationarity residual
     are the representative's: conjugation by S_nu commutes with the map up
-    to phases that cancel.  Returns the distances and the minimizing shifts
-    ``nu2 * L + nu1``.
+    to phases that cancel.
     """
     overlap = (np.abs(_ambiguity(pairs, reps)) ** 2).sum(axis=-3)
-    flat = overlap.reshape(*overlap.shape[:-2], -1)
-    return 2.0 - flat.max(axis=-1), flat.argmax(axis=-1)
+    return 2.0 - overlap.max(axis=(-2, -1))
 
 
 def _twins(pairs: np.ndarray, reps: np.ndarray, radius) -> np.ndarray:
@@ -383,12 +376,12 @@ def _twins(pairs: np.ndarray, reps: np.ndarray, radius) -> np.ndarray:
     near = radius >= 0.0
     k, s = np.nonzero(near)
     if k.size:
-        near[k, s] = _twin_distances(pairs[k], reps[s])[0] <= radius[k, s]
+        near[k, s] = _twin_distances(pairs[k], reps[s]) <= radius[k, s]
     return near
 
 
 def _shifted(pulses: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """``S_nu v`` for each row v and flat shift ``nu2 * L + nu1`` (see _twin_distances)."""
+    """``S_nu v`` for each row v and flat shift ``nu2 * L + nu1``, ``nu = (nu1, nu2)``."""
     _, lags, phases = _layout(pulses.shape[-1])
     nu2, nu1 = np.divmod(shift, pulses.shape[-1])
     return phases[nu2] * np.take_along_axis(pulses, lags[:, nu1].T, axis=-1)
@@ -527,29 +520,20 @@ def alternating_fidelity_max(
     under separate phases of gamma and g, so restarts mostly converge to
     shift copies of one optimum.  A twin test retires the restarts that
     trail a copy (see _twin_distances and _twins).  It compares every live
-    restart that has not stopped with one representative per distinct
-    stationary pair found so far and with the lead, the live restart of
-    largest objective.  A restart whose distance to a representative is at
-    most _TWIN_STATIONARY, or to the lead at most _TWIN, where that pair's
-    objective is at least its own, is parked: it leaves the batch.  The
-    wider radius lets the restarts that drift along a flat ridge near a
-    stationary optimum stop early, at the price that a restart parked there
-    reports the gain of the pair it snaps onto, not of the optimum its own
-    run would have reached.  The test runs on the first
-    cycle of each three (after each Newton cycle) and on every cycle in
-    which a restart has just stopped; run on every cycle it cost about a
-    sixth of the optimizer's time on small dense channels.  When the
-    batch empties, each parked restart is snapped onto the shift image
-    ``(S_nu gamma_s, S_nu g_s)`` of the stationary restart s its chain of
-    twins ends at, nu the shift nearest its parked pair.  The snapped
-    pair's objective and residual are recomputed from its own map images,
-    and the snap is kept only if that residual is at most ``cfg.tol`` and
-    the objective at least the parked one less _TIE.  Otherwise the
-    restart resumes from its parked state, and nothing parks again, so the
-    run always ends.  The run ends when every restart has stopped or after
-    ``cfg.max_iters`` cycles; at the cap, parked restarts keep their
-    parked state.  Every reported value and residual is measured on that
-    restart's own final pair.
+    restart that has not stopped with every stationary restart and with
+    the lead, the live restart of largest objective.  A restart whose
+    distance to a stationary restart is at most _TWIN_STATIONARY, or to the
+    lead at most _TWIN, where that pair's objective is at least its own, is
+    parked: it stops and leaves the batch as a stationary restart does.
+    The wider radius lets the restarts that drift along a flat ridge near a
+    stationary optimum stop early, with the gain they have reached, which
+    may fall short of the optimum their own run would have reached.  The
+    test runs on the first cycle of each three (after each Newton cycle)
+    and on every cycle in which a restart has just stopped; run on every
+    cycle it cost about a sixth of the optimizer's time on small dense
+    channels.  The run ends when every restart has stopped, stationary or
+    parked, or after ``cfg.max_iters`` cycles.  Every reported value and
+    residual is measured on that restart's own final pair.
 
     With T nonzero taps, each half step is a T x T Gram eigenproblem when
     T < L and an L x L one otherwise; the path is fixed once per call and
@@ -575,48 +559,19 @@ def alternating_fidelity_max(
     history = [values.copy()]
     starts = np.empty_like(receivers)
     radius = np.full(cfg.restarts, _RADIUS)
-    # A parked restart's entry in ``target`` is the restart it trails.
-    target = np.full(cfg.restarts, -1)
-    snapped = np.zeros(cfg.restarts, dtype=bool)
+    # The stationary restarts, which the live ones may trail.
     reps = np.empty(0, dtype=int)
-    parking = cfg.restarts > 1
     live = np.arange(cfg.restarts)
     cycles = 0
     while True:
         going = residuals[live] > cfg.tol
         # The twin test runs after each Newton cycle and whenever a
         # restart has just stopped (see the docstring).
-        if parking and going.any() and (cycles % 3 == 0 or not going.all()):
-            reps = _distinct(reps, live[~going], pulses)
-            ids = live[going]
-            twin = _trailing(ids, reps, values, pulses)
-            park = twin >= 0
-            target[ids[park]] = twin[park]
-            going[np.flatnonzero(going)[park]] = False
+        if going.any() and (cycles % 3 == 0 or not going.all()):
+            reps = np.append(reps, live[~going])
+            going[going] = ~_trailing(live[going], reps, values, pulses)
         if not going.all():
             live, held = live[going], held[going]
-        if not live.size and np.any(target >= 0):
-            # Snap each parked restart onto the shift image of the
-            # stationary restart its twins lead to; those the image does
-            # not serve resume.
-            ids, parking = np.flatnonzero(target >= 0), False
-            lead = target[ids]
-            while np.any(target[lead] >= 0):
-                lead = np.where(target[lead] >= 0, target[lead], lead)
-            target[:] = -1
-            shift = _twin_distances(pulses[ids], pulses[lead])[1]
-            images = _shifted(gammas[lead], shift)
-            top, new_receivers, new_residuals, _, _ = _receive(forward, adjoint, images)
-            ok = (new_residuals <= cfg.tol) & (top >= values[ids] - _TIE)
-            rows = ids[ok]
-            gammas[rows], receivers[rows] = images[ok], new_receivers[ok]
-            values[rows], residuals[rows] = top[ok], new_residuals[ok]
-            snapped[rows] = True
-            history[-1][rows] = values[rows]
-            live = ids[~ok]
-            if live.size:
-                starts[live] = receivers[live]
-                held = _rank_one_images(adjoint, receivers[live])
         if not live.size or cycles == cfg.max_iters:
             break
         phase = cycles % 3
@@ -667,41 +622,22 @@ def alternating_fidelity_max(
         best_pair=(gammas[best].copy(), receivers[best].copy()),
         restart_values=tuple(min(1.0, float(v)) for v in values),
         residuals=tuple(float(r) for r in residuals),
-        snapped=tuple(bool(b) for b in snapped),
     )
 
 
-def _distinct(reps: np.ndarray, new: np.ndarray, pulses: np.ndarray) -> np.ndarray:
-    """The representatives ``reps`` extended by each restart of ``new`` that is no twin of one.
-
-    Restarts index the (2, L) pair rows of ``pulses``; twins are pairs
-    within _TWIN of each other up to shifts and phases (see _twins).
-    """
-    if not new.size:
-        return reps
-    pool = np.concatenate([reps, new])
-    keep = list(range(reps.size))
-    for i, row in enumerate(_twins(pulses[new], pulses[pool], _TWIN)):
-        if not row[keep].any():
-            keep.append(reps.size + i)
-    return pool[keep]
-
-
 def _trailing(ids: np.ndarray, reps: np.ndarray, values: np.ndarray, pulses: np.ndarray) -> np.ndarray:
-    """For each restart of ``ids``, a twin with no lower value that it trails, or -1.
+    """Mask of the restarts of ``ids`` that trail a twin with no lower value.
 
-    The twins sought are the representatives ``reps`` (stationary, looked
-    at first, within _TWIN_STATIONARY) and the lead, the restart of ``ids``
-    with the largest value, which is never its own twin (within _TWIN).
-    Restarts index ``values`` and the pair rows of ``pulses`` (see _twins).
+    The twins sought are the stationary restarts ``reps`` (within
+    _TWIN_STATIONARY) and the lead, the restart of ``ids`` with the largest
+    value, which is never its own twin (within _TWIN).  Restarts index
+    ``values`` and the pair rows of ``pulses`` (see _twins).
     """
     others = np.append(reps, ids[np.argmax(values[ids])])
     radius = np.append(np.full(reps.size, _TWIN_STATIONARY), _TWIN)
     # A pair that cannot be trailed gets a negative radius, so no table.
     allowed = (values[others] >= values[ids, None]) & (ids[:, None] != others)
-    radius = np.where(allowed, radius, -1.0)
-    found = _twins(pulses[ids], pulses[others], radius)
-    return np.where(found.any(axis=1), others[np.argmax(found, axis=1)], -1)
+    return _twins(pulses[ids], pulses[others], np.where(allowed, radius, -1.0)).any(axis=1)
 
 
 def _sampled_max(score, n_samples: int, seed: int, batch: int = _BATCH) -> float:

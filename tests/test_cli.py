@@ -966,3 +966,34 @@ def test_general_keeps_the_restarts_where_the_dual_fails(tmp_path, capsys):
     trace = whprecode.alternating_fidelity_max(cfg.scattering, 4, whprecode.OptimizerConfig(seed=3))
     assert doc["alternating"]["best_value"] == trace.best_value
     assert doc["alternating"]["restart_values"] == list(trace.restart_values)
+
+
+def _ridge16_grid():
+    """The isotropic L = 16 ridge grid of the CI console-script step."""
+    d = [min(m, 16 - m) for m in range(16)]
+    return [[math.exp(-a * a - b * b) for b in d] for a in d]
+
+
+def _sparse9_grid():
+    """The slow L = 9 sparse grid of the CI console-script step."""
+    grid = [[0.0] * 9 for _ in range(9)]
+    grid[0][0], grid[0][4], grid[5][8], grid[6][3], grid[8][1] = 0.233678, 0.197041, 0.233176, 0.24322, 0.092885
+    return grid
+
+
+@pytest.mark.parametrize("make_grid", [_ridge16_grid, _sparse9_grid], ids=["ridge16", "sparse9"])
+def test_general_restarts_report_no_value_above_the_best_or_the_bound(tmp_path, capsys, make_grid):
+    # Uncertified grids whose restarts park: a parked restart reports the
+    # gain it reached, so none exceeds the best, and the best stays within U.
+    grid = make_grid()
+    total = sum(map(sum, grid))
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"L": len(grid), "scattering": [[v / total for v in row] for row in grid]}))
+    code, out, err = run_cli(capsys, "general", "--config", str(config), "--samples", "2000", "--seed", "0")
+    assert (code, err) == (0, "")
+    doc = strict_json(out)
+    alternating = doc["alternating"]
+    assert doc["certified"] is False
+    assert alternating["converged"] is True and alternating["half_steps"] < 1001
+    assert max(alternating["restart_values"]) == alternating["best_value"]
+    assert alternating["best_value"] <= doc["upper_bound"] + 1e-12

@@ -476,6 +476,15 @@ def optimizer_cases(draw, smallest=1):
     return C, draw(st.integers(0, 2**32 - 1))
 
 
+def no_parking():
+    """Parking off: no twin distance is at most a negative radius, at either radius.
+
+    _trailing reads both radii when called, so the patch reaches every twin
+    test of the run.
+    """
+    return mock.patch.multiple(optimize, _TWIN=-1.0, _TWIN_STATIONARY=-1.0)
+
+
 @settings(max_examples=60, deadline=None)
 @given(optimizer_cases())
 @example((ScatteringFunction.concentrated(1, (0, 0)), 0))
@@ -484,9 +493,15 @@ def test_accelerated_loop_is_stationary_monotone_and_no_worse_than_plain(case):
     C, seed = case
     cfg = OptimizerConfig(max_iters=300, restarts=4, seed=seed)
     trace = alternating_fidelity_max(C, C.L, cfg)
-    # The run stops early only once every restart has stopped.
+    with no_parking():
+        unparked = alternating_fidelity_max(C, C.L, cfg)
+    # Without parking, the run stops early only once every restart is
+    # stationary.  With it, a restart is parked only behind a live lead or a
+    # stationary restart, so the last restart to stop is stationary.
+    cycles = (len(unparked.objective_history) - 1) // 2
+    assert cycles == cfg.max_iters or max(unparked.residuals) <= cfg.tol
     cycles = (len(trace.objective_history) - 1) // 2
-    assert cycles == cfg.max_iters or max(trace.residuals) <= cfg.tol
+    assert cycles == cfg.max_iters or min(trace.residuals) <= cfg.tol
     # Nondecreasing, up to the safeguard's tie width.
     assert np.all(np.diff(trace.objective_history) >= -optimize._TIE)
     if trace.converged:
@@ -670,13 +685,17 @@ _SLOW_CELLS = {
 def test_slow_sparse_deck_cells_stop_stationary_before_the_cap(L, seed):
     # Slow cells of the sparse benchmark deck: the Hessian there has
     # curvatures from about -1.3 to +2e-5, so plain cycles take hundreds of
-    # thousands of cycles to climb the last 1e-7.  Every restart must still
-    # stop stationary before the cap.
+    # thousands of cycles to climb the last 1e-7.  Without parking, every
+    # restart must still stop stationary before the cap; with it, the run
+    # still stops there, converged.
     C = tap_channel(L, _SLOW_CELLS[L])
     cfg = OptimizerConfig(seed=seed)
+    with no_parking():
+        unparked = alternating_fidelity_max(C, L, cfg)
+    assert len(unparked.objective_history) < 2 * cfg.max_iters + 1
+    assert max(unparked.residuals) <= cfg.tol
     trace = alternating_fidelity_max(C, L, cfg)
     assert len(trace.objective_history) < 2 * cfg.max_iters + 1
-    assert max(trace.residuals) <= cfg.tol
     assert trace.converged
 
 
@@ -870,7 +889,7 @@ def test_joint_shifts_and_phases_keep_gain_and_residual_and_are_twins(case):
     for gamma, g in copies:
         assert abs(gain(C, gamma, g) - value) <= 1e-13
         assert abs(transmit_residual(C, gamma, g) - residual) <= 1e-13
-    dist, _ = optimize._twin_distances(pair[None], copies)
+    dist = optimize._twin_distances(pair[None], copies)
     assert np.all(dist <= 1e-14)
     assert np.all(optimize._twins(pair[None], copies, optimize._TWIN))
 
@@ -895,7 +914,7 @@ def test_twin_screen_never_drops_a_twin(case, step, radius_and_scale):
     near = np.stack([optimize._shifted(np.repeat(p[None], 6, axis=0), shifts) for p in pair], 1)
     near = near * phases + scale * step * rng.uniform(0.0, 1.0, (6, 1, 1)) * _complex_gaussian(rng, (6, 2, L))
     near /= np.linalg.norm(near, axis=-1)[..., None]
-    dist, _ = optimize._twin_distances(near[:, None], pair[None])
+    dist = optimize._twin_distances(near[:, None], pair[None])
     np.testing.assert_array_equal(optimize._twins(near, pair[None], radius), dist <= radius)
     both = np.array([optimize._TWIN, radius])
     np.testing.assert_array_equal(optimize._twins(near, np.stack([pair, pair]), both), dist <= both)
@@ -911,37 +930,27 @@ def test_twins_are_the_threshold_at_every_radius(case):
     pairs = _complex_gaussian(np.random.default_rng(C.L), (6, 2, C.L))
     pairs[0] = pair * phases
     pairs /= np.linalg.norm(pairs, axis=-1)[..., None]
-    dist, _ = optimize._twin_distances(pairs[:, None], pair[None])
+    dist = optimize._twin_distances(pairs[:, None], pair[None])
     for radius in (1.5, 2.0):
         np.testing.assert_array_equal(optimize._twins(pairs, pair[None], radius), dist <= radius)
     assert np.all(optimize._twins(pairs, pair[None], 2.0))
-
-
-def no_parking():
-    """Parking off: no twin distance is at most a negative radius, at either radius.
-
-    _trailing and _distinct read both radii when called, so the patch
-    reaches every twin test of the run.
-    """
-    return mock.patch.multiple(optimize, _TWIN=-1.0, _TWIN_STATIONARY=-1.0)
 
 
 @settings(max_examples=30)
 @given(optimizer_cases())
 @example((ScatteringFunction.uniform(3), 1))
 @example((ScatteringFunction.concentrated(1, (0, 0)), 0))
-def test_parking_loses_no_gain_and_snaps_only_onto_stationary_pairs(case):
+def test_parking_loses_no_gain_and_no_restart_exceeds_the_best(case):
+    # A parked restart reports the gain it reached, at most its twin's, so
+    # no restart reports more than the best; parking loses no best value.
     C, seed = case
     cfg = OptimizerConfig(restarts=16, seed=seed)
     on = alternating_fidelity_max(C, C.L, cfg)
     with no_parking():
         off = alternating_fidelity_max(C, C.L, cfg)
-    assert off.snapped == (False,) * cfg.restarts
-    assert len(on.snapped) == cfg.restarts
+    assert max(on.restart_values) == on.best_value
     assert on.best_value >= off.best_value - 1e-12
     assert on.converged == off.converged
-    for snapped, residual in zip(on.snapped, on.residuals):
-        assert residual <= cfg.tol or not snapped
 
 
 def isotropic(L, width=1):
@@ -951,18 +960,18 @@ def isotropic(L, width=1):
     return ScatteringFunction(L, w / w.sum())
 
 
-def test_parking_snaps_twins_and_saves_half_steps_on_an_isotropic_cell():
+def test_parking_stops_twins_and_saves_half_steps_on_an_isotropic_cell():
     # Restarts converge to shift copies of one optimum; the ones that trail
-    # a copy are parked and snapped, and the run takes fewer half-steps.
+    # a copy are parked where they are, and the run takes fewer half-steps.
     C, cfg = isotropic(6), OptimizerConfig(seed=1)
     on = alternating_fidelity_max(C, 6, cfg)
     with no_parking():
         off = alternating_fidelity_max(C, 6, cfg)
-    assert sum(on.snapped) >= 1
+    assert max(on.residuals) > cfg.tol
     assert len(on.objective_history) < len(off.objective_history)
     assert on.converged and off.converged
     assert on.best_value >= off.best_value - 1e-12
-    assert max(on.residuals) <= cfg.tol
+    assert max(on.restart_values) == on.best_value
     assert np.all(np.diff(on.objective_history) >= -optimize._TIE)
     gamma, g = on.best_pair
     assert abs(gain(C, gamma, g) - on.best_value) <= 1e-12
@@ -972,38 +981,14 @@ def test_parking_snaps_twins_and_saves_half_steps_on_an_isotropic_cell():
 def test_ridge_cells_at_L16_end_stationary_before_the_cap(width):
     # Restarts drift along a near-flat ridge here and ran to the 500-cycle
     # cap when only shift copies within _TWIN were parked; parked at the
-    # wider radius around the stationary pairs and snapped onto them, every
-    # restart ends stationary long before the cap.
+    # wider radius around the stationary pairs, every restart stops long
+    # before the cap, and the best one is stationary.
     C, cfg = isotropic(16, width), OptimizerConfig()
     trace = alternating_fidelity_max(C, 16, cfg)
     assert len(trace.objective_history) < 2 * cfg.max_iters + 1
-    assert max(trace.residuals) <= cfg.tol
+    assert max(trace.restart_values) == trace.best_value
+    assert max(trace.residuals) > cfg.tol
     assert trace.converged
-    assert sum(trace.snapped) >= 1
-
-
-def test_rejected_snaps_resume_and_the_run_still_ends(monkeypatch):
-    # Images a little off the shift copies keep the gain to about 1e-12 but
-    # not the stationarity: every snap is rejected, and those restarts
-    # resume from where they were parked, never to park again.
-    C, cfg = isotropic(6), OptimizerConfig(seed=1)
-    with no_parking():
-        off = alternating_fidelity_max(C, 6, cfg)
-    shifted, offered = optimize._shifted, []
-
-    def off_the_copy(pulses, shift):
-        offered.append(len(shift))
-        images = shifted(pulses, shift) + 1e-6 * np.exp(1j * np.arange(6))
-        return images / np.linalg.norm(images, axis=1)[:, None]
-
-    monkeypatch.setattr(optimize, "_shifted", off_the_copy)
-    trace = alternating_fidelity_max(C, 6, cfg)
-    assert len(offered) == 1 and offered[0] >= 1
-    assert not any(trace.snapped)
-    assert len(trace.objective_history) < 2 * cfg.max_iters + 1
-    assert max(trace.residuals) <= cfg.tol
-    assert trace.converged
-    assert trace.best_value >= off.best_value - 1e-12
 
 
 def twin_pulses(L, seed):
@@ -1018,22 +1003,16 @@ def twin_pulses(L, seed):
 def test_restarts_trail_only_twins_with_no_lower_value():
     pulses = twin_pulses(5, 0)
     ids, reps = np.array([0, 2]), np.array([1])
-    # Restart 1 is a stationary representative with the larger value.
+    # Restart 1 is a stationary restart with the larger value: restart 0
+    # trails it; restart 2, the lead, trails nothing.
     trailing = optimize._trailing(ids, reps, np.array([0.5, 0.5 + 1e-9, 0.7]), pulses)
-    assert trailing.tolist() == [1, -1]
+    assert trailing.tolist() == [True, False]
     # With the smaller value it is passed over, and the lead is no twin.
     trailing = optimize._trailing(ids, reps, np.array([0.5 + 1e-9, 0.5, 0.7]), pulses)
-    assert trailing.tolist() == [-1, -1]
+    assert trailing.tolist() == [False, False]
     # Restart 1 live and the lead: restart 0 trails it, and it trails nothing.
     trailing = optimize._trailing(np.array([0, 1, 2]), reps[:0], np.array([0.5, 0.52, 0.51]), pulses)
-    assert trailing.tolist() == [1, -1, -1]
-
-
-def test_representatives_keep_one_pair_per_twin_class():
-    pulses = twin_pulses(4, 1)
-    assert optimize._distinct(np.empty(0, dtype=int), np.array([0, 1, 2]), pulses).tolist() == [0, 2]
-    assert optimize._distinct(np.array([1]), np.array([0, 2]), pulses).tolist() == [1, 2]
-    assert optimize._distinct(np.array([1]), np.empty(0, dtype=int), pulses).tolist() == [1]
+    assert trailing.tolist() == [True, False, False]
 
 
 @pytest.mark.parametrize(
@@ -1056,8 +1035,6 @@ def test_twin_test_on_degenerate_channels_ends_quietly(C, tol):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         trace = alternating_fidelity_max(C, C.L, cfg)
-    assert isinstance(trace.snapped, tuple) and len(trace.snapped) == cfg.restarts
-    assert all(type(s) is bool for s in trace.snapped)
     assert len(trace.objective_history) <= 2 * cfg.max_iters + 1
     assert np.all(np.isfinite(trace.restart_values)) and np.all(np.isfinite(trace.residuals))
     if tol == 1e-10:
