@@ -36,7 +36,7 @@ from .errors import (
 from .heisenberg import pauli, shift_operator
 from .linalg import max_generalized_eigenpair, rank_one_projector
 from .mc import McReport, SweepRow, estimate_expectations, sweep_p0
-from .multiplex import Scheme, best_scheme, crosstalk, frame_bounds, select_schemes
+from .multiplex import Scheme, crosstalk, frame_bounds, select_schemes
 from .optimize import (
     CosetBound,
     OptimizationTrace,
@@ -90,7 +90,6 @@ __all__ = [
     "apply_A",
     "apply_adjoint_A",
     "apply_interference",
-    "best_scheme",
     "bloch_to_matrix",
     "brute_force_bloch_oracle",
     "channel_fidelity",

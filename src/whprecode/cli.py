@@ -34,9 +34,9 @@ from .bloch import (
     solve_fidelity,
 )
 from .errors import InvalidConfigError, WHPrecodeError
-from .linalg import rank_one_projector, require_array, require_int, require_real
+from .linalg import require_array, require_int, require_real
 from .mc import estimate_expectations, sweep_p0
-from .multiplex import best_scheme, select_schemes
+from .multiplex import select_schemes
 from .optimize import (
     CERTIFY_TOL,
     OptimizerConfig,
@@ -413,15 +413,9 @@ def _cmd_oracle(cfg: RunConfig) -> dict:
 
 def _cmd_simulate(cfg: RunConfig) -> dict:
     solution = solve_fidelity(cfg.quad)
-    C = cfg.quad.to_scattering_function()
-    scheme = best_scheme(
-        C,
-        rank_one_projector(solution.precoder),
-        rank_one_projector(solution.equalizer),
-        solution.n_star,
-    )
+    scheme = select_schemes(solution.n_star)[0]
     report = estimate_expectations(
-        C,
+        cfg.quad.to_scattering_function(),
         solution.precoder,
         solution.equalizer,
         scheme,

@@ -9,7 +9,8 @@ the Pauli matrices up to a factor ``i`` on the double shift.
 One exact index and phase table per L, ``_layout``, builds these operators
 and every map kernel, Kraus stack and tap frame in ``wssus``, bit for bit.
 ``_lagrangian_lines`` lists, once per L, the maximal commuting subgroups
-that the coset bound of ``optimize`` sums over.
+that the coset bound of ``optimize`` sums over; at L=2 ``multiplex`` reads
+its coset table for the second-stream schemes.
 """
 
 from __future__ import annotations

@@ -2,10 +2,13 @@
 
 With one pulse per signal-space dimension (determinant-one lattice), adding
 a second data stream at L=2 means occupying exactly one more shift slot.
-The three optimal pulses each have zero self-crosstalk under the two shifts
-whose Pauli index differs from their own axis, so those slots carry a
-second stream with no further orthogonalization: the shifted pair is an
-orthonormal basis and the single-stream mean gain carries over unchanged.
+The optimal pulse of axis n is an eigenvector of the Lagrangian line
+{0, mu_n}, so the rule is one stream per coset of that line: the reference
+stream on the line itself, the second on either shift of the other coset.
+The pulse has zero self-crosstalk there, so the shifted pair is an
+orthonormal basis; both shifts carry the same stream vector up to a phase,
+so at the solved pair they leak the same interference, 1 - F (the proof is
+in the docstring of ``optimize.coset_bound``).
 """
 
 from __future__ import annotations
@@ -15,18 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import optimal_precoder_vector
 from .errors import DimensionMismatchError
-from .heisenberg import PAULI_SHIFTS, shift_operator
+from .heisenberg import _lagrangian_lines, shift_operator
 from .linalg import require_array, require_int, require_unit_vector
-from .wssus import (
-    ScatteringFunction,
-    _interference_level,
-    coerce_scheme_shifts,
-    validate_density_operator,
-)
-
-CROSSTALK_TOL = 1e-12
+from .wssus import coerce_scheme_shifts
 
 
 @dataclass(frozen=True)
@@ -82,38 +77,21 @@ def frame_bounds(vectors) -> tuple[float, float]:
 
 
 def select_schemes(n: int) -> list[Scheme]:
-    """Two-slot schemes with zero transmitter-side crosstalk for pulse n.
+    """The two second-stream schemes for pulse n: the shifts of the other coset of its line.
 
-    Probes the three nonzero shifts against the axis-n pulse and keeps
-    those with vanishing self-interference; these are exactly the two
-    shifts whose Pauli index differs from n.  For the frequency-flat pulse
-    (n=1) this selects the frequency shift, i.e. frequency-division
-    multiplexing; for the time-localized pulse (n=3) the time shift.
+    For the frequency-flat pulse (n=1) this is the frequency shift, i.e.
+    frequency-division multiplexing, and the double shift; for the
+    time-localized pulse (n=3) the time shift and the double shift.
     Results are ordered lexicographically by shift.  The table is built
-    once per axis and process; each call returns a fresh list.
+    once per process; each call returns a fresh list.
     """
-    return list(_zero_crosstalk_schemes(require_int(n, "axis index", 1, 3)))
+    return list(_coset_schemes()[require_int(n, "axis index", 1, 3) - 1])
 
 
 @functools.cache
-def _zero_crosstalk_schemes(n: int) -> tuple[Scheme, ...]:
-    x = optimal_precoder_vector(n)
+def _coset_schemes() -> tuple[tuple[Scheme, ...], ...]:
+    # Row t = 1 of each L = 2 line's coset table, lines in Pauli axis order 1..3.
     return tuple(
-        Scheme(2, ((0, 0), mu))
-        for mu in sorted(PAULI_SHIFTS[1:])
-        if abs(crosstalk(x, mu)) <= CROSSTALK_TOL
+        tuple(Scheme(2, ((0, 0), divmod(int(mu), 2))) for mu in sorted(coset))
+        for coset in _lagrangian_lines(2)[1][:, 1]
     )
-
-
-def best_scheme(C: ScatteringFunction, gamma_proj, g_proj, n: int) -> Scheme:
-    """The zero-crosstalk scheme for pulse n with least averaged interference.
-
-    Ties within 1e-12 fall back to the lexicographically smaller shift.
-    """
-    candidates = select_schemes(n)
-    gamma_op = validate_density_operator(gamma_proj, C.L)
-    g_op = validate_density_operator(g_proj, C.L)
-    levels = [_interference_level(C, gamma_op, g_op, scheme) for scheme in candidates]
-    best = min(levels)
-    return next(s for s, level in zip(candidates, levels) if level - best <= 1e-12)
-

@@ -20,7 +20,7 @@ from whprecode.cli import main
 from whprecode.heisenberg import pauli, shift_operator
 from whprecode.linalg import rank_one_projector
 from whprecode.mc import estimate_expectations
-from whprecode.multiplex import best_scheme, crosstalk, frame_bounds, select_schemes
+from whprecode.multiplex import crosstalk, frame_bounds, select_schemes
 from whprecode.optimize import (
     OptimizerConfig,
     alternating_fidelity_max,
@@ -124,12 +124,7 @@ def test_criterion_05_monte_carlo_consistency():
     quad = (0.4, 0.3, 0.2, 0.1)
     solution = solve_fidelity(quad)
     C = ScatteringFunction.from_quad(*quad)
-    scheme = best_scheme(
-        C,
-        rank_one_projector(solution.precoder),
-        rank_one_projector(solution.equalizer),
-        solution.n_star,
-    )
+    scheme = select_schemes(solution.n_star)[0]
     start = time.perf_counter()
     report = estimate_expectations(
         C, solution.precoder, solution.equalizer, scheme,

@@ -27,7 +27,7 @@ from whprecode.errors import (
 from whprecode.heisenberg import pauli, shift_operator
 from whprecode.linalg import max_generalized_eigenpair, rank_one_projector
 from whprecode.mc import estimate_expectations
-from whprecode.multiplex import Scheme, best_scheme, crosstalk, select_schemes
+from whprecode.multiplex import Scheme, crosstalk, select_schemes
 from whprecode.optimize import (
     OptimizationTrace,
     OptimizerConfig,
@@ -237,9 +237,10 @@ _CHECKED_CALLS = {
         _C2, v, _E0, [(0, 0)], sigma2=0.1, trials=10
     ),
     "channel_fidelity": lambda v, M: channel_fidelity(_C2, M, _HALF),
+    "channel_fidelity_equalizer": lambda v, M: channel_fidelity(_C2, _HALF, M),
     "sinr": lambda v, M: sinr(_C2, M, _HALF, [(0, 0), (0, 1)], 0.1),
+    "sinr_equalizer": lambda v, M: sinr(_C2, _HALF, M, [(0, 0), (0, 1)], 0.1),
     "optimal_receiver": lambda v, M: optimal_receiver(_C2, M, [(0, 0), (1, 0)], 0.1),
-    "best_scheme": lambda v, M: best_scheme(_C2, M, _HALF, 1),
     "max_generalized_eigenpair_numerator": lambda v, M: max_generalized_eigenpair(
         M, np.eye(2)
     ),
@@ -301,7 +302,6 @@ _INTEGER_ENTRIES = {
     "optimal_projectors": ("axis", optimal_projectors),
     "optimal_precoder_vector": ("axis", optimal_precoder_vector),
     "select_schemes": ("axis", select_schemes),
-    "best_scheme": ("axis", lambda n: best_scheme(_C2, _HALF, _HALF, n)),
     "pauli": ("pauli", pauli),
 }
 _NOT_INTEGERS = [2.5, 2.0, np.float64(2.0), True, np.True_, "2", None]

@@ -10,7 +10,7 @@ from whprecode.errors import InvalidWeightsError
 from whprecode.heisenberg import shift_operator
 from whprecode.linalg import rank_one_projector
 from whprecode.mc import estimate_expectations, sweep_p0
-from whprecode.multiplex import Scheme, best_scheme
+from whprecode.multiplex import Scheme, select_schemes
 from whprecode.wssus import ScatteringFunction, apply_A
 
 
@@ -51,9 +51,7 @@ def test_worked_example_matches_closed_form_within_band():
     q = (0.4, 0.3, 0.2, 0.1)
     sol = solve_fidelity(q)
     C = ScatteringFunction.from_quad(*q)
-    scheme = best_scheme(
-        C, rank_one_projector(sol.precoder), rank_one_projector(sol.equalizer), sol.n_star
-    )
+    scheme = select_schemes(sol.n_star)[0]
     report = estimate_expectations(
         C, sol.precoder, sol.equalizer, scheme, sigma2=0.1, trials=200_000, seed=1
     )

@@ -1,18 +1,28 @@
 """Tests for crosstalk relations, frame bounds and scheme selection."""
 
+import json
 import math
 
 import numpy as np
 import pytest
 from conftest import unit_vector
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from whprecode.bloch import optimal_precoder_vector, solve_fidelity
+from whprecode.cli import main
 from whprecode.errors import InvalidSchemeError, NotUnitNormError, WHPrecodeError
 from whprecode.heisenberg import PAULI_SHIFTS, shift_operator
 from whprecode.linalg import rank_one_projector
 from whprecode import multiplex
-from whprecode.multiplex import Scheme, best_scheme, crosstalk, frame_bounds, select_schemes
-from whprecode.wssus import ScatteringFunction, apply_A, sinr
+from whprecode.multiplex import Scheme, crosstalk, frame_bounds, select_schemes
+from whprecode.wssus import (
+    ScatteringFunction,
+    apply_A,
+    apply_interference,
+    channel_fidelity,
+    sinr,
+)
 
 NONZERO_SHIFTS = PAULI_SHIFTS[1:]  # (1,0), (1,1), (0,1) in Pauli order 1..3
 
@@ -110,7 +120,7 @@ def test_select_schemes_returns_a_fresh_list_each_call():
 
 @pytest.mark.parametrize("bad", [0, 4, 1.0, 2.0, np.float64(3.0), True, "1", None])
 def test_select_schemes_rejects_non_axis_whatever_is_cached(bad):
-    multiplex._zero_crosstalk_schemes.cache_clear()
+    multiplex._coset_schemes.cache_clear()
     with pytest.raises(ValueError, match="axis index"):
         select_schemes(bad)
     for n in (1, 2, 3):
@@ -210,7 +220,7 @@ def test_optimal_pair_beats_random_precoders_when_interference_free():
         C = ScatteringFunction.from_quad(*quad)
         Gamma = rank_one_projector(sol.precoder)
         G = rank_one_projector(sol.equalizer)
-        scheme = best_scheme(C, Gamma, G, sol.n_star)
+        scheme = select_schemes(sol.n_star)[0]
         (mu,) = scheme.nonzero_shifts
         S = shift_operator(2, mu)
         interf = np.trace(S @ apply_A(C, Gamma) @ S.conj().T @ G).real
@@ -222,12 +232,35 @@ def test_optimal_pair_beats_random_precoders_when_interference_free():
             assert sinr(C, P, G, scheme, sigma2=0.1) <= reference + 1e-10
 
 
-def test_best_scheme_tie_breaks_lexicographically():
-    q = (0.4, 0.3, 0.2, 0.1)
-    sol = solve_fidelity(q)
-    C = ScatteringFunction.from_quad(*q)
-    scheme = best_scheme(
-        C, rank_one_projector(sol.precoder), rank_one_projector(sol.equalizer), sol.n_star
-    )
-    # Both candidate shifts leak 0.3 for this quad; the smaller shift wins.
-    assert scheme.nonzero_shifts == ((0, 1),)
+def test_simulate_takes_the_lexicographically_first_scheme(capsys):
+    # Both candidate shifts leak 0.3 for this quad; simulate uses the smaller.
+    assert main(["simulate", "--p", "0.4,0.3,0.2,0.1", "--trials", "100", "--seed", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["scheme"] == [[0, 0], [0, 1]]
+
+
+def _quad(w, zeros, digits):
+    # Entries in zeros set to 0, the rest rounded to digits (ties), then normalized.
+    w = [0.0 if i in zeros else v if digits is None else round(v, digits) for i, v in enumerate(w)]
+    total = sum(w)
+    return [v / total for v in w] if total > 0.0 else [1.0, 0.0, 0.0, 0.0]
+
+
+_QUADS = st.one_of(
+    st.just([0.25] * 4),
+    st.builds(_quad, st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+              st.sets(st.integers(0, 3), max_size=3), st.sampled_from([None, 1, 2])),
+).filter(lambda p: abs(sum(p) - 1.0) <= 1e-10)
+
+
+@settings(max_examples=300)
+@given(p=_QUADS)
+def test_both_schemes_leak_one_minus_the_fidelity(p):
+    # The reason simulate needs no comparison between the two schemes.
+    sol = solve_fidelity(p)
+    C = ScatteringFunction.from_quad(*p)
+    Gamma, G = rank_one_projector(sol.precoder), rank_one_projector(sol.equalizer)
+    fidelity = channel_fidelity(C, Gamma, G)
+    levels = [np.trace(apply_interference(C, Gamma, s) @ G).real for s in select_schemes(sol.n_star)]
+    assert abs(levels[0] - levels[1]) <= 1e-15
+    for level in levels:
+        assert abs(fidelity + level - 1.0) <= 1e-15
