@@ -89,6 +89,11 @@ _PPT_EXIT = 1e-9
 # certificates.
 _PPT_MIX = 0.9
 _PPT_DUAL = 3.0
+# alternating_fidelity_max draws its restarts in waves of this many, and
+# counts stationary values this close as one optimum (the measurement
+# behind the stopping rule grouped them by 8 digits).
+_WAVE = 8
+_SAME_OPTIMUM = 1e-8
 
 
 @dataclass(frozen=True)
@@ -96,10 +101,11 @@ class OptimizerConfig:
     """Settings for the alternating mean-gain maximizer.
 
     ``max_iters`` caps the cycles (a transmit then a receive half-step) of
-    the whole run, the cycles that start from a Newton point included.
-    ``tol`` bounds the stationarity residual ``||A*(g g*) gamma - F gamma||``
-    at which a restart stops and counts as converged (see
-    alternating_fidelity_max).
+    each wave of restarts, the cycles that start from a Newton point
+    included.  ``restarts`` caps the restarts: they run in waves of 8 until
+    a stopping rule holds or this many have run.  ``tol`` bounds the
+    stationarity residual ``||A*(g g*) gamma - F gamma||`` at which a
+    restart stops and counts as converged (see alternating_fidelity_max).
     """
 
     max_iters: int = 500
@@ -119,17 +125,20 @@ class OptimizationTrace:
     """Outcome of an alternating maximization run.
 
     ``objective_history`` is the best restart's objective after each
-    half-step of the run, ``2 * cycles + 1`` entries, padded with its final
-    value once that restart has stopped.  It is nondecreasing, up to the
-    1e-14 tie width of the third-cycle safeguard: a plain half-step solves
-    its subproblem exactly, and a cycle from a Newton point keeps the held
-    objective unless its result is at least as good.
-    ``restart_values`` and ``residuals`` record every restart's final
-    objective and stationarity residual, each measured on that restart's
-    own final pair: a parked restart (see alternating_fidelity_max) reports
-    the gain it reached, at most that of the twin it trails, and a residual
-    that may exceed ``tol``.  ``converged`` is true when the best restart's
-    residual is at most the configured ``tol``.
+    half-step of its wave, ``2 * cycles + 1`` entries for the wave's
+    cycles, padded with its final value once that restart has stopped.  It
+    is nondecreasing, up to the 1e-14 tie width of the third-cycle
+    safeguard: a plain half-step solves its subproblem exactly, and a cycle
+    from a Newton point keeps the held objective unless its result is at
+    least as good.
+    ``restart_values`` and ``residuals`` record the final objective and
+    stationarity residual of every restart that ran, in the order drawn
+    (a multiple of 8 of them, or ``restarts``), each measured on that
+    restart's own final pair: a parked restart (see
+    alternating_fidelity_max) reports the gain it reached, at most that of
+    the twin it trails, and a residual that may exceed ``tol``.
+    ``converged`` is true when the best restart's residual is at most the
+    configured ``tol``.
     """
 
     objective_history: tuple[float, ...]
@@ -495,8 +504,9 @@ def alternating_fidelity_max(
     top eigenvector of A(Gamma), the transmit pulse the top eigenvector of
     the adjoint map applied to G (a higher-order power method; De Lathauwer,
     De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000).  The
-    joint problem is nonconvex, so several restarts (independent per-restart
-    substreams of the master seed) run in lockstep and the best is returned.
+    joint problem is nonconvex, so restarts (independent per-restart
+    substreams of the master seed) run in lockstep, in waves of _WAVE, and
+    the best is returned.
 
     A cycle is a transmit then a receive half-step, so every pair ends on a
     receiver matched to its transmit pulse.  Cycles come in threes: two
@@ -531,9 +541,22 @@ def alternating_fidelity_max(
     test runs on the first cycle of each three (after each Newton cycle)
     and on every cycle in which a restart has just stopped; run on every
     cycle it cost about a sixth of the optimizer's time on small dense
-    channels.  The run ends when every restart has stopped, stationary or
-    parked, or after ``cfg.max_iters`` cycles.  Every reported value and
-    residual is measured on that restart's own final pair.
+    channels.  Every reported value and residual is measured on that
+    restart's own final pair.
+
+    A wave ends when every restart in it has stopped, stationary or parked,
+    or after ``cfg.max_iters`` cycles, where the restarts still live end
+    unconverged.  The run then stops if ``cfg.restarts`` have run or, after
+    a wave that none ended at the cap, if _enough holds on the n restarts
+    run so far; a parked restart counts toward n but finds no optimum.
+    Otherwise the next wave's starts are drawn and its restarts may trail
+    the stationary restarts of earlier waves.  After a wave that reached the
+    cap they trail none: on the flat ridge of isotropic profiles at L = 16
+    a stationary restart of such a wave can sit 1e-10 below the optimum,
+    and the next wave, parked behind it at once, would end where the capped
+    one did.  Restart i draws its start from child i of
+    ``SeedSequence(cfg.seed)`` in any wave size, as ``spawn`` numbers its
+    children across calls.
 
     With T nonzero taps, each half step is a T x T Gram eigenproblem when
     T < L and an L x L one otherwise; the path is fixed once per call and
@@ -545,7 +568,7 @@ def alternating_fidelity_max(
     if L != C.L:
         raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
     forward, adjoint = _half_step_operands(C)
-    children = np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)
+    seeds = np.random.SeedSequence(cfg.seed)
 
     # Per restart: the pair, its objective and its residual, the start of
     # its next third cycle and its trust radius.  The adjoint images of the
@@ -554,15 +577,14 @@ def alternating_fidelity_max(
     # Each restart's pair (gamma, g) is one (2, L) row of ``pulses``.
     pulses = np.empty((cfg.restarts, 2, L), dtype=complex)
     gammas, receivers = pulses[:, 0], pulses[:, 1]
-    gammas[:] = [random_unit_vector(np.random.default_rng(s), L) for s in children]
-    values, receivers[:], residuals, held, _ = _receive(forward, adjoint, gammas)
-    history = [values.copy()]
+    values, residuals = np.empty(cfg.restarts), np.empty(cfg.restarts)
     starts = np.empty_like(receivers)
     radius = np.full(cfg.restarts, _RADIUS)
-    # The stationary restarts, which the live ones may trail.
-    reps = np.empty(0, dtype=int)
-    live = np.arange(cfg.restarts)
-    cycles = 0
+    # The stationary restarts, which the live ones may trail, and the live
+    # ones; each wave's history; the restarts drawn so far.
+    reps = live = np.empty(0, dtype=int)
+    histories = []
+    drawn = cycles = 0
     while True:
         going = residuals[live] > cfg.tol
         # The twin test runs after each Newton cycle and whenever a
@@ -573,7 +595,19 @@ def alternating_fidelity_max(
         if not going.all():
             live, held = live[going], held[going]
         if not live.size or cycles == cfg.max_iters:
-            break
+            stationary = residuals[:drawn] <= cfg.tol
+            if drawn == cfg.restarts or (not live.size and _enough(values[:drawn][stationary], drawn)):
+                break
+            # The next wave (see the docstring); restarts at the cap end there.
+            reps = np.flatnonzero(stationary) if not live.size else reps[:0]
+            live = np.arange(drawn, min(drawn + _WAVE, cfg.restarts))
+            drawn += live.size
+            gammas[live] = [random_unit_vector(np.random.default_rng(s), L) for s in seeds.spawn(live.size)]
+            values[live], receivers[live], residuals[live], held, _ = _receive(forward, adjoint, gammas[live])
+            history = [values.copy()]
+            histories.append(history)
+            cycles = 0
+            continue
         phase = cycles % 3
         cycles += 1
         images = _rank_one_images(adjoint, starts[live]) if phase == 2 else held
@@ -613,16 +647,32 @@ def alternating_fidelity_max(
         values[rows], residuals[rows] = top[moved], new_residuals[moved]
         history.append(values.copy())
 
-    best = int(np.argmax(values))
+    best = int(np.argmax(values[:drawn]))
     # The gain is at most 1; clip roundoff above it, as channel_fidelity does.
     return OptimizationTrace(
-        objective_history=tuple(min(1.0, float(h[best])) for h in history),
+        objective_history=tuple(min(1.0, float(h[best])) for h in histories[best // _WAVE]),
         converged=bool(residuals[best] <= cfg.tol),
         best_value=min(1.0, float(values[best])),
         best_pair=(gammas[best].copy(), receivers[best].copy()),
-        restart_values=tuple(min(1.0, float(v)) for v in values),
-        residuals=tuple(float(r) for r in residuals),
+        restart_values=tuple(min(1.0, float(v)) for v in values[:drawn]),
+        residuals=tuple(float(r) for r in residuals[:drawn]),
     )
+
+
+def _enough(optima: np.ndarray, n: int) -> bool:
+    """Boender & Rinnooy Kan's rule: stop after n restarts that found ``optima``.
+
+    ``optima`` holds the values of the stationary restarts; values within
+    _SAME_OPTIMUM of their neighbour in sorted order are one optimum.  With
+    w distinct optima the posterior expected number of optima is
+    ``w (n - 1) / (n - w - 2)`` (Math. Programming 37, 1987), and the run
+    stops once it falls below ``w + 1/2``, that is once
+    ``n > 2 w^2 + 3 w + 2``: in waves of 8, at n = 8 for one optimum and 24
+    for two.  Cross-multiplied, the test is exact, and false wherever the
+    denominator ``n - w - 2`` is not positive.
+    """
+    w = int(np.count_nonzero(np.diff(np.sort(optima)) > _SAME_OPTIMUM)) + (optima.size > 0)
+    return 2 * w * (n - 1) < (2 * w + 1) * (n - w - 2)
 
 
 def _trailing(ids: np.ndarray, reps: np.ndarray, values: np.ndarray, pulses: np.ndarray) -> np.ndarray:

@@ -138,7 +138,9 @@ def test_alternating_reaches_closed_form_worked_example():
         C, 2, OptimizerConfig(max_iters=500, restarts=100, seed=7)
     )
     assert abs(trace.best_value - 0.7) <= 1e-6
-    assert len(trace.restart_values) == 100
+    # restarts=100 is a cap: the stopping rule ends the run after some waves of 8.
+    runs = len(trace.restart_values)
+    assert 8 <= runs <= 100 and runs % 8 == 0
 
 
 def test_alternating_uniform_L4_hits_floor():
@@ -1039,3 +1041,79 @@ def test_twin_test_on_degenerate_channels_ends_quietly(C, tol):
     assert np.all(np.isfinite(trace.restart_values)) and np.all(np.isfinite(trace.residuals))
     if tol == 1e-10:
         assert trace.converged
+
+
+def test_restart_starts_are_the_same_in_any_wave_size(monkeypatch):
+    # A cap of one cycle stops no restart, so every wave runs; restart i
+    # draws the start that child i of one spawn(restarts) gives.
+    C = random_scattering(np.random.default_rng(6), 5)
+    drawn = []
+
+    def record(rng, L):
+        drawn.append(random_unit_vector(rng, L))
+        return drawn[-1]
+
+    monkeypatch.setattr(optimize, "random_unit_vector", record)
+    for restarts in (8, 16, 32):
+        drawn.clear()
+        cfg = OptimizerConfig(max_iters=1, restarts=restarts, seed=4)
+        trace = alternating_fidelity_max(C, 5, cfg)
+        children = np.random.SeedSequence(cfg.seed).spawn(restarts)
+        starts = [random_unit_vector(np.random.default_rng(s), 5) for s in children]
+        assert len(trace.restart_values) == len(drawn) == restarts
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(drawn, starts))
+
+
+@settings(max_examples=30, deadline=None)
+@given(optimizer_cases(smallest=2), st.sampled_from([16, 24, 32]))
+def test_waves_keep_the_first_wave_and_run_whole_waves(case, restarts):
+    C, seed = case
+    trace = alternating_fidelity_max(C, C.L, OptimizerConfig(restarts=restarts, seed=seed))
+    first = alternating_fidelity_max(C, C.L, OptimizerConfig(restarts=8, seed=seed))
+    assert trace.best_value >= first.best_value
+    runs = len(trace.restart_values)
+    assert runs % 8 == 0 or runs == restarts
+    assert np.all(np.diff(trace.objective_history) >= -1e-12)
+
+
+@pytest.mark.parametrize(
+    ("values", "n", "stops"),
+    [
+        ([0.5] * 8, 8, True),
+        ([0.5] * 7, 7, False),  # one optimum: the expectation is 1.5 at n = 7
+        ([0.5, 0.5 + 5e-9], 8, True),  # within 1e-8: one optimum
+        ([0.5, 0.6], 16, False),  # two optima: 2.5 at n = 16
+        ([0.5, 0.6], 17, True),
+        ([0.5, 0.6, 0.7], 29, False),
+        ([0.5, 0.6, 0.7], 30, True),
+        ([0.5], 2, False),
+    ],
+)
+def test_stopping_rule(values, n, stops):
+    assert optimize._enough(np.array(values), n) is stops
+
+
+def test_two_stationary_values_run_past_the_first_wave():
+    # Four taps at L = 5 with two stationary gains, 0.6486 and 0.6570: the
+    # rule needs 17 restarts for two optima, so three waves run.
+    w = np.zeros((5, 5))
+    w[0, 3], w[3, 1], w[3, 3], w[4, 1] = 0.078, 0.366, 0.282, 0.273
+    C = ScatteringFunction(5, w / w.sum())
+    cfg = OptimizerConfig(seed=0)
+    trace = alternating_fidelity_max(C, 5, cfg)
+    stationary = [v for v, r in zip(trace.restart_values, trace.residuals) if r <= cfg.tol]
+    assert np.ptp(stationary) > 1e-3
+    assert len(trace.restart_values) == 24
+    assert trace.converged
+
+
+@pytest.mark.parametrize("seed", [8, 9])
+def test_ridge_cell_converges_where_the_first_wave_reaches_the_cap(seed):
+    # On the isotropic L = 16 ridge the first wave of these seeds runs to the
+    # cap; the rule never stops there, and a later wave reaches the optimum.
+    C, cfg = isotropic(16), OptimizerConfig(seed=seed)
+    first = alternating_fidelity_max(C, 16, OptimizerConfig(restarts=8, seed=seed))
+    assert len(first.objective_history) == 2 * cfg.max_iters + 1
+    trace = alternating_fidelity_max(C, 16, cfg)
+    assert len(trace.restart_values) > 8
+    assert trace.converged
