@@ -694,9 +694,9 @@ def _sampled_max(score, n_samples: int, seed: int, batch: int = _BATCH) -> float
     """Largest ``score(rng, m, best)`` entry over n_samples draws, taken in batches.
 
     One generator seeded with ``seed`` feeds every batch of at most
-    ``batch`` draws.  numpy's normal draws do not depend on how a request
-    is split, so where ``score`` draws its m rows in one call, the same
-    samples come in any batch size and the result depends only on
+    ``batch`` draws.  numpy's normal and uniform draws do not depend on how
+    a request is split, so where ``score`` draws its m rows in one call, the
+    same samples come in any batch size and the result depends only on
     (seed, n_samples).  ``best`` is the largest entry of the earlier
     batches (-inf before the first).
     """
@@ -712,12 +712,17 @@ def brute_force_bloch_oracle(
 ) -> float:
     """Sampled maximum of the L=2 mean-gain objective in Bloch coordinates.
 
-    Draws transmit directions uniformly on the sphere (3-d Gaussians x);
-    for each, the receive direction is maximized analytically
-    (Cauchy-Schwarz: align with the diagonally scaled transmit direction),
-    giving 1/2 + |(b_1 x_1, b_2 x_2, b_3 x_3)| / |x|.  Each draw is scored
-    in squared form, sum_k b_k^2 x_k^2 / sum_k x_k^2 (0 for an all-zero
-    draw), and one square root is taken of the best score, clipped to
+    Draws transmit directions x uniformly on the unit sphere; for each, the
+    receive direction is maximized analytically (Cauchy-Schwarz: align
+    with the diagonally scaled transmit direction), giving
+    1/2 + |(b_1 x_1, b_2 x_2, b_3 x_3)|.  The draw is Archimedes' projection
+    (Marsaglia 1972): a uniform height z and a uniform angle phi, one row
+    of two uniforms u per direction, with z = u_0 and phi = pi u_1 (the
+    squares are blind to signs, so half ranges suffice).  The squared
+    coordinates are then (1 - z^2) c, (1 - z^2)(1 - c) and z^2 with
+    c = cos^2(phi), a unit vector by construction, and each draw is scored
+    in squared form, b_3^2 z^2 + (1 - z^2)(b_2^2 + (b_1^2 - b_2^2) c), with
+    no division.  One square root is taken of the best score, clipped to
     max_k b_k^2.  Since sqrt(fl(b * b)) == |b| in IEEE arithmetic, the
     clip keeps the result at or below the closed form 1/2 + max_k |b_k|;
     ``include_axes`` adds the three coordinate axes, where the optima sit,
@@ -728,14 +733,21 @@ def brute_force_bloch_oracle(
     b = np.diag(map_matrix_rep(quad))[1:]
     b2 = b * b
 
-    def ratios(rng, m, best):
-        x = rng.standard_normal((m, 3))
-        x *= x
-        # Column sums: cheaper here than norm(axis=1) or sum(axis=1).
-        den = x[:, 0] + x[:, 1] + x[:, 2]
-        return np.divide(x @ b2, den, out=np.zeros(m), where=den > 0)
+    def scores(rng, m, best):
+        u = rng.random((m, 2))
+        z2 = u[:, 0] * u[:, 0]
+        c = np.cos(np.pi * u[:, 1])
+        # The docstring's score, evaluated in place: the same bits as the
+        # expression, about 10% cheaper than its temporaries.
+        c *= c
+        c *= b2[0] - b2[1]
+        c += b2[1]
+        c *= 1.0 - z2
+        z2 *= b2[2]
+        c += z2
+        return c
 
-    best = math.sqrt(min(_sampled_max(ratios, n_samples, seed), float(np.max(b2))))
+    best = math.sqrt(min(_sampled_max(scores, n_samples, seed), float(np.max(b2))))
     if include_axes:
         best = max(best, float(np.max(np.abs(b))))
     return 0.5 + best

@@ -289,15 +289,15 @@ def test_random_oracle_never_exceeds_closed_form(quad, n_samples, seed):
     assert with_axes == closed
 
 
-def _normalized_oracle(p, n_samples, seed):
-    """The oracle as first written: every draw normalized, a sqrt per sample."""
+def _unit_vector_oracle(p, n_samples, seed):
+    """The oracle with every direction built as an explicit unit vector, a sqrt per sample."""
     b = np.diag(map_matrix_rep(p))[1:]
 
     def gains(rng, m, best):
-        x = rng.standard_normal((m, 3))
-        norms = np.linalg.norm(x, axis=1)
-        norms[norms == 0.0] = 1.0
-        x /= norms[:, None]
+        u = rng.random((m, 2))
+        z, phi = u[:, 0], np.pi * u[:, 1]
+        r = np.sqrt(1.0 - z * z)
+        x = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=1)
         return np.sqrt((x * x) @ (b * b))
 
     return 0.5 + optimize._sampled_max(gains, n_samples, seed)
@@ -305,42 +305,74 @@ def _normalized_oracle(p, n_samples, seed):
 
 def test_squared_scoring_stays_within_two_ulp_of_normalized_scoring():
     # Same draws, different rounding: the squared score rounds differently
-    # from the normalized vector, but by at most 2 ulp of the result.
+    # from the explicit unit vector, but by at most 2 ulp of the result.
     rng = np.random.default_rng(15)
     for _ in range(150):
         q = random_quad(rng)
         seed = int(rng.integers(2**31))
         n_samples = int(rng.integers(1, 2 * optimize._BATCH + 2))
-        reference = _normalized_oracle(q, n_samples, seed)
+        reference = _unit_vector_oracle(q, n_samples, seed)
         value = brute_force_bloch_oracle(q, n_samples, include_axes=False, seed=seed)
         assert abs(value - reference) <= 2 * np.spacing(reference)
 
 
+def _oracle_squares(monkeypatch, m, seed):
+    """The oracle's squared coordinates x_k^2 of m directions, one column each.
+
+    The score is linear in (b_1^2, b_2^2, b_3^2), and the quad that puts
+    weight 1/2 on the origin and 1/2 on Pauli k has b = e_k / 2, so four
+    times its score is x_k^2.
+    """
+    scores = []
+    monkeypatch.setattr(optimize, "_sampled_max", lambda score, n, s: scores.append(score) or 0.0)
+    columns = []
+    for k in range(1, 4):
+        brute_force_bloch_oracle(tuple(0.5 * (n in (0, k)) for n in range(4)), 1, include_axes=False)
+        columns.append(4.0 * scores[-1](np.random.default_rng(seed), m, -np.inf))
+    return np.stack(columns, axis=1)
+
+
+def test_sampled_directions_have_the_uniform_sphere_moments(monkeypatch):
+    # On the uniform sphere E x_k^2 = 1/3, E x_k^4 = 1/5 and, for j != k,
+    # E x_j^2 x_k^2 = 1/15; each sample mean must sit within 6 standard errors.
+    x2 = _oracle_squares(monkeypatch, 200_000, 28)
+    assert np.allclose(x2.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+    j, k = np.triu_indices(3, 1)
+    for values, exact in ((x2, 1 / 3), (x2 * x2, 1 / 5), (x2[:, j] * x2[:, k], 1 / 15)):
+        error = values.std(axis=0) / math.sqrt(values.shape[0])
+        assert np.all(np.abs(values.mean(axis=0) - exact) <= 6 * error)
+
+
 @pytest.mark.parametrize("n_samples", [20, optimize._BATCH + 3])
-@pytest.mark.parametrize("draw", ["real", "complex"])
+@pytest.mark.parametrize("draw", ["real", "complex", "uniform"])
 def test_sampled_max_does_not_depend_on_the_batch_size(draw, n_samples):
-    # numpy's normal draws are the same however a request is split, so the
-    # batches of the lower-bound search (at most _BATCH rows) see the same
-    # samples at every batch size.
+    # numpy's normal and uniform draws are the same however a request is
+    # split, so the batches of the lower-bound search (at most _BATCH rows)
+    # and the oracle's rows of two uniforms see the same samples at every
+    # batch size.
     if draw == "real":
         score = lambda rng, m, best: rng.standard_normal(m)
-    else:
+    elif draw == "complex":
         score = lambda rng, m, best: _complex_gaussian(rng, (m, 3)).real.max(axis=1)
+    else:
+        score = lambda rng, m, best: rng.random((m, 2)) @ np.array([1.0, -2.0])
     values = {optimize._sampled_max(score, n_samples, 11, size) for size in (1, 7, optimize._BATCH)}
     assert values == {optimize._sampled_max(score, n_samples, 11)}
 
 
 class _ZeroDraws:
-    def standard_normal(self, shape):
+    def random(self, shape):
         return np.zeros(shape)
 
 
-def test_all_zero_draws_score_half_without_warnings(monkeypatch):
+def test_all_zero_draws_score_the_first_axis_without_warnings(monkeypatch):
+    # u = 0 is height 0 at angle 0: the direction (1, 0, 0), gain 1/2 + |b_1|.
     monkeypatch.setattr(optimize.np.random, "default_rng", lambda seed: _ZeroDraws())
     q = (0.4, 0.3, 0.2, 0.1)
+    b = np.diag(map_matrix_rep(q))[1:]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert brute_force_bloch_oracle(q, optimize._BATCH + 1, include_axes=False) == 0.5
+        assert brute_force_bloch_oracle(q, optimize._BATCH + 1, include_axes=False) == 0.5 + abs(b[0])
         assert brute_force_bloch_oracle(q, 3, include_axes=True) == solve_fidelity(q).fidelity
 
 
