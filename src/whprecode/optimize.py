@@ -26,9 +26,7 @@ from .heisenberg import _lagrangian_lines, _layout
 from .wssus import (
     ScatteringFunction,
     _complex_gaussian,
-    _from_diagonals,
     _map_rank_one,
-    _rank_one_diagonals,
     apply_A,
     apply_interference,
     random_unit_vector,
@@ -39,11 +37,16 @@ from .wssus import (
 _BATCH = 1 << 14
 # The lower-bound search maps at most this many matrix entries at once.
 _BLOCK_ENTRIES = 1 << 22
-# Slack of the search's pruning test.  For its trace-one PSD matrices of
-# size d, the trace bound and eigvalsh's top eigenvalue are each within
-# about d^2 ulp of exact (under 1e-12 at d = 64), so a matrix whose bound
-# falls this far below a computed top eigenvalue has a smaller one.  The
-# _LEADS best-bounded samples of each batch are solved first to set it.
+# Slack of the search's pruning test.  The square root of its bound's
+# spread is a weighted 2-norm of a unit pulse's ambiguities <v, S_nu v>,
+# whose squares sum to L; each ambiguity is within about L ulp of exact, and
+# so is each weight's square root (a tap product, or |lambda(nu)| / sqrt(L)
+# from two L x L products, with sum |lambda|^2 / L <= L).  By the triangle
+# inequality the bound is within about L^(3/2) ulp of exact, and eigvalsh's
+# top eigenvalue of the trace-one image within about L^2 ulp: both under
+# 1e-12 at L = 64.  So a sample whose bound falls this far below a computed
+# top eigenvalue has a smaller one.  The _LEADS best-bounded samples of each
+# batch are solved first to set it.
 _PRUNE_MARGIN = 1e-9
 _LEADS = 4
 # Objectives this close are a tie for the third-cycle safeguard
@@ -421,78 +424,104 @@ def _newton_points(
     return points, ok & np.all(np.isfinite(points), axis=1)
 
 
-def _trace_bound(diag: np.ndarray, off) -> np.ndarray:
-    """Upper bound on the top eigenvalue of hermitian M from its diagonal and off-diagonal mass.
+def _trace_bound(d: int, trace, spread) -> np.ndarray:
+    """Upper bound on the top eigenvalue of hermitian d x d matrices M from ``tr M`` and a spread.
 
-    ``diag`` (..., d) is the real diagonal of M and ``off`` the sum of
-    ``|M_ij|^2`` over ``i != j``.  The bound is
-    ``min(m + s sqrt(d - 1), ||M||_F)`` with ``m = tr M / d`` and
-    ``s^2 = ||M - m I||_F^2 / d`` (Wolkowicz & Styan, Linear Algebra Appl.
-    29, 1980); both squared norms are sums of nonnegative terms, so s keeps
-    a relative error of a few ulp even where ``tr M^2 / d - m^2`` would
-    cancel.
+    ``spread`` is ``||M - m I||_F^2`` with ``m = trace / d``.  The bound is
+    ``min(m + s sqrt(d - 1), ||M||_F)`` with ``s^2 = spread / d`` and
+    ``||M||_F^2 = spread + trace m`` (Wolkowicz & Styan, Linear Algebra Appl.
+    29, 1980).  Callers sum the spread from nonnegative terms, so s keeps a
+    relative error of a few ulp even where ``tr M^2 / d - m^2`` would cancel.
     """
-    d = diag.shape[-1]
-    mean = diag.sum(-1, keepdims=True) / d
-    dev = diag - mean
-    spread = np.sqrt((off + (dev * dev).sum(-1)) / d)
-    return np.fmin(mean[..., 0] + spread * math.sqrt(d - 1), np.sqrt(off + (diag * diag).sum(-1)))
+    mean = trace / d
+    return np.fmin(mean + np.sqrt(spread / d) * math.sqrt(d - 1), np.sqrt(spread + trace * mean))
 
 
 def _ambiguity_terms(C: ScatteringFunction) -> tuple[np.ndarray, list]:
-    """The diagonal ``C(mu_t)`` of the tap Gram of a unit pulse v, and its off-diagonal mass terms.
+    """A diagonal and mass terms that give _trace_bound of ``A(v v*)`` for any unit pulse v.
 
-    Its entries are ``sqrt(C(mu_s) C(mu_t)) <S_mu_s v, S_mu_t v>``, and
-    ``S_mu_s* S_mu_t`` is ``S_(mu_t - mu_s)`` up to a unit phase, so the
-    mass is ``sum_(nu in D) K(nu) |<v, S_nu v>|^2``: D holds the differences
-    of distinct taps and K(nu) sums ``C(mu_s) C(mu_t)`` over the pairs with
-    difference nu, -nu folded onto nu (the moduli are equal).  One term
-    ``(nu1, phase columns, K)`` per distinct nu1 of D (see _ambiguity_mass).
+    Returns ``(diag, terms)``.  The bounded matrix N has the top eigenvalue
+    of ``A(v v*)`` and splits as a diagonal D, ``diag``, plus a rest R with
+    ``||R||_F^2 = _ambiguity_mass(terms, v)`` and ``<R, D - m I> = 0``,
+    ``m = tr N / d``; so ``||N - m I||_F^2 = ||D - m I||_F^2 + ||R||_F^2``,
+    a sum of nonnegative terms.  With T >= L nonzero taps N is the L x L
+    image (_spectral_terms).  Otherwise N is the T x T tap Gram, whose
+    entries are ``sqrt(C(mu_s) C(mu_t)) <S_mu_s v, S_mu_t v>``;
+    ``S_mu_s* S_mu_t`` is ``S_(mu_t - mu_s)`` up to a unit phase, so D holds
+    ``C(mu_t)`` and R, the off-diagonal part, has K(nu) the sum of
+    ``C(mu_s) C(mu_t)`` over the pairs of distinct taps with difference nu.
     """
-    L = C.L
     mu1, mu2 = C._tap_shifts()
+    if mu1.size >= C.L:
+        return _spectral_terms(C)
     weights = C.weights[mu1, mu2]
     s, t = np.nonzero(~np.eye(weights.size, dtype=bool))
-    nu1, nu2 = (mu1[t] - mu1[s]) % L, (mu2[t] - mu2[s]) % L
+    return weights, _folded(C.L, mu1[t] - mu1[s], mu2[t] - mu2[s], weights[s] * weights[t])
+
+
+def _spectral_terms(C: ScatteringFunction) -> tuple[np.ndarray, list]:
+    """_ambiguity_terms of the L x L image ``N = A(v v*)``, from the spreading eigenvalues.
+
+    ``A(S_nu) = lambda(nu) S_nu`` (spreading_eigenvalues) and
+    ``v v* = sum_nu <S_nu v, v> S_nu / L``, so
+    ``||N||_F^2 = sum_nu |lambda(nu)|^2 |<v, S_nu v>|^2 / L``.  The term at
+    nu = 0 is ``(tr N)^2 / L`` with ``tr N = lambda(0)``, so D is
+    ``(lambda(0) / L) I`` and R, ``N - D``, has ``K(nu) = |lambda(nu)|^2 / L``
+    for nu != 0.
+    """
+    L = C.L
+    lam = spreading_eigenvalues(C).ravel()
+    nu1, nu2 = np.divmod(np.arange(1, L * L), L)
+    weights = (lam.real[1:] ** 2 + lam.imag[1:] ** 2) / L
+    return np.full(L, lam[0].real / L), _folded(L, nu1, nu2, weights)
+
+
+def _folded(L: int, nu1: np.ndarray, nu2: np.ndarray, weights: np.ndarray) -> list:
+    """_ambiguity_mass terms of the kernel K: ``weights`` summed per shift nu, -nu folded onto nu.
+
+    ``|<v, S_-nu v>| = |<v, S_nu v>|``, so a kernel on nu and -nu needs one
+    ambiguity; a shift with ``2 nu = 0`` is its own partner.  One term
+    ``(nu1, phase columns, K)`` per distinct nu1 of the folded kernel, each
+    K entry twice, for the real and the imaginary part.
+    """
+    nu1, nu2 = nu1 % L, nu2 % L
     flat = np.minimum(nu1 * L + nu2, -nu1 % L * L + -nu2 % L)
-    kernel = np.bincount(flat, weights[s] * weights[t], L * L).reshape(L, L)
+    kernel = np.bincount(flat, weights, L * L).reshape(L, L)
     phases = _layout(L)[2]
     cols = [np.flatnonzero(row) for row in kernel]
-    return weights, [(n, phases[:, c], kernel[n, c]) for n, c in enumerate(cols) if c.size]
+    return [(n, phases[:, c], np.repeat(kernel[n, c], 2)) for n, c in enumerate(cols) if c.size]
 
 
 def _ambiguity_mass(terms: list, pulses: np.ndarray) -> np.ndarray:
     """``sum_nu K(nu) |<v, S_nu v>|^2`` for each row v (terms from _ambiguity_terms).
 
     ``<v, S_nu v> = sum_m conj(v_m) w^(nu2 m) v_(m - nu1)``: per nu1 one
-    product with the columns of the ``_layout`` phase table.
+    product with the columns of the ``_layout`` phase table, squared in
+    place as real and imaginary parts side by side.
     """
     lags = _layout(pulses.shape[-1])[1]
     conj = pulses.conj()
     mass = np.zeros(len(pulses))
     for nu1, cols, kernel in terms:
-        amb = (conj * pulses[:, lags[:, nu1]]) @ cols
-        mass += (amb.real**2 + amb.imag**2) @ kernel
+        amb = ((conj * pulses.take(lags[:, nu1], axis=1)) @ cols).view(float)
+        amb *= amb
+        mass += amb @ kernel
     return mass
 
 
 def _bounded_images(operand, terms, pulses: np.ndarray) -> tuple:
     """_trace_bound of each image ``A(v v*)`` of the rows v, and a maker of chosen images.
 
-    ``terms`` is _ambiguity_terms' on the tap path and None on the
-    diagonal-block path, where the bound is read off the images' cyclic
-    diagonals.  The maker maps an index into the rows to the ``mats`` of
-    _rank_one_images, bit for bit.
+    ``terms`` is _ambiguity_terms'; the bound forms no image.  The maker
+    maps an index into the rows to the ``mats`` of _rank_one_images on
+    those rows alone, bit for bit the images of the whole stack (see
+    _map_rank_one).
     """
-    if terms is not None:
-        weights, ambiguity = terms
-        upper = _trace_bound(weights, _ambiguity_mass(ambiguity, pulses))
-        return upper, lambda keep: _rank_one_images(operand, pulses[keep]).mats
-    diags = operand @ _rank_one_diagonals(pulses)  # diags[d, n, k] = A(v_k v_k*)[(n + d) % L, n]
-    rest = diags[1:].reshape(-1, len(pulses)).view(float)
-    sq = np.einsum("ij,ij->j", rest, rest)  # real and imaginary parts side by side
-    upper = _trace_bound(diags[0].real.T, sq[::2] + sq[1::2])
-    return upper, lambda keep: _from_diagonals(diags[..., keep])
+    diag, kernel = terms
+    trace = diag.sum()
+    spread = ((diag - trace / diag.size) ** 2).sum() + _ambiguity_mass(kernel, pulses)
+    upper = _trace_bound(diag.size, trace, spread)
+    return upper, lambda keep: _rank_one_images(operand, pulses[keep]).mats
 
 
 def alternating_fidelity_max(
@@ -768,19 +797,21 @@ def fidelity_lower_bound_search(
     Samples are drawn in batches of at most _BATCH rows and at most
     _BLOCK_ENTRIES matrix entries (a power-of-two row count that divides
     _BATCH), so the batches hold the same samples at every L.  Every sample
-    of a batch gets a trace bound on its top eigenvalue (see
-    _bounded_images), on the tap Gram from the pulse's ambiguity function,
-    with no image formed.  eigvalsh on the _LEADS best-bounded samples sets the threshold
-    ``max(best, their top) - _PRUNE_MARGIN``, and only the samples whose
-    bound reaches it have their images formed and solved.  Neither changes
-    the result: it is the float that eigvalsh on every sample would give.
+    of a batch gets a trace bound on its top eigenvalue from the pulse's
+    ambiguity function, weighted by the tap pairs on the tap Gram and by the
+    spreading eigenvalues on the L x L map (see _ambiguity_terms), with no
+    image formed.  eigvalsh on the _LEADS best-bounded samples sets the
+    threshold ``max(best, their top) - _PRUNE_MARGIN``, and only the samples
+    whose bound reaches it have their images formed and solved.  Neither
+    changes the result: it is the float that eigvalsh on every sample would
+    give.
     """
     n_samples = linalg.require_int(n_samples, "n_samples", 1)
     L = linalg.require_int(L, "dimension", 1)
     if L != C.L:
         raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
     forward = _half_step_operands(C)[0]
-    terms = _ambiguity_terms(C) if isinstance(forward, tuple) else None
+    terms = _ambiguity_terms(C)
     rows = 1 << (max(1, _BLOCK_ENTRIES // (L * L)).bit_length() - 1)
 
     def top(rng, m, best):

@@ -250,17 +250,18 @@ def _map_rank_one(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     """The map applied to the projectors v v* of the rows of ``vectors``.
 
     The diagonals come straight from the vectors, so the (R, L, L) stack of
-    projectors is never formed.
+    projectors is never formed.  Each image has the same bits whichever
+    rows share the call: BLAS takes the rows in panels and rounds a ragged
+    last panel in another kernel (OpenBLAS on x86-64: panels of 4), so the
+    rows are padded with zeros to a multiple of 8.
     """
-    return _from_diagonals(blocks @ _rank_one_diagonals(vectors))
-
-
-def _rank_one_diagonals(vectors: np.ndarray) -> np.ndarray:
-    """``diags[d, n, k] = v_k[(n + d) % L] conj(v_k[n])``: the diagonals of each row's ``v v*``."""
-    vt = vectors.T
-    diags = vt[_layout(vectors.shape[1])[0]]
+    R, L = vectors.shape
+    vt = np.zeros((L, R + -R % 8), dtype=complex)
+    vt[:, :R] = vectors.T
+    diags = vt[_layout(L)[0]]  # diags[d, n, k] = v_k[(n + d) % L] conj(v_k[n])
     diags *= vt.conj()
-    return diags
+    diags = blocks @ diags  # the rank-one diagonals are freed before the scatter
+    return _from_diagonals(diags[..., :R])
 
 
 def apply_A(C: ScatteringFunction, X) -> np.ndarray:

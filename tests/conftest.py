@@ -57,7 +57,11 @@ def top_eigenvalue_bounds(mats: np.ndarray, start: np.ndarray) -> tuple[np.ndarr
     lower = np.divide(num, den, out=np.zeros_like(num), where=den >= np.finfo(float).tiny)
     sq = mats.real**2 + mats.imag**2
     sq[:, np.arange(d), np.arange(d)] = 0.0
-    return lower, optimize._trace_bound(np.einsum("kii->ki", mats).real, sq.sum((-2, -1)))
+    return lower, optimize._trace_bound(
+        d,
+        (diag := np.einsum("kii->ki", mats).real).sum(-1),
+        ((diag - diag.mean(-1, keepdims=True)) ** 2).sum(-1) + sq.sum((-2, -1)),
+    )
 
 
 def explicit_partial_transpose(r: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from whprecode.wssus import (
     channel_fidelity,
     random_unit_vector,
     sinr,
+    spreading_eigenvalues,
 )
 
 
@@ -839,11 +840,12 @@ def bound_cases(draw):
 def test_search_bounds_hold_without_the_images(case):
     # Every sample's bound is at least the top eigenvalue of its image, and
     # the images the search forms for chosen samples have the bits of the
-    # images of the whole stack.  On the tap path the Gram's squared
-    # Frobenius norm is sum C(mu_t)^2 plus the ambiguity mass.
+    # images of the whole stack.  The bounded matrix's squared Frobenius
+    # norm is the diagonal's squares plus the ambiguity mass: on the tap
+    # path sum C(mu_t)^2, on the L x L map tr^2 / L with tr = lambda(0).
     C, pulses = case
     forward = optimize._half_step_operands(C)[0]
-    terms = optimize._ambiguity_terms(C) if forward is C.tap_frame()[0] else None
+    terms = optimize._ambiguity_terms(C)
     upper, images = optimize._bounded_images(forward, terms, pulses)
     mats = optimize._rank_one_images(forward, pulses).mats
     chosen = np.random.default_rng(C.L).permutation(len(pulses))[:5]
@@ -855,6 +857,68 @@ def test_search_bounds_hold_without_the_images(case):
         mass = (weights**2).sum() + optimize._ambiguity_mass(ambiguity, pulses)
         frobenius = (mats.real**2 + mats.imag**2).sum((-2, -1))
         np.testing.assert_allclose(mass, frobenius, rtol=0, atol=1e-13)
+    if forward is not C.tap_frame()[0]:
+        trace, spread = spreading_eigenvalues(C)[0, 0].real, optimize._ambiguity_mass(terms[1], pulses)
+        np.testing.assert_allclose(trace**2 / C.L + spread, frobenius, rtol=0, atol=1e-13)
+
+
+@st.composite
+def spectral_cases(draw):
+    """Dense, uniform and concentrated channels at L = 1..8, and 16 unit pulses."""
+    L = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["dense", "uniform", "concentrated"]))
+    if kind == "uniform":
+        C = ScatteringFunction.uniform(L)
+    elif kind == "concentrated":
+        C = ScatteringFunction.concentrated(L, tuple(rng.integers(0, L, 2)))
+    else:
+        C = sparse_scattering(rng, L, L * L)
+    pulses = _complex_gaussian(rng, (16, L))
+    pulses /= np.linalg.norm(pulses, axis=1)[:, None]
+    return C, pulses
+
+
+@settings(max_examples=120)
+@given(spectral_cases())
+# Even L: (L/2, 0), (0, L/2) and (L/2, L/2) are their own partners in the fold.
+@example((random_scattering(np.random.default_rng(6), 6), np.eye(6, dtype=complex)))
+@example((ScatteringFunction.concentrated(8, (4, 4)), np.full((1, 8), 8**-0.5, dtype=complex)))
+def test_folded_spectral_mass_is_the_unfolded_sum(case):
+    # ||A(v v*) - (tr / L) I||_F^2 = sum_(nu != 0) |lambda(nu)|^2 |<v, S_nu v>|^2 / L,
+    # summed here over every shift, nu and -nu apart, from shift_operator.
+    C, pulses = case
+    L, lam = C.L, spreading_eigenvalues(C)
+    diag, terms = optimize._spectral_terms(C)
+    shifts = [(a, b) for a in range(L) for b in range(L) if (a, b) != (0, 0)]
+    explicit = sum(
+        abs(lam[nu]) ** 2 * np.abs(np.einsum("ki,ij,kj->k", pulses.conj(), shift_operator(L, nu), pulses)) ** 2 / L
+        for nu in shifts
+    )
+    np.testing.assert_allclose(optimize._ambiguity_mass(terms, pulses), explicit, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(diag, np.full(L, lam[0, 0].real / L), rtol=0, atol=1e-15)
+
+
+def test_search_forms_images_only_for_leads_and_survivors(monkeypatch):
+    # Dense L = 6: every sample's bound comes from the spreading eigenvalues;
+    # images are formed for the _LEADS best-bounded samples, then for the
+    # samples whose bound reaches the threshold, and for no others.
+    C, n_samples, seed = isotropic(6), 3000, 2
+    forward = optimize._half_step_operands(C)[0]
+    vecs = _complex_gaussian(np.random.default_rng(seed), (n_samples, C.L))
+    vecs /= np.linalg.norm(vecs, axis=1)[:, None]
+    upper, images = optimize._bounded_images(forward, optimize._ambiguity_terms(C), vecs)
+    lead = np.argsort(upper)[-optimize._LEADS:]
+    keep = upper >= np.linalg.eigvalsh(images(lead))[:, -1].max() - optimize._PRUNE_MARGIN
+    keep[lead] = False
+    survivors = np.count_nonzero(keep)
+    expected = unpruned_search(C, n_samples, seed)
+    rows = []
+    real = optimize._rank_one_images
+    monkeypatch.setattr(optimize, "_rank_one_images", lambda op, v: rows.append(len(v)) or real(op, v))
+    assert fidelity_lower_bound_search(C, C.L, n_samples, seed) == expected
+    assert rows == [optimize._LEADS, survivors]
+    assert optimize._LEADS + survivors < n_samples / 10
 
 
 def psd_stacks(d, rng):
