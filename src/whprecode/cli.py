@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import io
 import json
 import os
@@ -53,7 +52,7 @@ from .wssus import ScatteringFunction
 
 _CONFIG_KEYS = ("p", "L", "sigma2", "trials", "samples", "seed", "scattering")
 # The one option table, flag: (namespace name, type, choices, metavar, help).
-# It builds the parser, _scan's lookups and _VALUE_FLAGS, in this order.
+# It builds _scan's lookups and the --help text, in this order.
 _OPTIONS = {
     "--p": ("p", str, None, "P0,P1,P2,P3", "four scattering weights, comma separated"),
     "--p0": ("p0", float, None, None, "weight of the identity shift"),
@@ -72,18 +71,8 @@ _OPTIONS = {
 }
 # The scalars a flag or the config file may set, and their defaults.
 _SCALAR_DEFAULTS = {"L": 2, "sigma2": 0.1, "trials": 100_000, "samples": 100_000, "seed": 0}
-# The flags whose value may be a negative number (the number flags and
-# --p's weights), and each prefix that argparse resolves to one of them
-# (no other option shares a first letter).
-_VALUE_FLAGS = frozenset(flag for flag, (_, kind, *_) in _OPTIONS.items()
-                         if kind is not str or flag == "--p")
-_VALUE_FLAG_PREFIXES = frozenset(
-    prefix
-    for flag in _VALUE_FLAGS
-    for prefix in (flag[:end] for end in range(3, len(flag) + 1))
-    if prefix in _VALUE_FLAGS or sum(f.startswith(prefix) for f in _VALUE_FLAGS) == 1
-)
-# A value argparse would take for an option: a minus sign, then a digit, a point, inf or nan.
+# A next-token value that may start with "-", as a negative number: a minus
+# sign, then a digit, a point, inf or nan.
 _NEGATIVE_NUMBER = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
 # Per channel class: its case number (None for a generic channel, whose
 # case comes from the extremal families) and its narrative.
@@ -116,81 +105,79 @@ class RunConfig:
     output_path: str | None
 
 
-@functools.cache
-def _build_parser():
-    # Built once per process, and only for an argv that _scan declines:
-    # parse_args keeps no state between calls and returns a fresh namespace
-    # each time.  One flat parser reads each argv once: the command is a
-    # positional, and argparse interleaves it with the flags, so flags may
-    # come before or after it.  SUPPRESS keeps unset flags off the
-    # namespace, so a config-file value shows through them.
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="whprecode",
-        description="Design and verify statistics-adapted pulses for dispersive channels.",
-    )
-    parser.add_argument("command", choices=tuple(_COMMANDS), help="; ".join(
-        f"{name}: {text}" for name, (_, text, _) in _COMMANDS.items()))
-    for flag, (dest, kind, choices, metavar, text) in _OPTIONS.items():
-        parser.add_argument(flag, dest=dest, type=kind, choices=choices, metavar=metavar,
-                            default=argparse.SUPPRESS, help=text)
-    return parser
+def _help() -> str:
+    """The --help text, built from _COMMANDS and _OPTIONS."""
+    lines = ["usage: whprecode COMMAND [FLAG VALUE ...]", "",
+             "Design and verify statistics-adapted pulses for dispersive channels.", "",
+             "commands:"]
+    lines += [f"  {name:<10}{text}" for name, (_, text, _) in _COMMANDS.items()]
+    lines += ["", "flags, before or after the command, each in full or as a prefix that names one:",
+              f"  {'-h, --help':<24}print this help and exit"]
+    for flag, (dest, _, choices, metavar, text) in _OPTIONS.items():
+        value = metavar or ("|".join(choices) if choices else dest.upper())
+        lines.append(f"  {flag + ' ' + value:<24}{text}")
+    return "\n".join(lines)
 
 
-def _scan(argv: list[str]) -> dict | None:
-    """``vars(_build_parser().parse_args(argv))`` for an argv of full flag names, else None.
+def _scan(argv: list[str]) -> dict:
+    """The command and the flag values of ``argv``, by namespace name, read in one pass.
 
-    One pass: each token is the command or an exact flag name, with its
-    value after "=" or in the next token.  Any other argv gets None and goes
-    to argparse, the one reader of abbreviations, ``-h``/``--help``, ``--``
-    and usage errors.  So does an argv with a second command, no command, a
-    missing value, a value after a space that starts with "-", a value "--"
-    after "=" (some Python versions drop it), or a value its flag's type or
-    choices reject.
+    Each token is the command, a flag of _OPTIONS, ``-h``, ``--help`` or
+    ``--``.  A flag is given in full or as a prefix that names exactly one
+    flag (``--sam``, ``--he``), with its value after "=" or in the next
+    token; a next-token value may start with "-" only as a negative number
+    (_NEGATIVE_NUMBER).  ``--`` ends the flags, so only the command may
+    follow it.  Help prints the help text to stdout and raises
+    SystemExit(0).  Every other fault raises InvalidConfigError:
+    an unknown or ambiguous flag, a missing value or a value "--", a value
+    its flag's type or choices reject, and no command or a second one.
     """
     given = {}
     tokens = iter(argv)
+    flags = True
     for token in tokens:
-        if not token.startswith("-"):
+        if not flags or not token.startswith("-"):
             if "command" in given or token not in _COMMANDS:
-                return None
+                raise InvalidConfigError(
+                    f"command: expected one of {', '.join(_COMMANDS)}, got {token!r}"
+                    + (f" after {given['command']!r}" if "command" in given else ""))
             given["command"] = token
             continue
-        flag, eq, value = token.partition("=")
-        if flag not in _OPTIONS:
-            return None
-        if eq:
-            if value == "--":
-                return None
-        else:
+        if token == "--":
+            flags = False
+            continue
+        name, eq, value = token.partition("=")
+        found = [name] if name in _OPTIONS else [
+            flag for flag in (*_OPTIONS, "--help", "-h") if len(name) > 1 and flag.startswith(name)]
+        if len(found) != 1:
+            raise InvalidConfigError(
+                f"{name}: ambiguous flag, could be {', '.join(found)}" if found else f"{name}: unknown flag")
+        flag = found[0]
+        if flag not in _OPTIONS:  # -h or --help
+            if eq:
+                raise InvalidConfigError(f"{flag}: takes no value")
+            try:
+                print(_help())
+            except OSError:  # a full stdout or a closed pipe: still no traceback
+                pass
+            raise SystemExit(0)
+        if not eq:
             value = next(tokens, None)
-            if value is None or value.startswith("-"):
-                return None
+        if value is None or value == "--" or (
+                not eq and value.startswith("-") and not _NEGATIVE_NUMBER.match(value)):
+            raise InvalidConfigError(
+                f"{flag}: expected one value" + ("" if value is None else f", got {value!r}"))
         dest, kind, choices, _, _ = _OPTIONS[flag]
         try:
             given[dest] = kind(value)
         except ValueError:
-            return None
+            raise InvalidConfigError(f"{flag}: invalid {kind.__name__} value {value!r}") from None
         if choices and given[dest] not in choices:
-            return None
-    return given if "command" in given else None
-
-
-def _attach_negative_numbers(argv: list[str]) -> list[str]:
-    """argv with values like ``-0.1,0.4,0.4,0.3``, ``-1e-3`` or ``-inf`` as ``--flag=value``.
-
-    argparse reads such a value after a number flag as an unknown option,
-    so without this it never reaches the value checks.  A number flag may
-    be abbreviated, as argparse allows, to a prefix that names one flag.
-    """
-    out: list[str] = []
-    for arg in argv:
-        if out and out[-1] in _VALUE_FLAG_PREFIXES and _NEGATIVE_NUMBER.match(arg):
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
+            raise InvalidConfigError(
+                f"{flag}: invalid choice {value!r} (choose from {', '.join(choices)})")
+    if "command" not in given:
+        raise InvalidConfigError(f"command: expected one of {', '.join(_COMMANDS)}")
+    return given
 
 
 def _load_config_file(path: str, violations: list[str]) -> dict:
@@ -270,9 +257,11 @@ def parse_config(argv=None) -> RunConfig:
     """Parse flags and optional config file into a validated RunConfig.
 
     ``argv`` is a sequence of strings (default ``sys.argv[1:]``); a string,
-    bytes or a non-string entry is an InvalidConfigError.  Values are read
-    by the library's readers; every violation found is reported at once,
-    each naming the offending field, via InvalidConfigError.
+    bytes or a non-string entry is an InvalidConfigError.  _scan, the one
+    parser, reads it: a usage error raises InvalidConfigError, and
+    ``-h``/``--help`` prints the help text and raises SystemExit(0).  The
+    values are then read by the library's readers; every violation found is
+    reported at once, each naming the offending field, via InvalidConfigError.
     """
     argv = sys.argv[1:] if argv is None else argv
     if isinstance(argv, (str, bytes)):
@@ -281,16 +270,7 @@ def parse_config(argv=None) -> RunConfig:
     for i, arg in enumerate(argv):
         if not isinstance(arg, str):
             raise InvalidConfigError(f"argv: entry {i} is {type(arg).__name__}, not str")
-    argv = _attach_negative_numbers(argv)
     given = _scan(argv)
-    if given is None:
-        given = vars(_build_parser().parse_args(argv))
-        # Some Python versions read an explicit "--flag=--" as an empty list.
-        wrong = [f"{flag}: expected one value, got {given[dest]!r}"
-                 for flag, (dest, kind, *_) in _OPTIONS.items()
-                 if dest in given and not isinstance(given[dest], kind)]
-        if wrong:
-            raise InvalidConfigError("; ".join(wrong))
     command = given["command"]
     violations: list[str] = []
     config_path = given.get("config")
@@ -501,7 +481,8 @@ def _cmd_general(cfg: RunConfig) -> dict:
 
 
 # The one subcommand table, name: (handler, --help line, reads an L=2 quad).
-# It builds the parser in this order, and dispatch and the L=2 checks read it.
+# It builds the --help text in this order; _scan, dispatch and the L=2
+# checks read it.
 _COMMANDS = {
     "solve": (_cmd_solve, "closed-form optimal pulses and schemes", True),
     "classify": (_cmd_classify, "qualitative channel regime", True),
@@ -646,8 +627,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(argv)
         rendered = _RENDERERS[cfg.output_format](dispatch(cfg))
-    except SystemExit as exc:  # argparse: --help, or a flag it rejects
-        return 0 if exc.code in (0, None) else 2
+    except SystemExit:  # -h or --help: _scan printed the help text
+        return 0
     except WHPrecodeError as exc:  # InvalidConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return 2

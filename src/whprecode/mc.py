@@ -16,7 +16,7 @@ import numpy as np
 
 from . import linalg
 from .bloch import ScatteringQuad, solve_fidelity
-from .errors import InvalidWeightsError
+from .errors import DimensionMismatchError
 from .heisenberg import shift_operator
 from .wssus import (
     ScatteringFunction,
@@ -112,7 +112,7 @@ def estimate_expectations(
     g = linalg.require_unit_vector(g, "g")
     for name, v in (("gamma", gamma), ("g", g)):
         if v.shape != (C.L,):
-            raise InvalidWeightsError(f"{name} must be a length-{C.L} vector")
+            raise DimensionMismatchError(f"{name} must be a length-{C.L} vector")
     shifts = coerce_scheme_shifts(scheme, C.L)
     interferers = [mu for mu in shifts if mu != (0, 0)]
 

@@ -49,9 +49,10 @@ _BLOCK_ENTRIES = 1 << 22
 # batch are solved first to set it.
 _PRUNE_MARGIN = 1e-9
 _LEADS = 4
-# Objectives this close are a tie for the third-cycle safeguard
-# (alternating_fidelity_max): near a stationary point the objective moves by
-# the square of the residual, below what a computed eigenvalue resolves.
+# Objectives this close are a tie for the third-cycle safeguard and for the
+# choice of the best restart (alternating_fidelity_max): near a stationary
+# point the objective moves by the square of the residual, below what a
+# computed eigenvalue resolves.
 _TIE = 1e-14
 # Trust radius of each restart's first Newton step, and the floor that keeps
 # its quarterings (one per rejected step) from reaching zero.  A first radius
@@ -535,7 +536,8 @@ def alternating_fidelity_max(
     De Moor & Vandewalle, SIAM J. Matrix Anal. Appl. 21(4), 2000).  The
     joint problem is nonconvex, so restarts (independent per-restart
     substreams of the master seed) run in lockstep, in waves of _WAVE, and
-    the best is returned.
+    the best is returned: among the restarts within _TIE of the largest
+    value, the one of smallest residual, as in the third-cycle safeguard.
 
     A cycle is a transmit then a receive half-step, so every pair ends on a
     receiver matched to its transmit pulse.  Cycles come in threes: two
@@ -676,7 +678,8 @@ def alternating_fidelity_max(
         values[rows], residuals[rows] = top[moved], new_residuals[moved]
         history.append(values.copy())
 
-    best = int(np.argmax(values[:drawn]))
+    near = np.flatnonzero(values[:drawn] >= values[:drawn].max() - _TIE)
+    best = int(near[np.argmin(residuals[near])])
     # The gain is at most 1; clip roundoff above it, as channel_fidelity does.
     return OptimizationTrace(
         objective_history=tuple(min(1.0, float(h[best])) for h in histories[best // _WAVE]),

@@ -1,11 +1,13 @@
 """Tests for the command line front end."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 
@@ -150,7 +152,7 @@ def test_invalid_input_exits_two(capsys):
          "sigma2: value must be a finite number in [0.0, inf], got -0.001"),
         (["simulate", "--p", "0.4,0.3,0.2,0.1", "--sigma2", "-Inf"],
          "sigma2: value must be a finite number in [0.0, inf], got -inf"),
-        # Abbreviated as argparse allows: a prefix that names one number flag.
+        # Abbreviated to a prefix that names one number flag.
         (["simulate", "--p", "0.4,0.3,0.2,0.1", "--sigma", "-1e-3"],
          "sigma2: value must be a finite number in [0.0, inf], got -0.001"),
     ],
@@ -159,7 +161,7 @@ def test_invalid_input_exits_two(capsys):
 )
 def test_negative_values_reach_the_value_checks(capsys, argv, message):
     # A value after a flag that starts with "-" and a digit or "." is a
-    # value, not an unknown option: one error line, not argparse's usage.
+    # value, not a flag: one error line from the value check.
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
 
@@ -380,6 +382,13 @@ def test_unwritable_stdout_exits_two(monkeypatch, capsys, stdout):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("stdout", [_FullStream(), None], ids=["full", "closed"])
+def test_help_on_an_unwritable_stdout_exits_zero_without_a_traceback(monkeypatch, capsys, stdout):
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
 @pytest.mark.parametrize("target", ["full", "closed"])
 def test_console_script_unwritable_stdout_exits_two(target):
@@ -570,7 +579,6 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
     argvs, groups = _reuse_argvs(str(config))
     reused = [run_cli(capsys, *argv) for argv in argvs]
     for argv, result in zip(argvs, reused):
-        cli._build_parser.cache_clear()
         assert run_cli(capsys, *argv) == result, argv
     codes = {code for code, _, _ in reused}
     assert codes == {0, 2}
@@ -585,15 +593,43 @@ def test_reused_parser_matches_a_fresh_one(tmp_path, capsys):
         assert code == 0 and all(command in out for command in cli._COMMANDS), argv
     for argv in ([], ["bogus", "--p", "0.4,0.3,0.2,0.1"]):
         code, out, err = results[tuple(argv)]
-        assert (code, out) == (2, "") and err.splitlines()[-1].startswith("whprecode: error:"), argv
+        assert (code, out) == (2, "") and err.startswith("error:") and err.count("\n") == 1, argv
 
 
-def test_main_builds_the_parser_once(capsys):
-    cli._build_parser.cache_clear()
-    for argv in (["solve", "--p", "1,0,0,0"], ["classify", "--nope"], ["--help"]) * 3:
-        main(argv)
-    capsys.readouterr()
-    assert cli._build_parser.cache_info().misses == 1
+def _reference_parser():
+    """An argparse reader of cli's option and command tables, the reference for _scan.
+
+    The command is a positional among the flags; SUPPRESS keeps unset
+    flags off the namespace, as _scan leaves them out of its dict.
+    """
+    parser = argparse.ArgumentParser(prog="whprecode")
+    parser.add_argument("command", choices=tuple(cli._COMMANDS))
+    for flag, (dest, kind, choices, metavar, text) in cli._OPTIONS.items():
+        parser.add_argument(flag, dest=dest, type=kind, choices=choices, metavar=metavar,
+                            default=argparse.SUPPRESS, help=text)
+    return parser
+
+
+_REFERENCE = _reference_parser()
+# Each flag of _OPTIONS and each prefix that names it alone.  argparse reads
+# a value like -1e-3 after one as an unknown option, so the reference gets
+# a negative number joined to its flag by "=".
+_FLAG_PREFIXES = frozenset(
+    flag[:end]
+    for flag in cli._OPTIONS
+    for end in range(3, len(flag) + 1)
+    if flag[:end] == flag or [f for f in (*cli._OPTIONS, "--help") if f.startswith(flag[:end])] == [flag]
+)
+
+
+def _join_negative_numbers(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in _FLAG_PREFIXES and cli._NEGATIVE_NUMBER.match(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
 
 
 # Tokens for the scan-vs-argparse test: every command and exact flag, some
@@ -605,44 +641,74 @@ _SCAN_CHUNKS = st.one_of(
     st.tuples(st.sampled_from(_SCAN_FLAGS), st.sampled_from(_SCAN_VALUES)).map(list),
     st.tuples(st.sampled_from(_SCAN_FLAGS), st.sampled_from(_SCAN_VALUES)).map(
         lambda pair: ["=".join(pair)]),
-    st.sampled_from([*cli._COMMANDS, "bogus", "-h", "--help", "--", "-", "--p==1", "--p0="]).map(
-        lambda token: [token]),
+    st.sampled_from([*cli._COMMANDS, "bogus", "-h", "--help", "--he", "--", "-", "--p==1",
+                     "--p0="]).map(lambda token: [token]),
 )
 
 
 @settings(max_examples=1000)
 @given(st.sampled_from(list(cli._COMMANDS)), st.lists(_SCAN_CHUNKS, max_size=5), st.integers(0, 5))
 @example("solve", [["--p=--"]], 1)  # Python 3.11's argparse reads "--p=--" as p = []
+@example("solve", [["--out", "-1"]], 1)
+@example("solve", [["--ou", "-inf"]], 1)
+@example("solve", [["--sig", "-1e-3"]], 1)
 def test_scan_reads_what_argparse_reads(command, chunks, at):
     # The command sits among the chunks, so repeats, flags on both sides
     # of it and a second command all occur.
     argv = [token for chunk in chunks[:at] for token in chunk]
     argv += [command, *(token for chunk in chunks[at:] for token in chunk)]
-    argv = cli._attach_negative_numbers(argv)
-    scanned = cli._scan(argv)
-    if scanned is None:
-        return
-    with contextlib.redirect_stderr(io.StringIO()):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         try:
-            parsed = vars(cli._build_parser().parse_args(argv))
-        except SystemExit:
-            parsed = None
-    # repr, so that a NaN value equals itself.
-    assert parsed is not None and repr(sorted(parsed.items())) == repr(sorted(scanned.items()))
+            parsed, code = vars(_REFERENCE.parse_args(_join_negative_numbers(argv))), None
+        except SystemExit as exc:
+            parsed, code = None, exc.code
+        try:
+            scanned = cli._scan(argv)
+        except (InvalidConfigError, SystemExit) as exc:
+            scanned = exc
+    if code == 0 or isinstance(scanned, SystemExit):
+        # Help, which each reader may meet before or after a fault.
+        assert code in (0, 2) and (isinstance(scanned, InvalidConfigError) or scanned.code == 0), argv
+    elif parsed is None:
+        assert isinstance(scanned, InvalidConfigError), (argv, scanned)
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            assert main(argv) == 2
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    elif isinstance(scanned, InvalidConfigError):
+        # The one exception: a value "-" or "--", which argparse reads as
+        # a value and the scan rejects.
+        value = re.fullmatch(r"--\w+: expected one value, got '(.*)'", str(scanned)).group(1)
+        assert value in ("-", "--"), argv
+    else:
+        # repr, so that a NaN value equals itself.
+        assert repr(sorted(parsed.items())) == repr(sorted(scanned.items())), argv
 
 
-def test_argparse_alone_prints_what_the_scan_prints(tmp_path, capsys, monkeypatch):
+def _abbreviated(argv):
+    """argv with every full flag name cut to the shortest prefix that names it alone."""
+    names = [*cli._OPTIONS, "--help"]
+    return [
+        next(token[:end] for end in range(3, len(token) + 1)
+             if token[:end] == token or [n for n in names if n.startswith(token[:end])] == [token])
+        if token in names else token
+        for token in argv
+    ]
+
+
+def test_abbreviated_flags_print_what_full_names_print(tmp_path, capsys):
     config = tmp_path / "cfg.json"
     config.write_text(json.dumps({"p": [0.1, 0.2, 0.3, 0.4], "samples": 300}))
     argvs, _ = _reuse_argvs(str(config))
-    scanned = [run_cli(capsys, *argv) for argv in argvs]
-    monkeypatch.setattr(cli, "_scan", lambda argv: None)
-    assert [run_cli(capsys, *argv) for argv in argvs] == scanned
+    assert _abbreviated(["--sigma2", "--samples", "--seed", "--format", "--help", "--p", "--p0"]) == [
+        "--si", "--sa", "--se", "--f", "--h", "--p", "--p0"]
+    full = [run_cli(capsys, *argv) for argv in argvs]
+    assert [run_cli(capsys, *_abbreviated(argv)) for argv in argvs] == full
 
 
-def test_benchmark_request_shapes_skip_argparse(tmp_path, capsys):
-    # One argv of each shape the benchmark decks send, valid or not; a scan
-    # that declined them all would print the same and lose its speed.
+def test_benchmark_request_shapes_reach_the_value_checks(tmp_path, capsys):
+    # One argv of each shape the benchmark decks send, valid or not: the
+    # malformed ones fail the value checks, not the parser.
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"L": 4, "scattering": [0.7] + [0.0] * 4 + [0.3] + [0.0] * 10}))
     quad = ["--p0", "0.4", "--p1", "0.3", "--p2", "0.2", "--p3", "0.1"]
@@ -657,11 +723,12 @@ def test_benchmark_request_shapes_skip_argparse(tmp_path, capsys):
         ["oracle", "--p", "0.4,0.3,0.2,0.1", "--samples", "300", "--seed", "7", "--format", "json"],
         ["general", "--config", str(config), "--samples", "200", "--seed", "3"],
     ]
-    cli._build_parser.cache_clear()
-    codes = [main(argv) for argv in argvs]
-    capsys.readouterr()
-    assert codes == [0, 0, 0, 2, 2, 0, 0, 0]
-    assert cli._build_parser.cache_info().misses == 0
+    results = [run_cli(capsys, *argv) for argv in argvs]
+    assert [code for code, _, _ in results] == [0, 0, 0, 2, 2, 0, 0, 0]
+    assert [err for _, _, err in results if err] == [
+        "error: p: weights must be nonnegative numbers\n",
+        "error: L: command 'solve' is defined for L=2, got 4\n",
+    ]
 
 
 @pytest.mark.parametrize(
@@ -679,12 +746,15 @@ def test_argv_that_is_not_a_list_of_strings_exits_two(argv, message, capsys):
     assert (code, *capsys.readouterr()) == (2, "", f"error: {message}\n")
 
 
-def test_full_flag_names_never_import_argparse():
+def test_no_request_imports_argparse():
     package_root = str(pathlib.Path(whprecode.__file__).parents[1])
     path = os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))
     code = ("import contextlib, io, sys; from whprecode import cli\n"
-            "with contextlib.redirect_stdout(io.StringIO()):\n"
-            "    assert cli.main(['solve', '--p', '0.4,0.3,0.2,0.1']) == 0\n"
+            "requests = [(['solve', '--p', '0.4,0.3,0.2,0.1'], 0), (['solve', '--form', 'csv', '--p', '1,0,0,0'], 0),\n"
+            "            (['--help'], 0), (['--he'], 0), (['solve', '--bogus'], 2), ([], 2)]\n"
+            "for argv, expected in requests:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+            "        assert cli.main(argv) == expected, argv\n"
             "assert 'argparse' not in sys.modules\n")
     child = subprocess.run([sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=path),
                            capture_output=True, text=True, timeout=60)
@@ -843,9 +913,6 @@ def test_cli_contract_holds_for_any_input(tmp_path_factory, invocation):
 
 @pytest.mark.parametrize("flag", ["--p", "--format", "--out", "--config"])
 def test_an_explicit_double_dash_value_exits_two(flag, capsys, tmp_path, monkeypatch):
-    # Python 3.11's argparse reads "--flag=--" as an empty list.
-    if isinstance(vars(cli._build_parser().parse_args(["solve", f"{flag}=--"]))[cli._OPTIONS[flag][0]], str):
-        pytest.skip("this Python's argparse reads '--' after '=' as the value")
     monkeypatch.chdir(tmp_path)
     code, out, err = run_cli(capsys, "solve", "--p", "0.4,0.3,0.2,0.1", f"{flag}=--")
     assert (code, out) == (2, "")

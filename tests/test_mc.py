@@ -6,11 +6,12 @@ from conftest import unit_vector
 
 from whprecode import mc
 from whprecode.bloch import optimal_precoder_vector, solve_fidelity, worst_case_fidelity
-from whprecode.errors import InvalidWeightsError
+from whprecode.errors import DimensionMismatchError, InvalidWeightsError
 from whprecode.heisenberg import shift_operator
 from whprecode.linalg import rank_one_projector
 from whprecode.mc import estimate_expectations, sweep_p0
 from whprecode.multiplex import Scheme, select_schemes
+from whprecode.optimize import pair_gain
 from whprecode.wssus import ScatteringFunction, apply_A
 
 
@@ -21,6 +22,18 @@ def test_requires_two_trials_and_unit_pulses():
         estimate_expectations(C, x, x, [(0, 0)], sigma2=0.1, trials=1, seed=0)
     with pytest.raises(Exception):
         estimate_expectations(C, [1.0, 1.0], x, [(0, 0)], sigma2=0.1, trials=10, seed=0)
+
+
+@pytest.mark.parametrize("which", ["gamma", "g"])
+def test_pulse_of_the_wrong_length_is_a_dimension_mismatch(which):
+    # The same fault as in optimize.pair_gain, under the same error class.
+    C = ScatteringFunction.uniform(3)
+    right, wrong = unit_vector([1.0, 0.0, 0.0]), unit_vector([1.0, 1.0])
+    pulses = {"gamma": right, "g": right, which: wrong}
+    with pytest.raises(DimensionMismatchError, match=f"{which} must be a length-3 vector"):
+        estimate_expectations(C, pulses["gamma"], pulses["g"], [(0, 0)], sigma2=0.1, trials=10, seed=0)
+    with pytest.raises(DimensionMismatchError):
+        pair_gain(C, pulses["gamma"], pulses["g"])
 
 
 def test_flat_channel_gain_concentrates_at_one():

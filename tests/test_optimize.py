@@ -1040,13 +1040,16 @@ def test_twins_are_the_threshold_at_every_radius(case):
 @example((ScatteringFunction.concentrated(1, (0, 0)), 0))
 def test_parking_loses_no_gain_and_no_restart_exceeds_the_best(case):
     # A parked restart reports the gain it reached, at most its twin's, so
-    # no restart reports more than the best; parking loses no best value.
+    # the best is the restart of smallest residual among those within _TIE
+    # of the highest gain, as for any run; parking loses no best value.
     C, seed = case
     cfg = OptimizerConfig(restarts=16, seed=seed)
     on = alternating_fidelity_max(C, C.L, cfg)
     with no_parking():
         off = alternating_fidelity_max(C, C.L, cfg)
-    assert max(on.restart_values) == on.best_value
+    values, residuals = np.array(on.restart_values), np.array(on.residuals)
+    near = np.flatnonzero(values >= values.max() - optimize._TIE)
+    assert on.best_value == values[near[np.argmin(residuals[near])]]
     assert on.best_value >= off.best_value - 1e-12
     assert on.converged == off.converged
 
@@ -1213,3 +1216,18 @@ def test_ridge_cell_converges_where_the_first_wave_reaches_the_cap(seed):
     trace = alternating_fidelity_max(C, 16, cfg)
     assert len(trace.restart_values) > 8
     assert trace.converged
+
+
+def test_best_restart_tie_goes_to_the_smaller_residual():
+    # A general_dense deck cell (seed 4242, job 144): one restart stops at
+    # residual 8.8e-11, another ends 1e-16 higher but unconverged at 6.0e-9.
+    # Within _TIE the value cannot tell them apart, so the residual decides.
+    grid = [[0.305984992103955, 0.20774561172502495, 0.20774561172502495],
+            [0.05906230596876285, 0.040099793127117346, 0.040099793127117346],
+            [0.05906230596876285, 0.040099793127117346, 0.040099793127117346]]
+    trace = alternating_fidelity_max(ScatteringFunction(3, grid), 3, OptimizerConfig(seed=312598335))
+    values, residuals = np.array(trace.restart_values), np.array(trace.residuals)
+    near = values >= values.max() - optimize._TIE
+    assert near.sum() > 1
+    assert trace.converged
+    assert trace.best_value in values[near][residuals[near] == residuals[near].min()]
