@@ -44,12 +44,12 @@ from .optimize import (
     alternating_fidelity_max,
     brute_force_bloch_oracle,
     coset_bound,
-    fidelity_lower_bound_search,
     fidelity_upper_bound,
     optimal_receiver,
     pair_gain,
     ppt_bound,
     ppt_certificate,
+    structured_lower_bound,
 )
 from .wssus import (
     CpPropertyReport,
@@ -97,7 +97,6 @@ __all__ = [
     "coset_bound",
     "crosstalk",
     "estimate_expectations",
-    "fidelity_lower_bound_search",
     "fidelity_upper_bound",
     "frame_bounds",
     "is_on_bloch_manifold",
@@ -117,6 +116,7 @@ __all__ = [
     "sinr",
     "solve_fidelity",
     "spreading_eigenvalues",
+    "structured_lower_bound",
     "sweep_p0",
     "verify_cp_properties",
     "worst_case_fidelity",

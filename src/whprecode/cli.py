@@ -42,11 +42,11 @@ from .optimize import (
     alternating_fidelity_max,
     brute_force_bloch_oracle,
     coset_bound,
-    fidelity_lower_bound_search,
     fidelity_upper_bound,
     pair_gain,
     ppt_bound,
     ppt_certificate,
+    structured_lower_bound,
 )
 from .wssus import ScatteringFunction
 
@@ -62,7 +62,7 @@ _OPTIONS = {
     "--L": ("L", int, None, None, "signal space dimension"),
     "--sigma2": ("sigma2", float, None, None, "noise power (default 0.1)"),
     "--trials": ("trials", int, None, None, "Monte Carlo trials (default 1e5)"),
-    "--samples": ("samples", int, None, None, "oracle/search samples (default 1e5)"),
+    "--samples": ("samples", int, None, None, "oracle samples (default 1e5)"),
     "--seed": ("seed", int, None, None, "master RNG seed (default 0)"),
     "--format": ("output_format", str, ("json", "csv", "text"), None,
                  "output format (default json)"),
@@ -279,7 +279,7 @@ def parse_config(argv=None) -> RunConfig:
     # Lower bounds; trials and samples bind only the commands that use them.
     lower = {"L": 1, "sigma2": 0.0, "seed": 0,
              "trials": 2 if command in ("simulate", "sweep") else None,
-             "samples": 1 if command in ("oracle", "general") else None}
+             "samples": 1 if command == "oracle" else None}
     # A flag overrides the file; a value given by neither takes its default,
     # which is valid, so only given values are read.
     L, sigma2, trials, samples, seed = (
@@ -444,11 +444,11 @@ _PPT_LARGEST_L = 10
 
 def _cmd_general(cfg: RunConfig) -> dict:
     C = cfg.scattering
-    lower = fidelity_lower_bound_search(C, cfg.L, cfg.samples, seed=cfg.seed)
+    lower = structured_lower_bound(C).value
     optimizer = OptimizerConfig(seed=cfg.seed)
     # The coset pair certifies itself optimal when its gain reaches the
     # upper bound U, or else a PPT dual's bound; then no restart runs.  The
-    # dual is sought only where the search has not beaten the pair.
+    # dual is sought only where the structured bound has not beaten the pair.
     upper = fidelity_upper_bound(C)
     value, residual = pair_gain(C, *coset_bound(C).pair)
     certified = value >= upper - CERTIFY_TOL
@@ -470,7 +470,6 @@ def _cmd_general(cfg: RunConfig) -> dict:
         }
     return {
         "L": cfg.L,
-        "samples": cfg.samples,
         "seed": cfg.seed,
         "scattering": [[float(v) for v in row] for row in C.weights],
         "lower_bound": lower,

@@ -2,12 +2,14 @@
 
 Everything here works at general L and serves two purposes: producing
 SINR-optimal receivers (a generalized eigenproblem), and independently
-validating the L=2 closed form through alternating maximization, sphere
-sampling in Bloch coordinates, and random-precoder lower-bound searches.
-The upper bounds (U, the coset bound K and the PPT relaxation's dual)
-certify a pulse pair optimal without the optimizer.
-All stochastic routines derive their randomness from an explicit seed and
-produce bit-identical results for identical (seed, sample count) inputs.
+validating the L=2 closed form through alternating maximization and
+sphere sampling in Bloch coordinates.  The structured lower bound, a few
+plain alternating cycles from fixed pulses, draws nothing at random and
+starts the optimizer's first restart; the upper bounds (U, the coset bound
+K and the PPT relaxation's dual) certify a pulse pair optimal without the
+optimizer.  All stochastic routines derive their randomness from an
+explicit seed and produce bit-identical results for identical (seed,
+sample count) inputs.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import functools
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +28,6 @@ from .errors import DimensionMismatchError, InvalidWeightsError
 from .heisenberg import _lagrangian_lines, _layout
 from .wssus import (
     ScatteringFunction,
-    _complex_gaussian,
     _map_rank_one,
     apply_A,
     apply_interference,
@@ -35,20 +37,6 @@ from .wssus import (
 )
 
 _BATCH = 1 << 14
-# The lower-bound search maps at most this many matrix entries at once.
-_BLOCK_ENTRIES = 1 << 22
-# Slack of the search's pruning test.  The square root of its bound's
-# spread is a weighted 2-norm of a unit pulse's ambiguities <v, S_nu v>,
-# whose squares sum to L; each ambiguity is within about L ulp of exact, and
-# so is each weight's square root (a tap product, or |lambda(nu)| / sqrt(L)
-# from two L x L products, with sum |lambda|^2 / L <= L).  By the triangle
-# inequality the bound is within about L^(3/2) ulp of exact, and eigvalsh's
-# top eigenvalue of the trace-one image within about L^2 ulp: both under
-# 1e-12 at L = 64.  So a sample whose bound falls this far below a computed
-# top eigenvalue has a smaller one.  The _LEADS best-bounded samples of each
-# batch are solved first to set it.
-_PRUNE_MARGIN = 1e-9
-_LEADS = 4
 # Objectives this close are a tie for the third-cycle safeguard and for the
 # choice of the best restart (alternating_fidelity_max): near a stationary
 # point the objective moves by the square of the residual, below what a
@@ -98,6 +86,11 @@ _PPT_DUAL = 3.0
 # behind the stopping rule grouped them by 8 digits).
 _WAVE = 8
 _SAME_OPTIMUM = 1e-8
+# structured_lower_bound's periodized Gaussians have these widths s, from
+# narrow in frequency (s = 1/8) to narrow in time (s = 8), and it runs this
+# many plain cycles from them.
+_BOUND_WIDTHS = np.geomspace(1 / 8, 8, 13)
+_BOUND_CYCLES = 3
 
 
 @dataclass(frozen=True)
@@ -425,106 +418,6 @@ def _newton_points(
     return points, ok & np.all(np.isfinite(points), axis=1)
 
 
-def _trace_bound(d: int, trace, spread) -> np.ndarray:
-    """Upper bound on the top eigenvalue of hermitian d x d matrices M from ``tr M`` and a spread.
-
-    ``spread`` is ``||M - m I||_F^2`` with ``m = trace / d``.  The bound is
-    ``min(m + s sqrt(d - 1), ||M||_F)`` with ``s^2 = spread / d`` and
-    ``||M||_F^2 = spread + trace m`` (Wolkowicz & Styan, Linear Algebra Appl.
-    29, 1980).  Callers sum the spread from nonnegative terms, so s keeps a
-    relative error of a few ulp even where ``tr M^2 / d - m^2`` would cancel.
-    """
-    mean = trace / d
-    return np.fmin(mean + np.sqrt(spread / d) * math.sqrt(d - 1), np.sqrt(spread + trace * mean))
-
-
-def _ambiguity_terms(C: ScatteringFunction) -> tuple[np.ndarray, list]:
-    """A diagonal and mass terms that give _trace_bound of ``A(v v*)`` for any unit pulse v.
-
-    Returns ``(diag, terms)``.  The bounded matrix N has the top eigenvalue
-    of ``A(v v*)`` and splits as a diagonal D, ``diag``, plus a rest R with
-    ``||R||_F^2 = _ambiguity_mass(terms, v)`` and ``<R, D - m I> = 0``,
-    ``m = tr N / d``; so ``||N - m I||_F^2 = ||D - m I||_F^2 + ||R||_F^2``,
-    a sum of nonnegative terms.  With T >= L nonzero taps N is the L x L
-    image (_spectral_terms).  Otherwise N is the T x T tap Gram, whose
-    entries are ``sqrt(C(mu_s) C(mu_t)) <S_mu_s v, S_mu_t v>``;
-    ``S_mu_s* S_mu_t`` is ``S_(mu_t - mu_s)`` up to a unit phase, so D holds
-    ``C(mu_t)`` and R, the off-diagonal part, has K(nu) the sum of
-    ``C(mu_s) C(mu_t)`` over the pairs of distinct taps with difference nu.
-    """
-    mu1, mu2 = C._tap_shifts()
-    if mu1.size >= C.L:
-        return _spectral_terms(C)
-    weights = C.weights[mu1, mu2]
-    s, t = np.nonzero(~np.eye(weights.size, dtype=bool))
-    return weights, _folded(C.L, mu1[t] - mu1[s], mu2[t] - mu2[s], weights[s] * weights[t])
-
-
-def _spectral_terms(C: ScatteringFunction) -> tuple[np.ndarray, list]:
-    """_ambiguity_terms of the L x L image ``N = A(v v*)``, from the spreading eigenvalues.
-
-    ``A(S_nu) = lambda(nu) S_nu`` (spreading_eigenvalues) and
-    ``v v* = sum_nu <S_nu v, v> S_nu / L``, so
-    ``||N||_F^2 = sum_nu |lambda(nu)|^2 |<v, S_nu v>|^2 / L``.  The term at
-    nu = 0 is ``(tr N)^2 / L`` with ``tr N = lambda(0)``, so D is
-    ``(lambda(0) / L) I`` and R, ``N - D``, has ``K(nu) = |lambda(nu)|^2 / L``
-    for nu != 0.
-    """
-    L = C.L
-    lam = spreading_eigenvalues(C).ravel()
-    nu1, nu2 = np.divmod(np.arange(1, L * L), L)
-    weights = (lam.real[1:] ** 2 + lam.imag[1:] ** 2) / L
-    return np.full(L, lam[0].real / L), _folded(L, nu1, nu2, weights)
-
-
-def _folded(L: int, nu1: np.ndarray, nu2: np.ndarray, weights: np.ndarray) -> list:
-    """_ambiguity_mass terms of the kernel K: ``weights`` summed per shift nu, -nu folded onto nu.
-
-    ``|<v, S_-nu v>| = |<v, S_nu v>|``, so a kernel on nu and -nu needs one
-    ambiguity; a shift with ``2 nu = 0`` is its own partner.  One term
-    ``(nu1, phase columns, K)`` per distinct nu1 of the folded kernel, each
-    K entry twice, for the real and the imaginary part.
-    """
-    nu1, nu2 = nu1 % L, nu2 % L
-    flat = np.minimum(nu1 * L + nu2, -nu1 % L * L + -nu2 % L)
-    kernel = np.bincount(flat, weights, L * L).reshape(L, L)
-    phases = _layout(L)[2]
-    cols = [np.flatnonzero(row) for row in kernel]
-    return [(n, phases[:, c], np.repeat(kernel[n, c], 2)) for n, c in enumerate(cols) if c.size]
-
-
-def _ambiguity_mass(terms: list, pulses: np.ndarray) -> np.ndarray:
-    """``sum_nu K(nu) |<v, S_nu v>|^2`` for each row v (terms from _ambiguity_terms).
-
-    ``<v, S_nu v> = sum_m conj(v_m) w^(nu2 m) v_(m - nu1)``: per nu1 one
-    product with the columns of the ``_layout`` phase table, squared in
-    place as real and imaginary parts side by side.
-    """
-    lags = _layout(pulses.shape[-1])[1]
-    conj = pulses.conj()
-    mass = np.zeros(len(pulses))
-    for nu1, cols, kernel in terms:
-        amb = ((conj * pulses.take(lags[:, nu1], axis=1)) @ cols).view(float)
-        amb *= amb
-        mass += amb @ kernel
-    return mass
-
-
-def _bounded_images(operand, terms, pulses: np.ndarray) -> tuple:
-    """_trace_bound of each image ``A(v v*)`` of the rows v, and a maker of chosen images.
-
-    ``terms`` is _ambiguity_terms'; the bound forms no image.  The maker
-    maps an index into the rows to the ``mats`` of _rank_one_images on
-    those rows alone, bit for bit the images of the whole stack (see
-    _map_rank_one).
-    """
-    diag, kernel = terms
-    trace = diag.sum()
-    spread = ((diag - trace / diag.size) ** 2).sum() + _ambiguity_mass(kernel, pulses)
-    upper = _trace_bound(diag.size, trace, spread)
-    return upper, lambda keep: _rank_one_images(operand, pulses[keep]).mats
-
-
 def alternating_fidelity_max(
     C: ScatteringFunction, L: int, cfg: OptimizerConfig
 ) -> OptimizationTrace:
@@ -585,9 +478,12 @@ def alternating_fidelity_max(
     cap they trail none: on the flat ridge of isotropic profiles at L = 16
     a stationary restart of such a wave can sit 1e-10 below the optimum,
     and the next wave, parked behind it at once, would end where the capped
-    one did.  Restart i draws its start from child i of
-    ``SeedSequence(cfg.seed)`` in any wave size, as ``spawn`` numbers its
-    children across calls.
+    one did.  Restart 0 starts from the pulse of structured_lower_bound,
+    whose value is its first objective bit for bit (see _map_rank_one);
+    every half-step after is monotone up to _TIE, so the best value is at
+    least that bound less _TIE.  Restart i >= 1 draws its start from child
+    i of ``SeedSequence(cfg.seed)`` in any wave size, as ``spawn`` numbers
+    its children across calls.
 
     With T nonzero taps, each half step is a T x T Gram eigenproblem when
     T < L and an L x L one otherwise; the path is fixed once per call and
@@ -633,7 +529,10 @@ def alternating_fidelity_max(
             reps = np.flatnonzero(stationary) if not live.size else reps[:0]
             live = np.arange(drawn, min(drawn + _WAVE, cfg.restarts))
             drawn += live.size
-            gammas[live] = [random_unit_vector(np.random.default_rng(s), L) for s in seeds.spawn(live.size)]
+            gammas[live] = [
+                structured_lower_bound(C).pulse if i == 0 else random_unit_vector(np.random.default_rng(s), L)
+                for i, s in zip(live, seeds.spawn(live.size))
+            ]
             values[live], receivers[live], residuals[live], held, _ = _receive(forward, adjoint, gammas[live])
             history = [values.copy()]
             histories.append(history)
@@ -723,20 +622,18 @@ def _trailing(ids: np.ndarray, reps: np.ndarray, values: np.ndarray, pulses: np.
 
 
 def _sampled_max(score, n_samples: int, seed: int, batch: int = _BATCH) -> float:
-    """Largest ``score(rng, m, best)`` entry over n_samples draws, taken in batches.
+    """Largest ``score(rng, m)`` entry over n_samples draws, taken in batches.
 
     One generator seeded with ``seed`` feeds every batch of at most
     ``batch`` draws.  numpy's normal and uniform draws do not depend on how
     a request is split, so where ``score`` draws its m rows in one call, the
     same samples come in any batch size and the result depends only on
-    (seed, n_samples).  ``best`` is the largest entry of the earlier
-    batches (-inf before the first).
+    (seed, n_samples).
     """
     rng = np.random.default_rng(linalg.require_int(seed, "seed", 0))
-    best = -np.inf
-    for start in range(0, n_samples, batch):
-        best = max(best, float(np.max(score(rng, min(batch, n_samples - start), best))))
-    return best
+    return max(
+        float(np.max(score(rng, min(batch, n_samples - start)))) for start in range(0, n_samples, batch)
+    )
 
 
 def brute_force_bloch_oracle(
@@ -765,7 +662,7 @@ def brute_force_bloch_oracle(
     b = np.diag(map_matrix_rep(quad))[1:]
     b2 = b * b
 
-    def scores(rng, m, best):
+    def scores(rng, m):
         u = rng.random((m, 2))
         z2 = u[:, 0] * u[:, 0]
         c = np.cos(np.pi * u[:, 1])
@@ -783,53 +680,6 @@ def brute_force_bloch_oracle(
     if include_axes:
         best = max(best, float(np.max(np.abs(b))))
     return 0.5 + best
-
-
-def fidelity_lower_bound_search(
-    C: ScatteringFunction, L: int, n_samples: int, seed: int = 0
-) -> float:
-    """Best mean gain over randomly drawn transmit pulses.
-
-    Samples unit precoders uniformly on the complex sphere and records the
-    largest top eigenvalue of A applied to their projectors; a valid lower
-    bound on the gain supremum (and at most 1, since the map is unital and
-    trace preserving).  The top eigenvalue comes from the T x T tap Gram
-    matrix when the channel has T < L nonzero taps, as in
-    alternating_fidelity_max.
-
-    Samples are drawn in batches of at most _BATCH rows and at most
-    _BLOCK_ENTRIES matrix entries (a power-of-two row count that divides
-    _BATCH), so the batches hold the same samples at every L.  Every sample
-    of a batch gets a trace bound on its top eigenvalue from the pulse's
-    ambiguity function, weighted by the tap pairs on the tap Gram and by the
-    spreading eigenvalues on the L x L map (see _ambiguity_terms), with no
-    image formed.  eigvalsh on the _LEADS best-bounded samples sets the
-    threshold ``max(best, their top) - _PRUNE_MARGIN``, and only the samples
-    whose bound reaches it have their images formed and solved.  Neither
-    changes the result: it is the float that eigvalsh on every sample would
-    give.
-    """
-    n_samples = linalg.require_int(n_samples, "n_samples", 1)
-    L = linalg.require_int(L, "dimension", 1)
-    if L != C.L:
-        raise InvalidWeightsError(f"L={L} does not match scattering function L={C.L}")
-    forward = _half_step_operands(C)[0]
-    terms = _ambiguity_terms(C)
-    rows = 1 << (max(1, _BLOCK_ENTRIES // (L * L)).bit_length() - 1)
-
-    def top(rng, m, best):
-        vecs = _complex_gaussian(rng, (m, L))
-        vecs /= np.linalg.norm(vecs, axis=1)[:, None]
-        upper, images = _bounded_images(forward, terms, vecs)
-        lead = np.argpartition(upper, -min(_LEADS, upper.size))[-_LEADS:]
-        best = max(best, float(np.max(np.linalg.eigvalsh(images(lead))[:, -1])))
-        keep = upper >= best - _PRUNE_MARGIN
-        keep[lead] = False
-        if keep.any():
-            best = max(best, float(np.max(np.linalg.eigvalsh(images(keep))[:, -1])))
-        return best
-
-    return min(1.0, _sampled_max(top, n_samples, seed, min(_BATCH, rows)))
 
 
 def fidelity_upper_bound(C: ScatteringFunction) -> float:
@@ -912,6 +762,43 @@ def coset_bound(C: ScatteringFunction) -> CosetBound:
     v[k * a % L] = _layout(2 * L)[2][1][a * b * k * (k - n) % (2 * L)] / math.sqrt(n)
     pair = (v, _shifted(v, coset[1] * L + coset[0]))
     return CosetBound(float(sums[line, t]), generator, coset, pair)
+
+
+class _LowerBound(NamedTuple):
+    value: float
+    pulse: np.ndarray
+
+
+def structured_lower_bound(C: ScatteringFunction) -> _LowerBound:
+    """A mean gain that some unit pulse pair reaches, from fixed candidates; and its transmit pulse.
+
+    The candidates are the transmit pulse of K's coset pair (coset_bound)
+    and the unit periodized Gaussians ``g_s[m] ~ exp(-pi s d^2 / L)``,
+    ``d = min(m, L - m)``, of the widths _BOUND_WIDTHS: pulses matched to
+    the channel's spread (Kozek & Molisch, IEEE JSAC 16(8), 1998; Strohmer
+    & Beaver, IEEE Trans. Commun. 51(7), 2003).  They run _BOUND_CYCLES
+    plain cycles of alternating_fidelity_max's half-steps together; each
+    half-step solves its subproblem exactly, so no candidate's objective
+    falls, and the value, the largest objective of the last receive
+    half-step clipped at 1, is at least K's pair gain and at least 1/L.
+    Nothing is drawn at random.  Read-only, cached on C.
+    """
+
+    def build():
+        d = np.minimum(np.arange(C.L), C.L - np.arange(C.L))
+        gaussians = np.exp(-np.pi / C.L * _BOUND_WIDTHS[:, None] * d * d)
+        gaussians /= np.linalg.norm(gaussians, axis=1)[:, None]
+        gammas = np.concatenate([coset_bound(C).pair[0][None], gaussians])
+        forward, adjoint = _half_step_operands(C)
+        top, _, _, held, _ = _receive(forward, adjoint, gammas)
+        for _ in range(_BOUND_CYCLES):
+            gammas = _top_of(*np.linalg.eigh(held.mats), held)[1]
+            top, _, _, held, _ = _receive(forward, adjoint, gammas)
+        best = np.argmax(top)
+        return np.array(min(1.0, top[best])), gammas[best].copy()
+
+    value, pulse = C._cached("_structured_lower_bound", build)
+    return _LowerBound(float(value), pulse)
 
 
 def pair_gain(C: ScatteringFunction, gamma, g) -> tuple[float, float]:

@@ -253,7 +253,9 @@ def _map_rank_one(blocks: np.ndarray, vectors: np.ndarray) -> np.ndarray:
     projectors is never formed.  Each image has the same bits whichever
     rows share the call: BLAS takes the rows in panels and rounds a ragged
     last panel in another kernel (OpenBLAS on x86-64: panels of 4), so the
-    rows are padded with zeros to a multiple of 8.
+    rows are padded with zeros to a multiple of 8.  So the first objective
+    of the optimizer's restart 0, one row of a wave, is the value of
+    optimize.structured_lower_bound, one row of its stack, bit for bit.
     """
     R, L = vectors.shape
     vt = np.zeros((L, R + -R % 8), dtype=complex)

@@ -43,27 +43,6 @@ def top_eigenpairs(operand, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return optimize._top_of(*np.linalg.eigh(images.mats), images)
 
 
-def top_eigenvalue_bounds(mats: np.ndarray, start: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on the top eigenvalue of each matrix in a hermitian stack.
-
-    The lower bound is the Rayleigh quotient ``y* M y / y* y`` of one power
-    step ``y = M x`` from the rows x of ``start`` (0 where y is below the
-    normal range).  The upper bound is optimize._trace_bound's.
-    """
-    d = mats.shape[-1]
-    y = np.einsum("kij,kj->ki", mats, start)
-    num = np.einsum("ki,kij,kj->k", y.conj(), mats, y).real
-    den = np.einsum("ki,ki->k", y.conj(), y).real
-    lower = np.divide(num, den, out=np.zeros_like(num), where=den >= np.finfo(float).tiny)
-    sq = mats.real**2 + mats.imag**2
-    sq[:, np.arange(d), np.arange(d)] = 0.0
-    return lower, optimize._trace_bound(
-        d,
-        (diag := np.einsum("kii->ki", mats).real).sum(-1),
-        ((diag - diag.mean(-1, keepdims=True)) ** 2).sum(-1) + sq.sum((-2, -1)),
-    )
-
-
 def explicit_partial_transpose(r: np.ndarray) -> np.ndarray:
     """The L^2 x L^2 partial transpose, on the second factor, of the Weyl-diagonal state of r.
 

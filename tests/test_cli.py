@@ -965,7 +965,7 @@ def test_general_runs_the_restarts_when_uncertified(tmp_path, capsys):
     assert doc["certified"] is False
     assert doc["alternating"]["best_value"] <= doc["upper_bound"] + 1e-12
     assert docs["csv"].splitlines()[0] == (
-        "L,samples,seed,scattering,lower_bound,upper_bound,certified,"
+        "L,seed,scattering,lower_bound,upper_bound,certified,"
         "alternating_best,alternating_converged,restarts"
     )
     cfg = parse_config(argv)
@@ -977,6 +977,19 @@ def test_general_runs_the_restarts_when_uncertified(tmp_path, capsys):
         "half_steps": len(trace.objective_history),
         "restart_values": list(trace.restart_values),
     }
+
+
+def test_general_reads_no_samples(tmp_path, capsys):
+    # --samples is accepted and unread: the structured bound draws nothing.
+    config = tmp_path / "grid.json"
+    config.write_text(json.dumps({"L": 4, "scattering": _gaussian_grid(4, 1.0, 1.0)}))
+    for fmt in ("json", "csv", "text"):
+        runs = [
+            run_cli(capsys, "general", "--config", str(config), "--samples", samples, "--format", fmt)
+            for samples in ("7", "2000")
+        ]
+        assert runs[0] == runs[1] and runs[0][0] == 0, fmt
+        assert "samples" not in runs[0][1], fmt
 
 
 def _l7_grid():
@@ -1003,21 +1016,20 @@ def test_general_certifies_the_coset_pair_by_the_ppt_dual(tmp_path, capsys):
     assert float(cells["upper_bound"]) == doc["upper_bound"]
 
 
-def test_general_seeks_no_dual_where_the_search_beats_the_pair_or_L_is_large(tmp_path, capsys, monkeypatch):
+def test_general_seeks_no_dual_where_the_bound_beats_the_pair_or_L_is_large(tmp_path, capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("ppt_certificate called")
 
     monkeypatch.setattr(cli, "ppt_certificate", refuse)
-    # The isotropic L = 4 grid: the search's 0.5825 beats the coset pair's 0.5701.
+    # The isotropic L = 4 grid: the structured bound's 0.5908 beats the coset pair's 0.5701.
     doc = strict_json(_general_docs(tmp_path, capsys, _gaussian_grid(4, 1.0, 1.0))[1]["json"])
-    assert doc["certified"] is False and doc["lower_bound"] > 0.58
-    # The L = 7 grid's taps at L = 11, above the largest L of the benchmark
-    # decks: U is not reached and the search stays below the pair's 0.798,
-    # so only the L cap keeps the dual from being sought.
-    grid = [[0.0] * 11 for _ in range(11)]
-    grid[0][0], grid[0][2], grid[1][2] = 0.315, 0.202, 0.483
-    doc = strict_json(_general_docs(tmp_path, capsys, grid)[1]["json"])
-    assert doc["certified"] is False and doc["lower_bound"] < 0.798
+    assert doc["certified"] is False and doc["lower_bound"] > 0.59
+    # The L = 7 grid, which the dual certifies, with the L cap below 7: U is
+    # not reached and the bound does not beat the pair's 0.798, so only the
+    # cap keeps the dual from being sought.
+    monkeypatch.setattr(cli, "_PPT_LARGEST_L", 6)
+    doc = strict_json(_general_docs(tmp_path, capsys, _l7_grid())[1]["json"])
+    assert doc["certified"] is False and doc["lower_bound"] <= 0.798 + 1e-12
     assert doc["alternating"]["restarts"] >= 8
 
 

@@ -32,7 +32,6 @@ from whprecode.optimize import (
     OptimizationTrace,
     OptimizerConfig,
     alternating_fidelity_max,
-    fidelity_lower_bound_search,
     optimal_receiver,
 )
 from whprecode.wssus import (
@@ -277,9 +276,6 @@ _INTEGER_ENTRIES = {
     "alternating_fidelity_max": (
         "dimension",
         lambda L: alternating_fidelity_max(_C2, L, OptimizerConfig(max_iters=3, restarts=2)),
-    ),
-    "fidelity_lower_bound_search": (
-        "dimension", lambda L: fidelity_lower_bound_search(_C2, L, 10, seed=1)
     ),
     "shift_operator_mu1": ("mu1", lambda mu: shift_operator(3, mu)),
     "shift_operator_mu2": ("mu2", lambda mu: shift_operator(3, mu)),

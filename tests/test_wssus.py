@@ -22,7 +22,6 @@ from whprecode.optimize import (
     OptimizerConfig,
     alternating_fidelity_max,
     brute_force_bloch_oracle,
-    fidelity_lower_bound_search,
 )
 from whprecode.wssus import (
     ScatteringFunction,
@@ -550,7 +549,6 @@ _COUNTED_SAMPLERS = {
         lambda n: estimate_expectations(_C2, _X, _X, [(0, 0)], sigma2=0.1, trials=n, seed=1),
     ),
     "brute_force_bloch_oracle": (1, lambda n: brute_force_bloch_oracle(_Q, n, seed=1)),
-    "fidelity_lower_bound_search": (1, lambda n: fidelity_lower_bound_search(_C2, 2, n, seed=1)),
     "verify_cp_properties": (1, lambda n: verify_cp_properties(_C2, n, seed=1)),
 }
 
@@ -580,7 +578,6 @@ _SEEDED = {
         _C2, _X, _X, [(0, 0)], sigma2=0.1, trials=10, seed=s
     ),
     "brute_force_bloch_oracle": lambda s: brute_force_bloch_oracle(_Q, 10, seed=s),
-    "fidelity_lower_bound_search": lambda s: fidelity_lower_bound_search(_C2, 2, 10, seed=s),
     "verify_cp_properties": lambda s: verify_cp_properties(_C2, 3, seed=s),
     "sweep_p0": lambda s: sweep_p0([0.3], trials=100, seed=s),
     "OptimizerConfig": lambda s: _trace_fields(
