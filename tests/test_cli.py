@@ -979,17 +979,18 @@ def test_general_runs_the_restarts_when_uncertified(tmp_path, capsys):
     }
 
 
-def test_general_reads_no_samples(tmp_path, capsys):
-    # --samples is accepted and unread: the structured bound draws nothing.
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_general_reads_no_samples(tmp_path, capsys, fmt):
+    # --samples is accepted and unread: the structured bound draws nothing,
+    # and the samples >= 1 check binds only oracle.
     config = tmp_path / "grid.json"
     config.write_text(json.dumps({"L": 4, "scattering": _gaussian_grid(4, 1.0, 1.0)}))
-    for fmt in ("json", "csv", "text"):
-        runs = [
-            run_cli(capsys, "general", "--config", str(config), "--samples", samples, "--format", fmt)
-            for samples in ("7", "2000")
-        ]
-        assert runs[0] == runs[1] and runs[0][0] == 0, fmt
-        assert "samples" not in runs[0][1], fmt
+    runs = [
+        run_cli(capsys, "general", "--config", str(config), "--samples", samples, "--format", fmt)
+        for samples in ("0", "7", "2000")
+    ]
+    assert runs[0] == runs[1] == runs[2] and runs[0][0] == 0
+    assert "samples" not in runs[0][1]
 
 
 def _l7_grid():

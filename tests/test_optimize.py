@@ -808,11 +808,16 @@ def test_parking_loses_no_gain_and_no_restart_exceeds_the_best(case):
     assert on.converged == off.converged
 
 
+def gaussian_profile(L, delay_width, doppler_width):
+    """The cyclic Gaussian delay-Doppler profile on the L x L grid, every tap nonzero."""
+    d = np.minimum(np.arange(L), L - np.arange(L))
+    w = np.exp(-((d[:, None] / delay_width) ** 2) - (d[None, :] / doppler_width) ** 2)
+    return ScatteringFunction(L, w / w.sum())
+
+
 def isotropic(L, width=1):
     """The isotropic Gaussian delay-Doppler profile of the given width on the L x L grid."""
-    d = np.minimum(np.arange(L), L - np.arange(L)) / width
-    w = np.exp(-(d[:, None] ** 2) - d[None, :] ** 2)
-    return ScatteringFunction(L, w / w.sum())
+    return gaussian_profile(L, width, width)
 
 
 def test_parking_stops_twins_and_saves_half_steps_on_an_isotropic_cell():
@@ -1018,3 +1023,91 @@ def test_restart_0_starts_at_the_structured_bound(case):
     first = alternating_fidelity_max(C, C.L, OptimizerConfig(restarts=1, max_iters=1, seed=seed))
     assert first.objective_history[0] == value
     assert alternating_fidelity_max(C, C.L, OptimizerConfig(seed=seed)).best_value >= value - 1e-14
+
+
+def deck_cell(L, taps, seed):
+    """The origin tap plus ``taps`` other taps at distinct shifts, as in the sparse benchmark deck."""
+    rng = np.random.default_rng(seed)
+    w = np.zeros(L * L)
+    w[0] = rng.uniform(0.3, 1.0)
+    w[rng.choice(np.arange(1, L * L), taps, replace=False)] = rng.uniform(0.05, 1.0, taps)
+    return ScatteringFunction(L, (w / w.sum()).reshape(L, L))
+
+
+@pytest.mark.parametrize("L", range(4, 11))
+@pytest.mark.parametrize("taps", [2, 3, 4])
+def test_structured_bound_on_deck_cells(monkeypatch, L, taps):
+    # The cells (L, taps) = (4, 3), (4, 4) and (5, 4) take the L x L map,
+    # the others the tap Gram matrix.  On either path the
+    # bound sits between K's pair gain and the optimizer's best value, is
+    # restart 0's first objective, and has the same bits on a fresh channel.
+    C = deck_cell(L, taps, 10 * L + taps)
+    bound = structured_lower_bound(C)
+    assert bound.value >= max(pair_gain(C, *coset_bound(C).pair)[0], 1.0 / L) - 1e-12
+    first = alternating_fidelity_max(C, L, OptimizerConfig(restarts=1, max_iters=1, seed=L))
+    assert first.objective_history[0] == bound.value
+    assert alternating_fidelity_max(C, L, OptimizerConfig(seed=L)).best_value >= bound.value - 1e-14
+    again = structured_lower_bound(ScatteringFunction(L, C.weights))
+    assert again.value == bound.value and again.pulse.tobytes() == bound.pulse.tobytes()
+    monkeypatch.setattr(optimize, "_half_step_operands", lambda C: C.diagonal_blocks())
+    kernel = structured_lower_bound(ScatteringFunction(L, C.weights))
+    assert abs(kernel.value - bound.value) <= 1e-12
+
+
+@pytest.mark.parametrize("L", [16, 32, 64])
+@pytest.mark.parametrize("widths", [(1, 1), (0.5, 2), (2, 2)])
+def test_structured_bound_is_near_the_optimum_on_gaussian_profiles(L, widths):
+    # Periodized Gaussians match a Gaussian spread: the bound is within
+    # 1e-2 of the optimizer's best value at every size of the dense deck.
+    C = gaussian_profile(L, *widths)
+    value = structured_lower_bound(C).value
+    best = alternating_fidelity_max(C, L, OptimizerConfig()).best_value
+    assert value - 1e-14 <= best <= value + 1e-2
+
+
+@pytest.mark.parametrize("L", range(1, 9))
+def test_structured_bound_of_the_uniform_channel_is_one_over_L(L):
+    # The uniform channel maps every state to I / L: every pulse pair gains
+    # 1/L, the least any channel allows.
+    assert abs(structured_lower_bound(ScatteringFunction.uniform(L)).value - 1.0 / L) <= 1e-14
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_structured_bound_is_the_closed_form_at_L_2(seed):
+    # At L = 2, K's coset pair is the closed form's axis, which no pair
+    # beats, so the bound is the closed-form fidelity.
+    q = random_quad(np.random.default_rng(seed))
+    value = structured_lower_bound(ScatteringFunction.from_quad(*q)).value
+    assert abs(value - solve_fidelity(q).fidelity) <= 1e-12
+
+
+@pytest.mark.parametrize("shift", [(a, b) for a in range(4) for b in range(4)])
+def test_structured_bound_of_one_shift_is_one(shift):
+    # A single time-frequency shift is unitary: the pair (gamma, S gamma)
+    # gains 1 for any gamma, and the bound is clipped at 1.
+    C = ScatteringFunction.concentrated(4, shift)
+    assert structured_lower_bound(C).value == 1.0
+
+
+@pytest.mark.parametrize("kind", ["dense", "one tap", "L-1 taps", "uniform", "concentrated"])
+def test_structured_bound_draws_nothing_at_random(monkeypatch, kind):
+    # No generator is built and numpy's global state is left as it was.
+    rng = np.random.default_rng(5)
+    C = {
+        "dense": random_scattering(rng, 5),
+        "one tap": sparse_scattering(rng, 5, 1),
+        "L-1 taps": sparse_scattering(rng, 5, 4),
+        "uniform": ScatteringFunction.uniform(5),
+        "concentrated": ScatteringFunction.concentrated(5, (2, 3)),
+    }[kind]
+    state = np.random.get_state()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the structured bound drew at random")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    monkeypatch.setattr(np.random, "SeedSequence", refuse)
+    structured_lower_bound(C)
+    monkeypatch.undo()
+    after = np.random.get_state()
+    assert after[0] == state[0] and np.array_equal(after[1], state[1]) and after[2:] == state[2:]
