@@ -50,7 +50,9 @@ from .optimize import (
 )
 from .wssus import ScatteringFunction
 
-_CONFIG_KEYS = ("p", "L", "sigma2", "trials", "samples", "seed", "scattering")
+# The scalars a flag or the config file may set, and their defaults.
+_SCALAR_DEFAULTS = {"L": 2, "sigma2": 0.1, "trials": 100_000, "samples": 100_000, "seed": 0}
+_CONFIG_KEYS = ("p", *_SCALAR_DEFAULTS, "scattering")
 # The one option table, flag: (namespace name, type, choices, metavar, help).
 # It builds _scan's lookups and the --help text, in this order.
 _OPTIONS = {
@@ -60,17 +62,15 @@ _OPTIONS = {
     "--p2": ("p2", float, None, None, "weight of the joint shift"),
     "--p3": ("p3", float, None, None, "weight of the frequency shift"),
     "--L": ("L", int, None, None, "signal space dimension"),
-    "--sigma2": ("sigma2", float, None, None, "noise power (default 0.1)"),
-    "--trials": ("trials", int, None, None, "Monte Carlo trials (default 1e5)"),
-    "--samples": ("samples", int, None, None, "oracle samples (default 1e5)"),
-    "--seed": ("seed", int, None, None, "master RNG seed (default 0)"),
+    "--sigma2": ("sigma2", float, None, None, "noise power"),
+    "--trials": ("trials", int, None, None, "Monte Carlo trials"),
+    "--samples": ("samples", int, None, None, "oracle samples"),
+    "--seed": ("seed", int, None, None, "master RNG seed"),
     "--format": ("output_format", str, ("json", "csv", "text"), None,
                  "output format (default json)"),
     "--out": ("out", str, None, "PATH", "write output to PATH"),
     "--config": ("config", str, None, "PATH", "JSON config file"),
 }
-# The scalars a flag or the config file may set, and their defaults.
-_SCALAR_DEFAULTS = {"L": 2, "sigma2": 0.1, "trials": 100_000, "samples": 100_000, "seed": 0}
 # A next-token value that may start with "-", as a negative number: a minus
 # sign, then a digit, a point, inf or nan.
 _NEGATIVE_NUMBER = re.compile(r"-([\d.]|inf|nan)", re.IGNORECASE)
@@ -106,7 +106,7 @@ class RunConfig:
 
 
 def _help() -> str:
-    """The --help text, built from _COMMANDS and _OPTIONS."""
+    """The --help text, built from _COMMANDS, _OPTIONS and _SCALAR_DEFAULTS."""
     lines = ["usage: whprecode COMMAND [FLAG VALUE ...]", "",
              "Design and verify statistics-adapted pulses for dispersive channels.", "",
              "commands:"]
@@ -115,6 +115,8 @@ def _help() -> str:
               f"  {'-h, --help':<24}print this help and exit"]
     for flag, (dest, _, choices, metavar, text) in _OPTIONS.items():
         value = metavar or ("|".join(choices) if choices else dest.upper())
+        if dest in _SCALAR_DEFAULTS:
+            text += f" (default {_SCALAR_DEFAULTS[dest]})"
         lines.append(f"  {flag + ' ' + value:<24}{text}")
     return "\n".join(lines)
 

@@ -48,19 +48,17 @@ _TIE = 1e-14
 # one of 1 overshoots on the ridge of isotropic profiles at L = 12.
 _RADIUS = 0.5
 _RADIUS_FLOOR = 1e-30
-# Twin distance at or below which a restart trails a shift copy of the lead
-# and is parked (see alternating_fidelity_max): each pulse is within an
-# angle of about 0.03 of the copy's.  The lead may still climb: on 1,200
-# random channels at L = 2..8, one radius of 3e-2 or 1e-1 for the lead and
-# the stationary pairs alike lost 1.3e-8 of the best value, this one about
-# 1e-14.
-_TWIN = 1e-3
-# The wider twin distance at which a restart trails a stationary restart,
-# whose pair no longer moves.  On another 1,200 such channels it lost no
-# best value beyond what _TWIN alone loses, and, with parked restarts then
-# moved onto their twin's shift copy, no restart's value fell by more than
-# 1e-12; at 0.2 and 0.3 single restarts fell by 6.9e-4 and 5.1e-3, having
-# trailed a lower optimum than their own.
+# Twin distance at or below which a live restart trails a stationary
+# restart, whose pair no longer moves, and is parked (see
+# alternating_fidelity_max): each pulse is within an angle of about 0.4 of
+# the copy's.  On 1,200 random channels at L = 2..8, with parked restarts
+# then moved onto their twin's shift copy, no restart's value fell by more
+# than 1e-12; at 0.2 and 0.3 single restarts fell by 6.9e-4 and 5.1e-3,
+# having trailed a lower optimum than their own.  The radius can still park
+# a restart that was climbing to a higher optimum: on 7 of another 1,200
+# such channels the best value fell 2.8e-6 to 8.4e-5 below that of a run
+# without parking.  A radius of 1e-3 loses none there, but ten seeds of the
+# isotropic profile at L = 16 then take 50 s instead of 0.2 s.
 _TWIN_STATIONARY = 1.5e-1
 # A pulse pair whose measured gain is at least the upper bound U less this
 # is optimal to within it (see fidelity_upper_bound and pair_gain).  On
@@ -454,14 +452,13 @@ def alternating_fidelity_max(
     under separate phases of gamma and g, so restarts mostly converge to
     shift copies of one optimum.  A twin test retires the restarts that
     trail a copy (see _twin_distances and _twins).  It compares every live
-    restart that has not stopped with every stationary restart and with
-    the lead, the live restart of largest objective.  A restart whose
-    distance to a stationary restart is at most _TWIN_STATIONARY, or to the
-    lead at most _TWIN, where that pair's objective is at least its own, is
-    parked: it stops and leaves the batch as a stationary restart does.
-    The wider radius lets the restarts that drift along a flat ridge near a
-    stationary optimum stop early, with the gain they have reached, which
-    may fall short of the optimum their own run would have reached.  The
+    restart that has not stopped with every stationary restart.  A restart
+    whose distance to a stationary restart is at most _TWIN_STATIONARY,
+    where that restart's objective is at least its own, is parked: it stops
+    and leaves the batch as a stationary restart does.  The wide radius
+    lets the restarts that drift along a flat ridge near a stationary
+    optimum stop early, with the gain they have reached, which may fall
+    short of the optimum their own run would have reached.  The
     test runs on the first cycle of each three (after each Newton cycle)
     and on every cycle in which a restart has just stopped; run on every
     cycle it cost about a sixth of the optimizer's time on small dense
@@ -607,18 +604,15 @@ def _enough(optima: np.ndarray, n: int) -> bool:
 
 
 def _trailing(ids: np.ndarray, reps: np.ndarray, values: np.ndarray, pulses: np.ndarray) -> np.ndarray:
-    """Mask of the restarts of ``ids`` that trail a twin with no lower value.
+    """Mask of the live restarts ``ids`` that trail a stationary restart with no lower value.
 
-    The twins sought are the stationary restarts ``reps`` (within
-    _TWIN_STATIONARY) and the lead, the restart of ``ids`` with the largest
-    value, which is never its own twin (within _TWIN).  Restarts index
-    ``values`` and the pair rows of ``pulses`` (see _twins).
+    The twins sought are the stationary restarts ``reps``, within
+    _TWIN_STATIONARY; no restart is in both.  Restarts index ``values`` and
+    the pair rows of ``pulses`` (see _twins).
     """
-    others = np.append(reps, ids[np.argmax(values[ids])])
-    radius = np.append(np.full(reps.size, _TWIN_STATIONARY), _TWIN)
     # A pair that cannot be trailed gets a negative radius, so no table.
-    allowed = (values[others] >= values[ids, None]) & (ids[:, None] != others)
-    return _twins(pulses[ids], pulses[others], np.where(allowed, radius, -1.0)).any(axis=1)
+    radius = np.where(values[reps] >= values[ids, None], _TWIN_STATIONARY, -1.0)
+    return _twins(pulses[ids], pulses[reps], radius).any(axis=1)
 
 
 def _sampled_max(score, n_samples: int, seed: int, batch: int = _BATCH) -> float:

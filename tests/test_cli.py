@@ -537,6 +537,17 @@ def test_solve_oracle_agreement(capsys):
     assert abs(solved - oracle["oracle_axes"]) <= abs(oracle["gap_axes"]) + 1e-15
 
 
+def test_help_states_the_defaults_the_parser_uses(capsys):
+    # Each scalar a flag may set: its --help line ends with the value that
+    # parse_config takes when neither a flag nor a config file sets it.
+    cfg = parse_config(["solve", "--p", "0.25,0.25,0.25,0.25"])
+    code, out, _ = run_cli(capsys, "--help")
+    assert code == 0
+    lines = {line.split()[0]: line for line in out.splitlines() if line.startswith("  --")}
+    for name in cli._SCALAR_DEFAULTS:
+        assert lines[f"--{name}"].endswith(f"(default {getattr(cfg, name)})"), name
+
+
 def _reuse_argvs(config):
     """The argvs of the reuse test, and the groups among them that must print the same.
 

@@ -456,12 +456,15 @@ def transmit_residual(C, gamma, g):
 def plain_alternating_best(C, cfg):
     """Best value of unaccelerated alternating eigensteps from the optimizer's starts.
 
-    Each restart runs plain cycles until its residual is at most cfg.tol or
-    cfg.max_iters cycles have run; every map comes from apply_A and apply_adjoint_A.
+    Restart 0 starts from the pulse of structured_lower_bound and restart
+    i >= 1 from child i of the seed.  Each restart runs plain cycles until
+    its residual is at most cfg.tol or cfg.max_iters cycles have run; every
+    map comes from apply_A and apply_adjoint_A.
     """
     best = -np.inf
-    for child in np.random.SeedSequence(cfg.seed).spawn(cfg.restarts):
-        gamma = random_unit_vector(np.random.default_rng(child), C.L)
+    for i, child in enumerate(np.random.SeedSequence(cfg.seed).spawn(cfg.restarts)):
+        rng = np.random.default_rng(child)
+        gamma = structured_lower_bound(C).pulse if i == 0 else random_unit_vector(rng, C.L)
         g = top_eigenvector(apply_A(C, rank_one_projector(gamma)))
         for _ in range(cfg.max_iters):
             if transmit_residual(C, gamma, g) <= cfg.tol:
@@ -484,12 +487,12 @@ def optimizer_cases(draw, smallest=1):
 
 
 def no_parking():
-    """Parking off: no twin distance is at most a negative radius, at either radius.
+    """Parking off: no twin distance is at most a negative radius.
 
-    _trailing reads both radii when called, so the patch reaches every twin
+    _trailing reads the radius when called, so the patch reaches every twin
     test of the run.
     """
-    return mock.patch.multiple(optimize, _TWIN=-1.0, _TWIN_STATIONARY=-1.0)
+    return mock.patch.object(optimize, "_TWIN_STATIONARY", -1.0)
 
 
 @settings(max_examples=60, deadline=None)
@@ -503,8 +506,8 @@ def test_accelerated_loop_is_stationary_monotone_and_no_worse_than_plain(case):
     with no_parking():
         unparked = alternating_fidelity_max(C, C.L, cfg)
     # Without parking, the run stops early only once every restart is
-    # stationary.  With it, a restart is parked only behind a live lead or a
-    # stationary restart, so the last restart to stop is stationary.
+    # stationary.  With it, a restart is parked only behind a stationary
+    # restart, so the first restart to stop is stationary.
     cycles = (len(unparked.objective_history) - 1) // 2
     assert cycles == cfg.max_iters or max(unparked.residuals) <= cfg.tol
     cycles = (len(trace.objective_history) - 1) // 2
@@ -743,14 +746,14 @@ def test_joint_shifts_and_phases_keep_gain_and_residual_and_are_twins(case):
         assert abs(transmit_residual(C, gamma, g) - residual) <= 1e-13
     dist = optimize._twin_distances(pair[None], copies)
     assert np.all(dist <= 1e-14)
-    assert np.all(optimize._twins(pair[None], copies, optimize._TWIN))
+    assert np.all(optimize._twins(pair[None], copies, 1e-3))
 
 
 @settings(max_examples=80)
 @given(
     channels_and_pairs(),
     st.floats(0.0, 1.0),
-    st.sampled_from([("_TWIN", 0.1), ("_TWIN_STATIONARY", 0.5)]),
+    st.sampled_from([(1e-3, 0.1), (optimize._TWIN_STATIONARY, 0.5)]),
 )
 def test_twin_screen_never_drops_a_twin(case, step, radius_and_scale):
     # Pairs near shift copies, at distances on both sides of the radius
@@ -759,8 +762,7 @@ def test_twin_screen_never_drops_a_twin(case, step, radius_and_scale):
     # twin distance, also with one radius per representative.
     C, pair, phases = case
     L = C.L
-    name, scale = radius_and_scale
-    radius = getattr(optimize, name)
+    radius, scale = radius_and_scale
     rng = np.random.default_rng(L)
     shifts = rng.integers(0, L * L, 6)
     near = np.stack([optimize._shifted(np.repeat(p[None], 6, axis=0), shifts) for p in pair], 1)
@@ -768,7 +770,7 @@ def test_twin_screen_never_drops_a_twin(case, step, radius_and_scale):
     near /= np.linalg.norm(near, axis=-1)[..., None]
     dist = optimize._twin_distances(near[:, None], pair[None])
     np.testing.assert_array_equal(optimize._twins(near, pair[None], radius), dist <= radius)
-    both = np.array([optimize._TWIN, radius])
+    both = np.array([1e-3, radius])
     np.testing.assert_array_equal(optimize._twins(near, np.stack([pair, pair]), both), dist <= both)
 
 
@@ -795,7 +797,9 @@ def test_twins_are_the_threshold_at_every_radius(case):
 def test_parking_loses_no_gain_and_no_restart_exceeds_the_best(case):
     # A parked restart reports the gain it reached, at most its twin's, so
     # the best is the restart of smallest residual among those within _TIE
-    # of the highest gain, as for any run; parking loses no best value.
+    # of the highest gain, as for any run.  On these examples parking loses
+    # no best value; on some channels it does, where the wide radius parks
+    # a restart that was climbing to a higher optimum (see _TWIN_STATIONARY).
     C, seed = case
     cfg = OptimizerConfig(restarts=16, seed=seed)
     on = alternating_fidelity_max(C, C.L, cfg)
@@ -840,8 +844,8 @@ def test_parking_stops_twins_and_saves_half_steps_on_an_isotropic_cell():
 @pytest.mark.parametrize("width", [1, 2])
 def test_ridge_cells_at_L16_end_stationary_before_the_cap(width):
     # Restarts drift along a near-flat ridge here and ran to the 500-cycle
-    # cap when only shift copies within _TWIN were parked; parked at the
-    # wider radius around the stationary pairs, every restart stops long
+    # cap when only shift copies within 1e-3 were parked; parked at the
+    # wide radius around the stationary pairs, every restart stops long
     # before the cap, and the best one is stationary.
     C, cfg = isotropic(16, width), OptimizerConfig()
     trace = alternating_fidelity_max(C, 16, cfg)
@@ -864,15 +868,15 @@ def test_restarts_trail_only_twins_with_no_lower_value():
     pulses = twin_pulses(5, 0)
     ids, reps = np.array([0, 2]), np.array([1])
     # Restart 1 is a stationary restart with the larger value: restart 0
-    # trails it; restart 2, the lead, trails nothing.
+    # trails it; restart 2, unrelated, trails nothing.
     trailing = optimize._trailing(ids, reps, np.array([0.5, 0.5 + 1e-9, 0.7]), pulses)
     assert trailing.tolist() == [True, False]
-    # With the smaller value it is passed over, and the lead is no twin.
+    # With the smaller value it is passed over.
     trailing = optimize._trailing(ids, reps, np.array([0.5 + 1e-9, 0.5, 0.7]), pulses)
     assert trailing.tolist() == [False, False]
-    # Restart 1 live and the lead: restart 0 trails it, and it trails nothing.
+    # Restart 1 live with the higher value: no live restart is a twin.
     trailing = optimize._trailing(np.array([0, 1, 2]), reps[:0], np.array([0.5, 0.52, 0.51]), pulses)
-    assert trailing.tolist() == [True, False, False]
+    assert trailing.tolist() == [False, False, False]
 
 
 @pytest.mark.parametrize(
