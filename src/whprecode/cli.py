@@ -437,10 +437,11 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
 
 
 # general seeks a PPT certificate up to this L, the largest the benchmark
-# decks run: there an attempt costs 0.17-0.30 of the optimizer's time on the
-# same job at every L = 4..10.  An attempt's O(L^6) Schur solves outgrow the
-# optimizer at larger L (about 0.9-1.0x at L = 24 on one grid), so a larger
-# cap needs a benchmark workload above this L first.
+# decks run.  On their attempt jobs (seeds 1 and 4242) the per-L median of
+# an attempt's time over the optimizer's on the same job is 0.5-0.7 at
+# L = 4..7 and 0.9-1.0 at L = 8..10.  An attempt's O(L^6) Schur solves
+# outgrow the optimizer above this L, so a larger cap needs a benchmark
+# workload there first.
 _PPT_LARGEST_L = 10
 
 

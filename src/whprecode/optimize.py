@@ -48,18 +48,20 @@ _TIE = 1e-14
 # one of 1 overshoots on the ridge of isotropic profiles at L = 12.
 _RADIUS = 0.5
 _RADIUS_FLOOR = 1e-30
-# Twin distance at or below which a live restart trails a stationary
-# restart, whose pair no longer moves, and is parked (see
-# alternating_fidelity_max): each pulse is within an angle of about 0.4 of
-# the copy's.  On 1,200 random channels at L = 2..8, with parked restarts
-# then moved onto their twin's shift copy, no restart's value fell by more
-# than 1e-12; at 0.2 and 0.3 single restarts fell by 6.9e-4 and 5.1e-3,
-# having trailed a lower optimum than their own.  The radius can still park
-# a restart that was climbing to a higher optimum: on 7 of another 1,200
-# such channels the best value fell 2.8e-6 to 8.4e-5 below that of a run
-# without parking.  A radius of 1e-3 loses none there, but ten seeds of the
-# isotropic profile at L = 16 then take 50 s instead of 0.2 s.
-_TWIN_STATIONARY = 1.5e-1
+# Twin distance (see _twin_distances) at or below which a live restart
+# trails a stationary restart, whose transmit pulse no longer moves, and is
+# parked (see alternating_fidelity_max): the pulse is within an angle of
+# about 0.28 of the copy's.  On 1,200 random channels at L = 2..8 it gives
+# the restart counts and, within 1e-15, the best values of a radius of 0.15
+# on the sum of a transmit and a receive distance.  It can park a restart
+# that was climbing to a higher optimum than its twin's: with the parked
+# restarts moved onto their twin's copy, 236 restarts there end more than
+# 1e-12 (up to 1.7e-2) below a run without parking, and the best value of
+# 7 channels falls 2.8e-6 to 8.4e-5 below it.  At 0.1 two more channels lose
+# and at 0.05 four still do; 5e-4 loses none, but ten seeds of the
+# isotropic profile at L = 16 then run every wave to the cycle cap, 42 s
+# instead of 0.1 s.
+_TWIN_STATIONARY = 7.5e-2
 # A pulse pair whose measured gain is at least the upper bound U less this
 # is optimal to within it (see fidelity_upper_bound and pair_gain).  On
 # random and Gaussian grids at L = 4..64, U is within 1.2e-15 of U in long
@@ -353,35 +355,21 @@ def _ambiguity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return phases @ (a.conj()[..., :, None] * b[..., lags])
 
 
-def _twin_distances(pairs: np.ndarray, reps: np.ndarray) -> np.ndarray:
-    """Distance of pulse pairs to representative pairs up to a common shift.
+def _twin_distances(pulses: np.ndarray, reps: np.ndarray) -> np.ndarray:
+    """Distance of transmit pulses to representative pulses up to a shift.
 
-    ``pairs`` and ``reps`` stack pairs ``(gamma, g)`` as (..., 2, L) rows
-    that broadcast against each other.  For a pair and a representative
-    ``(gamma_s, g_s)`` the distance is the minimum over shifts nu of
-    ``(1 - |<gamma, S_nu gamma_s>|^2) + (1 - |<g, S_nu g_s>|^2)``.  It is
-    zero exactly when ``(gamma, g) = (S_nu gamma_s e^ia, S_nu g_s e^ib)``
-    for some nu, a and b, where the mean gain and the stationarity residual
-    are the representative's: conjugation by S_nu commutes with the map up
-    to phases that cancel.
+    ``pulses`` and ``reps`` stack unit pulses as (..., L) rows that
+    broadcast against each other.  For a pulse gamma and a representative
+    gamma_s the distance is ``1 - max_nu |<gamma, S_nu gamma_s>|^2``, zero
+    exactly when ``gamma = S_nu gamma_s e^ia`` for some nu and a.  A
+    restart's receive pulse is the top eigenvector of ``A(gamma gamma*)``,
+    and conjugation by S_nu commutes with the map up to phases that cancel,
+    so where that eigenvector is simple the receive pulse of
+    ``S_nu gamma_s e^ia`` is ``S_nu g_s`` up to a phase: the restart at
+    distance zero has the representative's mean gain and stationarity
+    residual.
     """
-    overlap = (np.abs(_ambiguity(pairs, reps)) ** 2).sum(axis=-3)
-    return 2.0 - overlap.max(axis=(-2, -1))
-
-
-def _twins(pairs: np.ndarray, reps: np.ndarray, radius) -> np.ndarray:
-    """(K, R) mask of the K pulse pairs within ``radius`` of each of R representatives.
-
-    ``radius`` broadcasts to (K, R); a negative radius makes no twin, and
-    costs no ambiguity table.  Pairs are (2, L) rows, distances as in
-    _twin_distances.
-    """
-    radius = np.zeros((len(pairs), len(reps))) + radius
-    near = radius >= 0.0
-    k, s = np.nonzero(near)
-    if k.size:
-        near[k, s] = _twin_distances(pairs[k], reps[s]) <= radius[k, s]
-    return near
+    return 1.0 - (np.abs(_ambiguity(pulses, reps)) ** 2).max(axis=(-2, -1))
 
 
 def _shifted(pulses: np.ndarray, shift: np.ndarray) -> np.ndarray:
@@ -451,14 +439,16 @@ def alternating_fidelity_max(
     The gain is invariant under ``(gamma, g) -> (S_nu gamma, S_nu g)`` and
     under separate phases of gamma and g, so restarts mostly converge to
     shift copies of one optimum.  A twin test retires the restarts that
-    trail a copy (see _twin_distances and _twins).  It compares every live
-    restart that has not stopped with every stationary restart.  A restart
-    whose distance to a stationary restart is at most _TWIN_STATIONARY,
-    where that restart's objective is at least its own, is parked: it stops
-    and leaves the batch as a stationary restart does.  The wide radius
-    lets the restarts that drift along a flat ridge near a stationary
-    optimum stop early, with the gain they have reached, which may fall
-    short of the optimum their own run would have reached.  The
+    trail a copy.  It compares the transmit pulse of every live restart
+    that has not stopped with that of every stationary restart (see
+    _twin_distances: every restart ends on a receive half-step, so its
+    receive pulse is a function of its transmit pulse).  A restart whose
+    distance to a stationary restart is at most _TWIN_STATIONARY, where
+    that restart's objective is at least its own, is parked: it stops and
+    leaves the batch as a stationary restart does.
+    The wide radius lets the restarts that drift along a flat ridge near a
+    stationary optimum stop early, with the gain they have reached, which
+    may fall short of the optimum their own run would have reached.  The
     test runs on the first cycle of each three (after each Newton cycle)
     and on every cycle in which a restart has just stopped; run on every
     cycle it cost about a sixth of the optimizer's time on small dense
@@ -494,13 +484,12 @@ def alternating_fidelity_max(
     forward, adjoint = _half_step_operands(C)
     seeds = np.random.SeedSequence(cfg.seed)
 
-    # Per restart: the pair, its objective and its residual, the start of
-    # its next third cycle and its trust radius.  The adjoint images of the
-    # live receivers (``held``) feed both the residual and the next transmit
-    # half-step.
-    # Each restart's pair (gamma, g) is one (2, L) row of ``pulses``.
-    pulses = np.empty((cfg.restarts, 2, L), dtype=complex)
-    gammas, receivers = pulses[:, 0], pulses[:, 1]
+    # Per restart: its two pulses, its objective and its residual, the start
+    # of its next third cycle and its trust radius.  The adjoint images of
+    # the live receivers (``held``) feed both the residual and the next
+    # transmit half-step.
+    gammas = np.empty((cfg.restarts, L), dtype=complex)
+    receivers = np.empty_like(gammas)
     values, residuals = np.empty(cfg.restarts), np.empty(cfg.restarts)
     starts = np.empty_like(receivers)
     radius = np.full(cfg.restarts, _RADIUS)
@@ -515,7 +504,7 @@ def alternating_fidelity_max(
         # restart has just stopped (see the docstring).
         if going.any() and (cycles % 3 == 0 or not going.all()):
             reps = np.append(reps, live[~going])
-            going[going] = ~_trailing(live[going], reps, values, pulses)
+            going[going] = ~_trailing(live[going], reps, values, gammas)
         if not going.all():
             live, held = live[going], held[going]
         if not live.size or cycles == cfg.max_iters:
@@ -603,16 +592,19 @@ def _enough(optima: np.ndarray, n: int) -> bool:
     return 2 * w * (n - 1) < (2 * w + 1) * (n - w - 2)
 
 
-def _trailing(ids: np.ndarray, reps: np.ndarray, values: np.ndarray, pulses: np.ndarray) -> np.ndarray:
+def _trailing(ids: np.ndarray, reps: np.ndarray, values: np.ndarray, gammas: np.ndarray) -> np.ndarray:
     """Mask of the live restarts ``ids`` that trail a stationary restart with no lower value.
 
-    The twins sought are the stationary restarts ``reps``, within
-    _TWIN_STATIONARY; no restart is in both.  Restarts index ``values`` and
-    the pair rows of ``pulses`` (see _twins).
+    The twins sought are the stationary restarts ``reps``, whose transmit
+    pulse is within _TWIN_STATIONARY of the live one's (see
+    _twin_distances); no restart is in both.  Restarts index ``values`` and
+    the rows of ``gammas``.
     """
-    # A pair that cannot be trailed gets a negative radius, so no table.
-    radius = np.where(values[reps] >= values[ids, None], _TWIN_STATIONARY, -1.0)
-    return _twins(pulses[ids], pulses[reps], radius).any(axis=1)
+    k, s = np.nonzero(values[reps] >= values[ids, None])
+    near = _twin_distances(gammas[ids[k]], gammas[reps[s]]) <= _TWIN_STATIONARY
+    trailing = np.zeros(len(ids), dtype=bool)
+    trailing[k[near]] = True
+    return trailing
 
 
 def _sampled_max(score, n_samples: int, seed: int, batch: int = _BATCH) -> float:

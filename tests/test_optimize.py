@@ -730,8 +730,8 @@ def channels_and_pairs(draw):
 @example((ScatteringFunction.uniform(3), np.eye(3, dtype=complex)[:2], np.ones((2, 1))))
 def test_joint_shifts_and_phases_keep_gain_and_residual_and_are_twins(case):
     # (S_nu gamma e^ia, S_nu g e^ib) for every shift nu: the gain and the
-    # stationarity residual are those of (gamma, g), the twin distance is
-    # zero, and the twin screen lets every copy through.
+    # stationarity residual are those of (gamma, g), and the twin distance
+    # of the transmit copies is zero.
     C, pair, phases = case
     L = C.L
     shifts = np.arange(L * L)
@@ -744,50 +744,79 @@ def test_joint_shifts_and_phases_keep_gain_and_residual_and_are_twins(case):
     for gamma, g in copies:
         assert abs(gain(C, gamma, g) - value) <= 1e-13
         assert abs(transmit_residual(C, gamma, g) - residual) <= 1e-13
-    dist = optimize._twin_distances(pair[None], copies)
+    dist = optimize._twin_distances(pair[0], copies[:, 0])
     assert np.all(dist <= 1e-14)
-    assert np.all(optimize._twins(pair[None], copies, 1e-3))
+
+
+@st.composite
+def channels_and_transmit_pulses(draw):
+    """Dense or sparse (one tap, L - 1 taps) channels at L = 2..8, a unit pulse and a phase."""
+    L = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taps = draw(st.sampled_from([L * L, 1, L - 1]))
+    gamma = _complex_gaussian(rng, (L,))
+    phase = np.exp(1j * rng.uniform(0.0, 2 * np.pi))
+    return sparse_scattering(rng, L, taps), gamma / np.linalg.norm(gamma), phase
 
 
 @settings(max_examples=80)
-@given(
-    channels_and_pairs(),
-    st.floats(0.0, 1.0),
-    st.sampled_from([(1e-3, 0.1), (optimize._TWIN_STATIONARY, 0.5)]),
-)
-def test_twin_screen_never_drops_a_twin(case, step, radius_and_scale):
-    # Pairs near shift copies, at distances on both sides of the radius
-    # (perturbations up to ``scale`` reach twin distances of 0.02-0.2 and
-    # 0.5-1.2 at L = 2..8): the screened mask is the plain threshold on the
-    # twin distance, also with one radius per representative.
-    C, pair, phases = case
+@given(channels_and_transmit_pulses())
+def test_receive_pulse_of_a_shift_copy_is_the_shift_copy_of_the_receive_pulse(case):
+    # The twin test measures transmit pulses only, since the receive
+    # half-step maps S_nu gamma e^ia to S_nu g up to a phase wherever the
+    # top eigenvalue of A(gamma gamma*) is simple.
+    C, gamma, phase = case
     L = C.L
-    radius, scale = radius_and_scale
-    rng = np.random.default_rng(L)
-    shifts = rng.integers(0, L * L, 6)
-    near = np.stack([optimize._shifted(np.repeat(p[None], 6, axis=0), shifts) for p in pair], 1)
-    near = near * phases + scale * step * rng.uniform(0.0, 1.0, (6, 1, 1)) * _complex_gaussian(rng, (6, 2, L))
-    near /= np.linalg.norm(near, axis=-1)[..., None]
-    dist = optimize._twin_distances(near[:, None], pair[None])
-    np.testing.assert_array_equal(optimize._twins(near, pair[None], radius), dist <= radius)
-    both = np.array([1e-3, radius])
-    np.testing.assert_array_equal(optimize._twins(near, np.stack([pair, pair]), both), dist <= both)
+    lam = np.linalg.eigvalsh(apply_A(C, rank_one_projector(gamma)))
+    if lam[-1] - lam[-2] <= 1e-6:
+        return
+    ops = [shift_operator(L, (nu % L, nu // L)) for nu in range(L * L)]
+    gammas = np.stack([gamma] + [op @ gamma * phase for op in ops])
+    _, receivers, *_ = optimize._receive(*optimize._half_step_operands(C), gammas)
+    g = receivers[0]
+    for op, copy in zip(ops, receivers[1:]):
+        assert abs(np.vdot(op @ g, copy)) >= 1 - 1e-9
 
 
-@settings(max_examples=40)
-@given(channels_and_pairs())
-def test_twins_are_the_threshold_at_every_radius(case):
-    # Twin distances lie in [0, 2]: above radius 1 the mask is still the
-    # plain threshold, and at 2 every pair, a phase copy of the
-    # representative included, is a twin.
-    C, pair, phases = case
-    pairs = _complex_gaussian(np.random.default_rng(C.L), (6, 2, C.L))
-    pairs[0] = pair * phases
-    pairs /= np.linalg.norm(pairs, axis=-1)[..., None]
-    dist = optimize._twin_distances(pairs[:, None], pair[None])
-    for radius in (1.5, 2.0):
-        np.testing.assert_array_equal(optimize._twins(pairs, pair[None], radius), dist <= radius)
-    assert np.all(optimize._twins(pairs, pair[None], 2.0))
+@st.composite
+def trailing_cases(draw):
+    """Unit transmit pulses at L = 1..8, values, and the live and stationary restarts.
+
+    Most pulses are perturbed shift copies of an earlier one: perturbations
+    up to 0.6 put their twin distances on both sides of _TWIN_STATIONARY.
+    Values come from three levels, so ties are exact, and the stationary
+    restarts may be none.
+    """
+    L = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gammas = _complex_gaussian(rng, (n, L))
+    gammas /= np.linalg.norm(gammas, axis=1)[:, None]
+    for i in range(1, n):
+        if rng.random() < 0.7:
+            copy = optimize._shifted(gammas[rng.integers(i)][None], rng.integers(0, L * L, 1))[0]
+            noise = 0.6 * rng.random() * _complex_gaussian(rng, (L,))
+            gammas[i] = copy * np.exp(2j * np.pi * rng.random()) + noise
+            gammas[i] /= np.linalg.norm(gammas[i])
+    order = rng.permutation(n)
+    live = draw(st.integers(1, n))
+    return order[:live], order[live:], rng.integers(0, 3, n) / 4.0, gammas
+
+
+@settings(max_examples=150)
+@given(trailing_cases())
+def test_trailing_is_the_brute_force_rule(case):
+    # A live restart trails when some stationary restart has a value at
+    # least its own and a twin distance at most _TWIN_STATIONARY.
+    ids, reps, values, gammas = case
+    radius = optimize._TWIN_STATIONARY
+    for stationary in (reps, reps[:0]):
+        expected = [
+            any(values[s] >= values[i] and optimize._twin_distances(gammas[i], gammas[s]) <= radius
+                for s in stationary)
+            for i in ids
+        ]
+        assert optimize._trailing(ids, stationary, values, gammas).tolist() == expected
 
 
 @settings(max_examples=30)
@@ -845,8 +874,8 @@ def test_parking_stops_twins_and_saves_half_steps_on_an_isotropic_cell():
 def test_ridge_cells_at_L16_end_stationary_before_the_cap(width):
     # Restarts drift along a near-flat ridge here and ran to the 500-cycle
     # cap when only shift copies within 1e-3 were parked; parked at the
-    # wide radius around the stationary pairs, every restart stops long
-    # before the cap, and the best one is stationary.
+    # wide radius around the stationary restarts' transmit pulses, every
+    # restart stops long before the cap, and the best one is stationary.
     C, cfg = isotropic(16, width), OptimizerConfig()
     trace = alternating_fidelity_max(C, 16, cfg)
     assert len(trace.objective_history) < 2 * cfg.max_iters + 1
@@ -856,11 +885,11 @@ def test_ridge_cells_at_L16_end_stationary_before_the_cap(width):
 
 
 def twin_pulses(L, seed):
-    """Restarts 0 and 1 are a pair and its shift copy with other phases; restart 2 is unrelated."""
+    """Restarts 0 and 1 are a transmit pulse and its shift copy with another phase; restart 2 is unrelated."""
     rng = np.random.default_rng(seed)
-    pulses = _complex_gaussian(rng, (3, 2, L))
-    pulses /= np.linalg.norm(pulses, axis=-1)[..., None]
-    pulses[1] = 1j * optimize._shifted(pulses[0], np.array([L + 1, L + 1]))
+    pulses = _complex_gaussian(rng, (3, L))
+    pulses /= np.linalg.norm(pulses, axis=-1)[:, None]
+    pulses[1] = 1j * optimize._shifted(pulses[:1], np.array([L + 1]))[0]
     return pulses
 
 
