@@ -276,7 +276,7 @@ def parse_config(argv=None) -> RunConfig:
     command = given["command"]
     violations: list[str] = []
     config_path = given.get("config")
-    file_cfg = _load_config_file(config_path, violations) if config_path else {}
+    file_cfg = _load_config_file(config_path, violations) if config_path is not None else {}
 
     # Lower bounds; trials and samples bind only the commands that use them.
     lower = {"L": 1, "sigma2": 0.0, "seed": 0,
@@ -640,7 +640,7 @@ def main(argv=None) -> int:
     # One guarded write for both destinations: a file that cannot be
     # written and a full or closed stdout are input errors, not tracebacks.
     try:
-        if cfg.output_path:
+        if cfg.output_path is not None:
             with open(cfg.output_path, "w", encoding="utf-8") as fh:
                 fh.write(rendered)
         elif sys.stdout is None:
@@ -649,7 +649,7 @@ def main(argv=None) -> int:
             sys.stdout.write(rendered)
             sys.stdout.flush()
     except OSError as exc:
-        print(f"error: {'out' if cfg.output_path else 'stdout'}: {exc}", file=sys.stderr)
+        print(f"error: {'stdout' if cfg.output_path is None else 'out'}: {exc}", file=sys.stderr)
         return 2
     return 0
 

@@ -460,17 +460,14 @@ def alternating_fidelity_max(
     unconverged.  The run then stops if ``cfg.restarts`` have run or, after
     a wave that none ended at the cap, if _enough holds on the n restarts
     run so far; a parked restart counts toward n but finds no optimum.
-    Otherwise the next wave's starts are drawn and its restarts may trail
-    the stationary restarts of earlier waves.  After a wave that reached the
-    cap they trail none: on the flat ridge of isotropic profiles at L = 16
-    a stationary restart of such a wave can sit 1e-10 below the optimum,
-    and the next wave, parked behind it at once, would end where the capped
-    one did.  Restart 0 starts from the pulse of structured_lower_bound,
-    whose value is its first objective bit for bit (see _map_rank_one);
-    every half-step after is monotone up to _TIE, so the best value is at
-    least that bound less _TIE.  Restart i >= 1 draws its start from child
-    i of ``SeedSequence(cfg.seed)`` in any wave size, as ``spawn`` numbers
-    its children across calls.
+    Otherwise the next wave's starts are drawn.  One twin rule holds in
+    every wave: a live restart may trail every stationary restart drawn so
+    far, of its own wave or an earlier one.  Restart 0 starts from the
+    pulse of structured_lower_bound, whose value is its first objective bit
+    for bit (see _map_rank_one); every half-step after is monotone up to
+    _TIE, so the best value is at least that bound less _TIE.  Restart
+    i >= 1 draws its start from child i of ``SeedSequence(cfg.seed)`` in
+    any wave size, as ``spawn`` numbers its children across calls.
 
     With T nonzero taps, each half step is a T x T Gram eigenproblem when
     T < L and an L x L one otherwise; the path is fixed once per call and
@@ -493,75 +490,68 @@ def alternating_fidelity_max(
     values, residuals = np.empty(cfg.restarts), np.empty(cfg.restarts)
     starts = np.empty_like(receivers)
     radius = np.full(cfg.restarts, _RADIUS)
-    # The stationary restarts, which the live ones may trail, and the live
-    # ones; each wave's history; the restarts drawn so far.
-    reps = live = np.empty(0, dtype=int)
     histories = []
-    drawn = cycles = 0
-    while True:
-        going = residuals[live] > cfg.tol
-        # The twin test runs after each Newton cycle and whenever a
-        # restart has just stopped (see the docstring).
-        if going.any() and (cycles % 3 == 0 or not going.all()):
-            reps = np.append(reps, live[~going])
-            going[going] = ~_trailing(live[going], reps, values, gammas)
-        if not going.all():
-            live, held = live[going], held[going]
-        if not live.size or cycles == cfg.max_iters:
-            stationary = residuals[:drawn] <= cfg.tol
-            if drawn == cfg.restarts or (not live.size and _enough(values[:drawn][stationary], drawn)):
+    for first in range(0, cfg.restarts, _WAVE):
+        drawn = min(first + _WAVE, cfg.restarts)
+        live = np.arange(first, drawn)
+        gammas[live] = [
+            structured_lower_bound(C).pulse if i == 0 else random_unit_vector(np.random.default_rng(s), L)
+            for i, s in zip(live, seeds.spawn(live.size))
+        ]
+        values[live], receivers[live], residuals[live], held, _ = _receive(forward, adjoint, gammas[live])
+        history = [values.copy()]
+        histories.append(history)
+        for cycle in range(cfg.max_iters + 1):
+            going = residuals[live] > cfg.tol
+            # The twin test runs after each Newton cycle and whenever a
+            # restart has just stopped (see the docstring).
+            if going.any() and (cycle % 3 == 0 or not going.all()):
+                stationary = np.flatnonzero(residuals[:drawn] <= cfg.tol)
+                going[going] = ~_trailing(live[going], stationary, values, gammas)
+            if not going.all():
+                live, held = live[going], held[going]
+            if not live.size or cycle == cfg.max_iters:
                 break
-            # The next wave (see the docstring); restarts at the cap end there.
-            reps = np.flatnonzero(stationary) if not live.size else reps[:0]
-            live = np.arange(drawn, min(drawn + _WAVE, cfg.restarts))
-            drawn += live.size
-            gammas[live] = [
-                structured_lower_bound(C).pulse if i == 0 else random_unit_vector(np.random.default_rng(s), L)
-                for i, s in zip(live, seeds.spawn(live.size))
-            ]
-            values[live], receivers[live], residuals[live], held, _ = _receive(forward, adjoint, gammas[live])
-            history = [values.copy()]
-            histories.append(history)
-            cycles = 0
-            continue
-        phase = cycles % 3
-        cycles += 1
-        images = _rank_one_images(adjoint, starts[live]) if phase == 2 else held
-        lam, u = np.linalg.eigh(images.mats)
-        top_t, new_gammas = _top_of(lam, u, images)
-        top, new_receivers, new_residuals, new_held, ahead = _receive(forward, adjoint, new_gammas)
-        if phase == 1:
-            # The next cycle starts from r2, or from a Newton point of r1
-            # for the restarts that go on (see the docstring).
-            starts[live] = new_receivers
-            going = new_residuals > cfg.tol
-            if L > 1 and going.any():
-                on = slice(None) if going.all() else going
-                ids = live[on]
-                eigs = lam[on], u[on], images[on]
-                model = _reduced_model(C, receivers[ids], eigs, new_gammas[on], ahead[on])
-                points, ok = _newton_points(receivers[ids], model, radius[ids])
-                starts[ids[ok]] = points[ok]
-        # The transmit half-step's entry: a third cycle holds the objective
-        # of r2 until its result is kept.
-        history.append(values.copy())
-        if phase < 2:
-            history[-1][live] = top_t
-            moved = slice(None)
-            held = new_held
-        else:
-            kept = values[live]
-            tied = (top >= kept - _TIE) & (new_residuals <= residuals[live])
-            moved = (top > kept + _TIE) | tied
-            held[moved] = new_held[moved]
-            size = radius[live]
-            radius[live] = np.where(
-                moved, np.minimum(2.0 * size, 1.0), np.maximum(size / 4.0, _RADIUS_FLOOR)
-            )
-        rows = live[moved]
-        gammas[rows], receivers[rows] = new_gammas[moved], new_receivers[moved]
-        values[rows], residuals[rows] = top[moved], new_residuals[moved]
-        history.append(values.copy())
+            phase = cycle % 3
+            images = _rank_one_images(adjoint, starts[live]) if phase == 2 else held
+            lam, u = np.linalg.eigh(images.mats)
+            top_t, new_gammas = _top_of(lam, u, images)
+            top, new_receivers, new_residuals, new_held, ahead = _receive(forward, adjoint, new_gammas)
+            if phase == 1:
+                # The next cycle starts from r2, or from a Newton point of r1
+                # for the restarts that go on (see the docstring).
+                starts[live] = new_receivers
+                going = new_residuals > cfg.tol
+                if L > 1 and going.any():
+                    on = slice(None) if going.all() else going
+                    ids = live[on]
+                    eigs = lam[on], u[on], images[on]
+                    model = _reduced_model(C, receivers[ids], eigs, new_gammas[on], ahead[on])
+                    points, ok = _newton_points(receivers[ids], model, radius[ids])
+                    starts[ids[ok]] = points[ok]
+            # The transmit half-step's entry: a third cycle holds the
+            # objective of r2 until its result is kept.
+            history.append(values.copy())
+            if phase < 2:
+                history[-1][live] = top_t
+                moved = slice(None)
+                held = new_held
+            else:
+                kept = values[live]
+                tied = (top >= kept - _TIE) & (new_residuals <= residuals[live])
+                moved = (top > kept + _TIE) | tied
+                held[moved] = new_held[moved]
+                size = radius[live]
+                radius[live] = np.where(
+                    moved, np.minimum(2.0 * size, 1.0), np.maximum(size / 4.0, _RADIUS_FLOOR)
+                )
+            rows = live[moved]
+            gammas[rows], receivers[rows] = new_gammas[moved], new_receivers[moved]
+            values[rows], residuals[rows] = top[moved], new_residuals[moved]
+            history.append(values.copy())
+        # The stopping rule, never after a wave that ended at the cap.
+        if not live.size and _enough(values[:drawn][residuals[:drawn] <= cfg.tol], drawn):
+            break
 
     near = np.flatnonzero(values[:drawn] >= values[:drawn].max() - _TIE)
     best = int(near[np.argmin(residuals[near])])

@@ -931,6 +931,16 @@ def test_an_explicit_double_dash_value_exits_two(flag, capsys, tmp_path, monkeyp
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", ["--out", "--config"])
+def test_an_empty_path_exits_two(flag, capsys, tmp_path, monkeypatch):
+    # An empty path names no file: it is not read as an absent flag.
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, "solve", "--p", "0.4,0.3,0.2,0.1", f"{flag}=")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {flag[2:]}: ") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def _gaussian_grid(L, delay_width, doppler_width):
     """The cyclic Gaussian delay-Doppler profile on the L x L grid, every tap nonzero."""
     d = np.minimum(np.arange(L), L - np.arange(L))

@@ -947,7 +947,7 @@ def test_restart_starts_are_the_same_in_any_wave_size(monkeypatch):
         return drawn[-1]
 
     monkeypatch.setattr(optimize, "random_unit_vector", record)
-    for restarts in (8, 16, 32):
+    for restarts in (8, 11, 16, 20, 32):
         drawn.clear()
         cfg = OptimizerConfig(max_iters=1, restarts=restarts, seed=4)
         trace = alternating_fidelity_max(C, 5, cfg)
@@ -955,6 +955,31 @@ def test_restart_starts_are_the_same_in_any_wave_size(monkeypatch):
         starts = [random_unit_vector(np.random.default_rng(s), 5) for s in children]
         assert len(trace.restart_values) == restarts and len(drawn) == restarts - 1
         assert all(a.tobytes() == b.tobytes() for a, b in zip(drawn, starts))
+
+
+@pytest.mark.parametrize(("L", "seed", "max_iters"), [(3, 14, 2), (3, 4, 5), (4, 3, 5)])
+def test_live_restarts_may_trail_every_stationary_restart_after_a_capped_wave(L, seed, max_iters, monkeypatch):
+    # Peaked channels with a cycle cap low enough that the first wave ends
+    # at the cap with restart 0 stationary: the second wave's restarts may
+    # still trail it, as they may trail any stationary restart drawn so far.
+    w = np.random.default_rng([L, seed]).random((L, L)) ** 4
+    C = ScatteringFunction(L, w / w.sum())
+    calls = []
+
+    def record(ids, reps, values, gammas):
+        calls.append((ids.copy(), reps.copy()))
+        return trailing(ids, reps, values, gammas)
+
+    trailing = optimize._trailing
+    monkeypatch.setattr(optimize, "_trailing", record)
+    cfg = OptimizerConfig(max_iters=max_iters, restarts=16, seed=seed)
+    trace = alternating_fidelity_max(C, L, cfg)
+    stationary = {i for i, r in enumerate(trace.residuals) if r <= cfg.tol}
+    first_wave = {i for i in stationary if i < 8}
+    later = [set(reps.tolist()) for ids, reps in calls if ids.min() >= 8]
+    assert later and first_wave
+    assert all(set(reps.tolist()) <= stationary for _, reps in calls)
+    assert all(first_wave <= reps for reps in later)
 
 
 @settings(max_examples=30, deadline=None)
