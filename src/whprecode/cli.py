@@ -187,10 +187,10 @@ def _load_config_file(path: str, violations: list[str]) -> dict:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)
     except OSError as exc:
-        violations.append(f"config: cannot read {path}: {exc}")
+        violations.append(f"config: cannot read {path!r}: {exc}")
         return {}
     except (ValueError, RecursionError) as exc:  # bad JSON or UTF-8, integers too long
-        violations.append(f"config: invalid JSON in {path}: {exc}")
+        violations.append(f"config: invalid JSON in {path!r}: {exc}")
         return {}
     if not isinstance(data, dict):
         violations.append("config: top level must be a JSON object")

@@ -37,6 +37,10 @@ from .wssus import (
 )
 
 _BATCH = 1 << 14
+# Slack of the cosine-free bounds on cos^2(pi u) (_bloch_bounds): it covers
+# the rounding of the computed cos^2(pi u), about 2^-50, and any np.cos
+# error up to 2^-32 (see brute_force_bloch_oracle).
+_COS_SLACK = 2.0**-30
 # Objectives this close are a tie for the third-cycle safeguard and for the
 # choice of the best restart (alternating_fidelity_max): near a stationary
 # point the objective moves by the square of the residual, below what a
@@ -612,6 +616,52 @@ def _sampled_max(score, n_samples: int, seed: int, batch: int = _BATCH) -> float
     )
 
 
+def _squared_scores(c: np.ndarray, z2: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """b_3^2 z^2 + (1 - z^2)(b_2^2 + (b_1^2 - b_2^2) c) per draw, in place on c and z2.
+
+    ``z2`` holds squared heights and ``c`` the values of cos^2(phi), or
+    bounds on them (_bloch_bounds).  The in-place order gives the same bits
+    as the expression, about 10% cheaper than its temporaries.
+    """
+    c *= b2[0] - b2[1]
+    c += b2[1]
+    c *= 1.0 - z2
+    z2 *= b2[2]
+    c += z2
+    return c
+
+
+def _bloch_scores(u: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """The oracle's squared score of each row (u_0, u_1) of u, one cosine per row.
+
+    See brute_force_bloch_oracle; ``b2`` holds b_1^2, b_2^2 and b_3^2.
+    """
+    c = np.cos(np.pi * u[:, 1])
+    c *= c
+    return _squared_scores(c, u[:, 0] * u[:, 0], b2)
+
+
+def _bloch_bounds(u: np.ndarray, b2: np.ndarray) -> np.ndarray:
+    """An upper bound on each entry of _bloch_scores(u, b2), with no cosine.
+
+    It scores a bound on cos^2(pi u_1) from a = |u_1 - 1/2| in place of the
+    cosine: 4a(1 - a) from above when b_1^2 >= b_2^2, else 4a^2 from below
+    (the proof is in brute_force_bloch_oracle).
+    """
+    a = u[:, 1] - 0.5
+    np.abs(a, out=a)
+    if b2[0] >= b2[1]:
+        c = 1.0 - a
+        c *= a
+        c *= 4.0
+        c += _COS_SLACK
+    else:
+        c = a * a
+        c *= 4.0
+        c -= _COS_SLACK
+    return _squared_scores(c, u[:, 0] * u[:, 0], b2)
+
+
 def brute_force_bloch_oracle(
     p, n_samples: int, include_axes: bool = True, seed: int = 0
 ) -> float:
@@ -626,33 +676,54 @@ def brute_force_bloch_oracle(
     squares are blind to signs, so half ranges suffice).  The squared
     coordinates are then (1 - z^2) c, (1 - z^2)(1 - c) and z^2 with
     c = cos^2(phi), a unit vector by construction, and each draw is scored
-    in squared form, b_3^2 z^2 + (1 - z^2)(b_2^2 + (b_1^2 - b_2^2) c), with
-    no division.  One square root is taken of the best score, clipped to
-    max_k b_k^2.  Since sqrt(fl(b * b)) == |b| in IEEE arithmetic, the
+    in squared form, S = b_3^2 z^2 + (1 - z^2)(b_2^2 + (b_1^2 - b_2^2) c),
+    with no division.  One square root is taken of the best score, clipped
+    to max_k b_k^2.  Since sqrt(fl(b * b)) == |b| in IEEE arithmetic, the
     clip keeps the result at or below the closed form 1/2 + max_k |b_k|;
     ``include_axes`` adds the three coordinate axes, where the optima sit,
     so the result then equals the closed form to the last bit.
+
+    Only the draws that can still win pay for a cosine; the result is the
+    same bits as scoring every draw.  Each batch bounds every draw's
+    computed score S by a computed B with no cosine (_bloch_bounds), scores
+    the draw of largest B, whose score is t, and then only the draws with
+    B > t: every other draw has S <= B <= t, so the batch maximum is
+    max(t, the scores taken).  B >= S holds with no margin, by this
+    argument.  With a = |u_1 - 1/2| in [0, 1/2], c = sin^2(pi a) lies
+    between 4a^2 (Jordan's inequality, sin x >= 2x/pi on [0, pi/2]) and
+    4a(1 - a) (cos(pi a) >= 1 - 2a, as cos is concave there).  The computed
+    score is nondecreasing in the computed c when b_1^2 >= b_2^2, and
+    nonincreasing otherwise: rounding is monotone, and the product with
+    b_1^2 - b_2^2 is followed only by adding b_2^2, multiplying by
+    1 - z^2 >= 0 and adding b_3^2 z^2.  _bloch_bounds runs those same
+    operations on q = 4a(1 - a) + s, or on q = 4a^2 - s when
+    b_1^2 < b_2^2, with the slack s = 2^-30; so B >= S wherever q lies on
+    that side of the computed c.  It does: the computed c is within
+    2^-53 + 2^-50 + 2e of the exact one (the rounding of its square, that
+    of pi u_1, cos^2 having slope at most 1, and twice np.cos's error e),
+    and the computed q within 2^-50 of 4a(1 - a) + s or 4a^2 - s, a sum
+    below s for any e <= 2^-32; np.cos's error is a few ulp, about 2^-52.
+    Using the angle as well as the height matters: with z alone,
+    b_3^2 z^2 + (1 - z^2) max(b_1^2, b_2^2) is flat where b_3^2 equals
+    max(b_1^2, b_2^2), as for (0.5, 0.2, 0.1, 0.2), and keeps every draw.
+    No early exit is needed once t reaches max_k b_k^2: in practice that
+    happens only where b_1^2 = b_2^2 = b_3^2, and there the product with
+    b_1^2 - b_2^2 = 0 makes every B equal its S, so no draw is scored
+    after t.
     """
     n_samples = linalg.require_int(n_samples, "n_samples", 1)
     quad = ScatteringQuad.coerce(p)
     b = np.diag(map_matrix_rep(quad))[1:]
     b2 = b * b
 
-    def scores(rng, m):
+    def batch_max(rng, m):
         u = rng.random((m, 2))
-        z2 = u[:, 0] * u[:, 0]
-        c = np.cos(np.pi * u[:, 1])
-        # The docstring's score, evaluated in place: the same bits as the
-        # expression, about 10% cheaper than its temporaries.
-        c *= c
-        c *= b2[0] - b2[1]
-        c += b2[1]
-        c *= 1.0 - z2
-        z2 *= b2[2]
-        c += z2
-        return c
+        bounds = _bloch_bounds(u, b2)
+        i = int(np.argmax(bounds))
+        t = _bloch_scores(u[i : i + 1], b2)[0]
+        return np.max(_bloch_scores(u.compress(bounds > t, axis=0), b2), initial=t)
 
-    best = math.sqrt(min(_sampled_max(scores, n_samples, seed), float(np.max(b2))))
+    best = math.sqrt(min(_sampled_max(batch_max, n_samples, seed), float(np.max(b2))))
     if include_axes:
         best = max(best, float(np.max(np.abs(b))))
     return 0.5 + best

@@ -941,6 +941,26 @@ def test_an_empty_path_exits_two(flag, capsys, tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "name, content, message",
+    [
+        ("", None, "cannot read ''"),
+        ("grid.json ", None, "cannot read 'grid.json '"),
+        ("bad.json ", "{", "invalid JSON in 'bad.json '"),
+    ],
+)
+def test_config_errors_quote_the_path(name, content, message, capsys, tmp_path, monkeypatch):
+    # The path is quoted, so an empty path or a trailing space shows.  A
+    # readable grid.json sits beside the unreadable "grid.json ".
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "grid.json").write_text("{}")
+    if content is not None:
+        (tmp_path / name).write_text(content)
+    code, out, err = run_cli(capsys, "solve", "--p", "0.4,0.3,0.2,0.1", f"--config={name}")
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: config: {message}: ") and err.count("\n") == 1
+
+
 def _gaussian_grid(L, delay_width, doppler_width):
     """The cyclic Gaussian delay-Doppler profile on the L x L grid, every tap nonzero."""
     d = np.minimum(np.arange(L), L - np.arange(L))

@@ -291,6 +291,92 @@ def test_random_oracle_never_exceeds_closed_form(quad, n_samples, seed):
     assert with_axes == closed
 
 
+def _full_scoring_oracle(p, n_samples, seed):
+    """The random-only oracle with every draw scored, in the oracle's operation order."""
+    b = np.diag(map_matrix_rep(p))[1:]
+    b2 = b * b
+
+    def scores(rng, m):
+        u = rng.random((m, 2))
+        z2 = u[:, 0] * u[:, 0]
+        c = np.cos(np.pi * u[:, 1])
+        c = c * c
+        c = (c * (b2[0] - b2[1]) + b2[1]) * (1.0 - z2)
+        return c + z2 * b2[2]
+
+    return 0.5 + math.sqrt(min(optimize._sampled_max(scores, n_samples, seed), float(np.max(b2))))
+
+
+def _dyadic_ties(i, j, holds):
+    """Quads k / 256 with p_i = p_j, whose b_k^2 then tie exactly, kept where ``holds(b^2)``."""
+
+    def quad(t, x):
+        rest = iter((x, 256 - 2 * t - x))
+        return tuple((t if n in (i, j) else next(rest)) / 256 for n in range(4))
+
+    return (
+        st.integers(0, 128)
+        .flatmap(lambda t: st.tuples(st.just(t), st.integers(0, 256 - 2 * t)))
+        .map(lambda tx: quad(*tx))
+        .filter(lambda q: holds(np.diag(map_matrix_rep(q))[1:] ** 2))
+    )
+
+
+_PRUNING_QUADS = st.one_of(
+    _ORACLE_QUADS,
+    st.just((0.5, 0.2, 0.1, 0.2)),
+    _dyadic_ties(1, 3, lambda b2: b2[2] == b2[0] > b2[1]),
+    _dyadic_ties(2, 3, lambda b2: b2[2] == b2[1] > b2[0]),
+    _dyadic_ties(1, 2, lambda b2: b2[0] == b2[1]),
+)
+
+
+def test_cosine_free_bound_is_at_least_the_score_row_by_row():
+    # Angles where the bounds on cos^2(pi u) are tight (u = 0, 1/2, 1) or
+    # where the computed cosine rounds across them, heights at both ends,
+    # and random draws; the unit b^2 rows expose c = cos^2(pi u) and 1 - c
+    # themselves, with nothing added to absorb a rounding error.
+    k = np.arange(64) * 2.0**-53
+    angles = np.concatenate(
+        [k, 0.5 - k, 0.5 + k, 1.0 - k[1:], np.linspace(2e-9, 7e-9, 4001), np.random.default_rng(3).random(20_000)]
+    )
+    heights = np.array([0.0, 2.0**-27, 0.5, 1.0 - 2.0**-53])
+    u = np.stack(np.broadcast_arrays(heights[:, None], angles[None, :]), axis=-1).reshape(-1, 2)
+    quads = [(0.4, 0.3, 0.2, 0.1), (0.5, 0.2, 0.1, 0.2), (0.3, 0.7, 0.0, 0.0), (0.5, 0.5, 0.0, 0.0)]
+    for b2 in [*np.eye(3), *(np.diag(map_matrix_rep(q))[1:] ** 2 for q in quads)]:
+        assert np.all(optimize._bloch_bounds(u, b2) >= optimize._bloch_scores(u, b2))
+
+
+@settings(max_examples=150)
+@given(
+    _PRUNING_QUADS,
+    st.sampled_from([1, optimize._BATCH - 1, optimize._BATCH, optimize._BATCH + 1, 3 * optimize._BATCH + 5]),
+    st.integers(0, 2**32 - 1),
+)
+def test_pruned_oracle_is_full_scoring_bit_for_bit(quad, n_samples, seed):
+    # The cosine-free bound only skips draws that cannot win, so the oracle
+    # prints what scoring every draw prints, to the last bit; the tied
+    # quads are those where a bound on the height alone would be flat.
+    value = brute_force_bloch_oracle(quad, n_samples, include_axes=False, seed=seed)
+    assert repr(value) == repr(_full_scoring_oracle(quad, n_samples, seed))
+
+
+@pytest.mark.parametrize(
+    "quad, n_samples, seed, expected",
+    [
+        ((0.4, 0.3, 0.2, 0.1), 40_000, 5, 0.6999908729541053),
+        ((0.5, 0.2, 0.1, 0.2), 40_000, 5, 0.6999999999517519),
+        ((0.25, 0.25, 0.25, 0.25), 60_000, 3, 0.5),
+        ((0.7, 0.1, 0.1, 0.1), 16_385, 11, 0.7999999999999999),
+        ((0.3, 0.7, 0.0, 0.0), 10_000, 2**32 - 1, 0.999963412536065),
+        ((0.1, 0.45, 0.3, 0.15), 1, 77, 0.7058038773662818),
+    ],
+)
+def test_random_oracle_keeps_its_pinned_values(quad, n_samples, seed, expected):
+    # Values printed by the oracle that scored every draw.
+    assert repr(brute_force_bloch_oracle(quad, n_samples, include_axes=False, seed=seed)) == repr(expected)
+
+
 def _unit_vector_oracle(p, n_samples, seed):
     """The oracle with every direction built as an explicit unit vector, a sqrt per sample."""
     b = np.diag(map_matrix_rep(p))[1:]
@@ -318,26 +404,20 @@ def test_squared_scoring_stays_within_two_ulp_of_normalized_scoring():
         assert abs(value - reference) <= 2 * np.spacing(reference)
 
 
-def _oracle_squares(monkeypatch, m, seed):
+def _oracle_squares(m, seed):
     """The oracle's squared coordinates x_k^2 of m directions, one column each.
 
-    The score is linear in (b_1^2, b_2^2, b_3^2), and the quad that puts
-    weight 1/2 on the origin and 1/2 on Pauli k has b = e_k / 2, so four
-    times its score is x_k^2.
+    The score is linear in (b_1^2, b_2^2, b_3^2), so the oracle's per-draw
+    scorer with b_k^2 = 1 and the other two 0 gives x_k^2.
     """
-    scores = []
-    monkeypatch.setattr(optimize, "_sampled_max", lambda score, n, s: scores.append(score) or 0.0)
-    columns = []
-    for k in range(1, 4):
-        brute_force_bloch_oracle(tuple(0.5 * (n in (0, k)) for n in range(4)), 1, include_axes=False)
-        columns.append(4.0 * scores[-1](np.random.default_rng(seed), m))
-    return np.stack(columns, axis=1)
+    u = np.random.default_rng(seed).random((m, 2))
+    return np.stack([optimize._bloch_scores(u, unit) for unit in np.eye(3)], axis=1)
 
 
-def test_sampled_directions_have_the_uniform_sphere_moments(monkeypatch):
+def test_sampled_directions_have_the_uniform_sphere_moments():
     # On the uniform sphere E x_k^2 = 1/3, E x_k^4 = 1/5 and, for j != k,
     # E x_j^2 x_k^2 = 1/15; each sample mean must sit within 6 standard errors.
-    x2 = _oracle_squares(monkeypatch, 200_000, 28)
+    x2 = _oracle_squares(200_000, 28)
     assert np.allclose(x2.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
     j, k = np.triu_indices(3, 1)
     for values, exact in ((x2, 1 / 3), (x2 * x2, 1 / 5), (x2[:, j] * x2[:, k], 1 / 15)):
