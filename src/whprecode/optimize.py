@@ -786,7 +786,8 @@ def coset_bound(C: ScatteringFunction) -> CosetBound:
     _lagrangian_lines, then to the first coset, the line itself: at L = 2
     the closed form's axis n_star, and the line itself when its sign is +1.
     Each coset is summed over one transversal of its line, so the work is
-    the L^2 weights once per line.
+    the L^2 weights once per line.  Cached on C, the pair read-only:
+    structured_lower_bound and general's pair gain read the same object.
 
     For the generator ``g = (a, b)``, v is the chirp
     ``v[k a] = w^(a b k (k - n) / 2) / sqrt(n)`` on the orbit ``k < n =
@@ -796,19 +797,23 @@ def coset_bound(C: ScatteringFunction) -> CosetBound:
     and so does the wrap to k = 0, up to ``w^(a b n) = 1``, since L divides
     ``a n``.
     """
-    L = C.L
-    lines, cosets = _lagrangian_lines(L)
-    sums = _coset_sums(C)
-    line, t = np.unravel_index(np.argmax(sums), sums.shape)
-    generator = (int(lines[line, 0]), int(lines[line, 1]))
-    coset = divmod(int(cosets[line, t, 0]), L)
-    a, b = generator
-    n = L // math.gcd(a, L)
-    k = np.arange(n)
-    v = np.zeros(L, dtype=complex)
-    v[k * a % L] = _layout(2 * L)[2][1][a * b * k * (k - n) % (2 * L)] / math.sqrt(n)
-    pair = (v, _shifted(v, coset[1] * L + coset[0]))
-    return CosetBound(float(sums[line, t]), generator, coset, pair)
+
+    def build():
+        L = C.L
+        lines, cosets = _lagrangian_lines(L)
+        sums = _coset_sums(C)
+        line, t = np.unravel_index(np.argmax(sums), sums.shape)
+        generator = (int(lines[line, 0]), int(lines[line, 1]))
+        coset = divmod(int(cosets[line, t, 0]), L)
+        a, b = generator
+        n = L // math.gcd(a, L)
+        k = np.arange(n)
+        v = np.zeros(L, dtype=complex)
+        v[k * a % L] = _layout(2 * L)[2][1][a * b * k * (k - n) % (2 * L)] / math.sqrt(n)
+        pair = (v, _shifted(v, coset[1] * L + coset[0]))
+        return pair, CosetBound(float(sums[line, t]), generator, coset, pair)
+
+    return C._cached("_coset_bound", build)[1]
 
 
 class _LowerBound(NamedTuple):
@@ -824,11 +829,13 @@ def structured_lower_bound(C: ScatteringFunction) -> _LowerBound:
     ``d = min(m, L - m)``, of the widths _BOUND_WIDTHS: pulses matched to
     the channel's spread (Kozek & Molisch, IEEE JSAC 16(8), 1998; Strohmer
     & Beaver, IEEE Trans. Commun. 51(7), 2003).  They run _BOUND_CYCLES
-    plain cycles of alternating_fidelity_max's half-steps together; each
-    half-step solves its subproblem exactly, so no candidate's objective
-    falls, and the value, the largest objective of the last receive
-    half-step clipped at 1, is at least K's pair gain and at least 1/L.
-    Nothing is drawn at random.  Read-only, cached on C.
+    plain cycles together, a receive half-step and then _BOUND_CYCLES
+    times a transmit and a receive half-step: alternating_fidelity_max's
+    half-steps, without the stationarity residuals its _receive measures.
+    Each half-step solves its subproblem exactly, so no candidate's
+    objective falls, and the value, the largest objective of the last
+    receive half-step clipped at 1, is at least K's pair gain and at least
+    1/L.  Nothing is drawn at random.  Read-only, cached on C.
     """
 
     def build():
@@ -837,10 +844,12 @@ def structured_lower_bound(C: ScatteringFunction) -> _LowerBound:
         gaussians /= np.linalg.norm(gaussians, axis=1)[:, None]
         gammas = np.concatenate([coset_bound(C).pair[0][None], gaussians])
         forward, adjoint = _half_step_operands(C)
-        top, _, _, held, _ = _receive(forward, adjoint, gammas)
-        for _ in range(_BOUND_CYCLES):
-            gammas = _top_of(*np.linalg.eigh(held.mats), held)[1]
-            top, _, _, held, _ = _receive(forward, adjoint, gammas)
+        for cycle in range(_BOUND_CYCLES + 1):
+            if cycle:
+                held = _rank_one_images(adjoint, receivers)
+                gammas = _top_of(*np.linalg.eigh(held.mats), held)[1]
+            ahead = _rank_one_images(forward, gammas)
+            top, receivers = _top_of(*np.linalg.eigh(ahead.mats), ahead)
         best = np.argmax(top)
         return np.array(min(1.0, top[best])), gammas[best].copy()
 

@@ -84,8 +84,12 @@ class ScatteringFunction:
         """L=2 scattering function from the four per-shift powers.
 
         The arguments follow Pauli order: p0 at (0,0), p1 at (1,0),
-        p2 at (1,1), p3 at (0,1).
+        p2 at (1,1), p3 at (0,1).  Four floats skip linalg.require_array's
+        walk of a nested list; anything else meets it, and its messages.
         """
+        quad = (p0, p3, p1, p2)
+        if all(isinstance(p, (float, np.floating)) for p in quad):
+            return cls(2, np.array(quad, dtype=float).reshape(2, 2))
         return cls(2, [[p0, p3], [p1, p2]])
 
     @classmethod
@@ -113,7 +117,8 @@ class ScatteringFunction:
             cached = build()
             for entry in cached:
                 for table in entry if isinstance(entry, tuple) else (entry,):
-                    table.setflags(write=False)
+                    if isinstance(table, np.ndarray):
+                        table.setflags(write=False)
             object.__setattr__(self, name, cached)
         return cached
 

@@ -54,6 +54,41 @@ def test_quad_validation():
         ScatteringQuad(float("nan"), 0.0, 0.0, 1.0)
 
 
+_NOT_REAL = "weights must be an array of real numbers, got "
+
+
+@pytest.mark.parametrize(
+    "quad, message",
+    [
+        ((True, 0, 0, 0), _NOT_REAL + "[[True, 0], [0, 0]]"),
+        (("a", 0, 0, 0), _NOT_REAL + "[['a', 0], [0, 0]]"),
+        ((None, 0, 0, 0), _NOT_REAL + "[[None, 0], [0, 0]]"),
+        ((1j, 0, 0, 0), _NOT_REAL + "[[1j, 0], [0, 0]]"),
+        ((0.5, np.bool_(True), 0.0, 0.0), _NOT_REAL + "[[0.5, 0.0], [np.True_, 0.0]]"),
+        ((float("nan"), 0.5, 0.5, 0.0), "weights must be nonnegative numbers"),
+        ((float("inf"), 0.0, 0.0, 0.0), "weights must sum to 1 within 1e-9, got inf"),
+        ((1.2, -0.2, 0.0, 0.0), "weights must be nonnegative numbers"),
+        ((1.0, 0.5, 0.5, 0.0), "weights must sum to 1 within 1e-9, got 2.0"),
+    ],
+)
+def test_quad_validation_messages(quad, message):
+    with pytest.raises(InvalidWeightsError) as err:
+        ScatteringQuad(*quad)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "quad",
+    [(0.4, 0.3, 0.2, 0.1), tuple(np.float32([0.25] * 4)), (1, 0, 0, 0), (0.5, 0, np.int64(0), 0.5)],
+)
+def test_quad_weights_are_those_of_the_nested_list(quad):
+    # Floats take from_quad's direct path, anything else the general
+    # reader; either way the weights are those of the nested list.
+    p0, p1, p2, p3 = quad
+    weights = ScatteringQuad(*quad).to_scattering_function().weights
+    assert weights.tobytes() == ScatteringFunction(2, [[p0, p3], [p1, p2]]).weights.tobytes()
+
+
 def test_bloch_to_matrix_axis_cases():
     np.testing.assert_allclose(
         bloch_to_matrix([1, 0, 0, 1]), np.diag([1.0, 0.0]).astype(complex), atol=0

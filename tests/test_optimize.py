@@ -1249,3 +1249,69 @@ def test_structured_bound_draws_nothing_at_random(monkeypatch, kind):
     monkeypatch.undo()
     after = np.random.get_state()
     assert after[0] == state[0] and np.array_equal(after[1], state[1]) and after[2:] == state[2:]
+
+
+def _receive_loop_bound(C):
+    # The structured bound as first written: the optimizer's receive
+    # half-step, residuals and all, then _BOUND_CYCLES times an adjoint
+    # eigh and another receive half-step.
+    d = np.minimum(np.arange(C.L), C.L - np.arange(C.L))
+    gaussians = np.exp(-np.pi / C.L * optimize._BOUND_WIDTHS[:, None] * d * d)
+    gaussians /= np.linalg.norm(gaussians, axis=1)[:, None]
+    gammas = np.concatenate([coset_bound(C).pair[0][None], gaussians])
+    forward, adjoint = optimize._half_step_operands(C)
+    top, _, _, held, _ = optimize._receive(forward, adjoint, gammas)
+    for _ in range(optimize._BOUND_CYCLES):
+        gammas = optimize._top_of(*np.linalg.eigh(held.mats), held)[1]
+        top, _, _, held, _ = optimize._receive(forward, adjoint, gammas)
+    best = np.argmax(top)
+    return float(min(1.0, top[best])), gammas[best]
+
+
+def assert_bound_is_the_receive_loop(C):
+    value, pulse = _receive_loop_bound(ScatteringFunction(C.L, C.weights))
+    bound = structured_lower_bound(C)
+    assert bound.value == value and bound.pulse.tobytes() == pulse.tobytes()
+
+
+# The sparse deck cells (the tap Gram path, and the L x L map at (4, 3),
+# (4, 4) and (5, 4)), the dense deck's six shapes at L = 3..6, and the
+# uniform and one-shift channels.
+_DENSE_SHAPES = [(0.5, 1.0), (1.0, 0.5), (1.0, 1.0), (1.5, 0.7), (0.8, 1.6), (2.0, 2.0)]
+_BOUND_CHANNELS = (
+    [pytest.param(deck_cell(L, k, 10 * L + k), id=f"deck-{L}-{k}") for L in range(4, 11) for k in (2, 3, 4)]
+    + [pytest.param(gaussian_profile(L, *w), id=f"dense-{L}-{w}") for L in range(3, 7) for w in _DENSE_SHAPES]
+    + [pytest.param(ScatteringFunction.uniform(L), id=f"uniform-{L}") for L in range(1, 7)]
+    + [pytest.param(ScatteringFunction.concentrated(5, (2, 3)), id="concentrated")]
+)
+
+
+@pytest.mark.parametrize("C", _BOUND_CHANNELS)
+def test_structured_bound_equals_the_receive_loop_on_fixed_channels(C):
+    assert_bound_is_the_receive_loop(C)
+
+
+@settings(max_examples=40, deadline=None)
+@given(optimizer_cases())
+def test_structured_bound_equals_the_receive_loop(case):
+    assert_bound_is_the_receive_loop(case[0])
+
+
+def test_coset_bound_is_cached_on_the_channel_with_a_read_only_pair(monkeypatch):
+    C = deck_cell(6, 3, 63)
+    bound = coset_bound(C)
+    assert coset_bound(C) is bound
+    for v in bound.pair:
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+    # The structured bound builds the pair that a later call returns.
+    fresh = ScatteringFunction(C.L, C.weights)
+    structured_lower_bound(fresh)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("coset_bound built its pair again")
+
+    monkeypatch.setattr(optimize, "_shifted", refuse)
+    again = coset_bound(fresh)
+    assert again is coset_bound(fresh)
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(again.pair, bound.pair))
