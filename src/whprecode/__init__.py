@@ -39,12 +39,14 @@ from .mc import McReport, SweepRow, estimate_expectations, sweep_p0
 from .multiplex import Scheme, crosstalk, frame_bounds, select_schemes
 from .optimize import (
     CosetBound,
+    GeneralDesign,
     OptimizationTrace,
     OptimizerConfig,
     alternating_fidelity_max,
     brute_force_bloch_oracle,
     coset_bound,
     fidelity_upper_bound,
+    general_design,
     optimal_receiver,
     pair_gain,
     ppt_bound,
@@ -71,6 +73,7 @@ __all__ = [
     "CpPropertyReport",
     "DimensionMismatchError",
     "FidelitySolution",
+    "GeneralDesign",
     "InvalidConfigError",
     "InvalidDensityOperatorError",
     "InvalidSchemeError",
@@ -99,6 +102,7 @@ __all__ = [
     "estimate_expectations",
     "fidelity_upper_bound",
     "frame_bounds",
+    "general_design",
     "is_on_bloch_manifold",
     "map_matrix_rep",
     "matrix_to_bloch",

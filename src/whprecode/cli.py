@@ -36,18 +36,7 @@ from .errors import InvalidConfigError, WHPrecodeError
 from .linalg import require_array, require_int, require_real
 from .mc import estimate_expectations, sweep_p0
 from .multiplex import select_schemes
-from .optimize import (
-    CERTIFY_TOL,
-    OptimizerConfig,
-    alternating_fidelity_max,
-    brute_force_bloch_oracle,
-    coset_bound,
-    fidelity_upper_bound,
-    pair_gain,
-    ppt_bound,
-    ppt_certificate,
-    structured_lower_bound,
-)
+from .optimize import OptimizerConfig, brute_force_bloch_oracle, general_design
 from .wssus import ScatteringFunction
 
 # The scalars a flag or the config file may set, and their defaults.
@@ -436,49 +425,23 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
     }
 
 
-# general seeks a PPT certificate up to this L, the largest the benchmark
-# decks run.  On their attempt jobs (seeds 1 and 4242) the per-L median of
-# an attempt's time over the optimizer's on the same job is 0.5-0.7 at
-# L = 4..7 and 0.9-1.0 at L = 8..10.  An attempt's O(L^6) Schur solves
-# outgrow the optimizer above this L, so a larger cap needs a benchmark
-# workload there first.
-_PPT_LARGEST_L = 10
-
-
 def _cmd_general(cfg: RunConfig) -> dict:
-    C = cfg.scattering
-    lower = structured_lower_bound(C).value
-    optimizer = OptimizerConfig(seed=cfg.seed)
-    # The coset pair certifies itself optimal when its gain reaches the
-    # upper bound U, or else a PPT dual's bound; then no restart runs.  The
-    # dual is sought only where the structured bound has not beaten the pair.
-    upper = fidelity_upper_bound(C)
-    value, residual = pair_gain(C, *coset_bound(C).pair)
-    certified = value >= upper - CERTIFY_TOL
-    if not certified and lower <= value + CERTIFY_TOL and cfg.L <= _PPT_LARGEST_L:
-        W = ppt_certificate(C, value)
-        if W is not None:
-            upper, certified = ppt_bound(C, W), True
-    if certified:
-        alternating = {"best_value": min(1.0, value), "converged": residual <= optimizer.tol,
-                       "restarts": 0, "half_steps": 0, "restart_values": []}
-    else:
-        trace = alternating_fidelity_max(C, cfg.L, optimizer)
-        alternating = {
+    design = general_design(cfg.scattering, OptimizerConfig(seed=cfg.seed))
+    trace = design.trace
+    return {
+        "L": cfg.L,
+        "seed": cfg.seed,
+        "scattering": [[float(v) for v in row] for row in cfg.scattering.weights],
+        "lower_bound": design.lower_bound,
+        "upper_bound": design.upper_bound,
+        "certified": design.certified,
+        "alternating": {
             "best_value": trace.best_value,
             "converged": trace.converged,
             "restarts": len(trace.restart_values),
             "half_steps": len(trace.objective_history),
             "restart_values": list(trace.restart_values),
-        }
-    return {
-        "L": cfg.L,
-        "seed": cfg.seed,
-        "scattering": [[float(v) for v in row] for row in C.weights],
-        "lower_bound": lower,
-        "upper_bound": upper,
-        "certified": certified,
-        "alternating": alternating,
+        },
     }
 
 

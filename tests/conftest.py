@@ -14,6 +14,7 @@ from hypothesis import settings
 from whprecode import optimize
 from whprecode.errors import NotUnitNormError
 from whprecode.heisenberg import shift_operator
+from whprecode.wssus import ScatteringFunction
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
@@ -26,6 +27,13 @@ def unit_vector(v) -> np.ndarray:
     if norm == 0.0:
         raise NotUnitNormError("cannot normalize the zero vector")
     return x / norm
+
+
+def gaussian_profile(L, delay_width, doppler_width):
+    """The cyclic Gaussian delay-Doppler profile on the L x L grid, every tap nonzero."""
+    d = np.minimum(np.arange(L), L - np.arange(L))
+    w = np.exp(-((d[:, None] / delay_width) ** 2) - (d[None, :] / doppler_width) ** 2)
+    return ScatteringFunction(L, w / w.sum())
 
 
 def all_shifts(L: int) -> tuple[tuple[int, int], ...]:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_partial_transpose, unit_vector
+from conftest import explicit_partial_transpose, gaussian_profile, unit_vector
 
 from whprecode import optimize
 from whprecode.bloch import map_matrix_rep, solve_fidelity
@@ -18,6 +18,7 @@ from whprecode.optimize import (
     alternating_fidelity_max,
     coset_bound,
     fidelity_upper_bound,
+    general_design,
     pair_gain,
     ppt_bound,
     ppt_certificate,
@@ -351,3 +352,51 @@ def test_ppt_bound_checks_its_factors():
         ppt_bound(C, np.full((2, 4, 1), np.nan))
     with pytest.raises(WHPrecodeError):
         ppt_certificate(C, math.nan)
+
+
+def test_general_design_certified_by_U_returns_the_coset_pair():
+    # The elongated L = 4 Gaussian: the coset pair's gain reaches U.
+    C = gaussian_profile(4, 0.5, 1.0)
+    design = general_design(C, OptimizerConfig())
+    trace = design.trace
+    assert design.certified and design.upper_bound == fidelity_upper_bound(C)
+    assert trace.objective_history == trace.restart_values == trace.residuals == ()
+    assert trace.converged and trace.best_value >= design.upper_bound - 1e-12
+    cached = coset_bound(C).pair
+    for copy, pulse in zip(trace.best_pair, cached):
+        assert copy.tobytes() == pulse.tobytes() and copy is not pulse
+        assert copy.flags.writeable and not pulse.flags.writeable
+
+
+def test_general_design_certified_by_the_ppt_dual():
+    C = _grid(7, {(0, 0): 0.315, (0, 2): 0.202, (1, 2): 0.483})
+    design = general_design(C, OptimizerConfig())
+    assert design.certified and design.trace.restart_values == ()
+    assert 0.0 <= design.upper_bound - design.trace.best_value <= 1e-14
+
+
+@pytest.mark.parametrize("C", [
+    # The relaxation is loose: the dual fails.
+    _grid(4, {(0, 0): 0.365, (2, 1): 0.125, (3, 0): 0.099, (3, 3): 0.411}),
+    # The structured bound beats the pair: no dual is sought.
+    gaussian_profile(4, 1.0, 1.0),
+], ids=["dual-fails", "bound-beats-pair"])
+def test_general_design_uncertified_returns_the_optimizer_trace(C):
+    cfg = OptimizerConfig(seed=3)
+    design = general_design(C, cfg)
+    trace = alternating_fidelity_max(C, C.L, cfg)
+    assert not design.certified and design.upper_bound == fidelity_upper_bound(C)
+    assert design.trace.best_value == trace.best_value
+    assert design.trace.restart_values == trace.restart_values
+    assert design.trace.objective_history == trace.objective_history
+
+
+@settings(max_examples=40, deadline=None)
+@given(channels(largest=6), st.integers(0, 2**32 - 1))
+def test_general_design_bounds_hold_its_best_value(C, seed):
+    design = general_design(C, OptimizerConfig(seed=seed))
+    best = design.trace.best_value
+    assert best <= design.upper_bound + 1e-12
+    assert design.lower_bound <= best + 1e-12
+    if design.certified:
+        assert best >= design.upper_bound - 1e-12

@@ -18,7 +18,7 @@ import whprecode
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from whprecode import cli
+from whprecode import cli, optimize
 from whprecode.cli import dispatch, main, parse_config, render_json
 from whprecode.errors import InvalidConfigError
 from whprecode.optimize import brute_force_bloch_oracle
@@ -1062,14 +1062,14 @@ def test_general_seeks_no_dual_where_the_bound_beats_the_pair_or_L_is_large(tmp_
     def refuse(*args):
         raise AssertionError("ppt_certificate called")
 
-    monkeypatch.setattr(cli, "ppt_certificate", refuse)
+    monkeypatch.setattr(optimize, "ppt_certificate", refuse)
     # The isotropic L = 4 grid: the structured bound's 0.5908 beats the coset pair's 0.5701.
     doc = strict_json(_general_docs(tmp_path, capsys, _gaussian_grid(4, 1.0, 1.0))[1]["json"])
     assert doc["certified"] is False and doc["lower_bound"] > 0.59
     # The L = 7 grid, which the dual certifies, with the L cap below 7: U is
     # not reached and the bound does not beat the pair's 0.798, so only the
     # cap keeps the dual from being sought.
-    monkeypatch.setattr(cli, "_PPT_LARGEST_L", 6)
+    monkeypatch.setattr(optimize, "_PPT_LARGEST_L", 6)
     doc = strict_json(_general_docs(tmp_path, capsys, _l7_grid())[1]["json"])
     assert doc["certified"] is False and doc["lower_bound"] <= 0.798 + 1e-12
     assert doc["alternating"]["restarts"] >= 8

@@ -6,11 +6,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import top_eigenpairs, unit_vector
+from conftest import gaussian_profile, top_eigenpairs, unit_vector
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from whprecode import optimize
+from whprecode import cli, optimize
 from whprecode.bloch import ScatteringQuad, map_matrix_rep, solve_fidelity
 from whprecode.errors import InvalidWeightsError, SingularDenominatorError
 from whprecode.heisenberg import shift_operator
@@ -20,6 +20,7 @@ from whprecode.optimize import (
     alternating_fidelity_max,
     brute_force_bloch_oracle,
     coset_bound,
+    general_design,
     optimal_receiver,
     pair_gain,
     structured_lower_bound,
@@ -921,13 +922,6 @@ def test_parking_loses_no_gain_and_no_restart_exceeds_the_best(case):
     assert on.converged == off.converged
 
 
-def gaussian_profile(L, delay_width, doppler_width):
-    """The cyclic Gaussian delay-Doppler profile on the L x L grid, every tap nonzero."""
-    d = np.minimum(np.arange(L), L - np.arange(L))
-    w = np.exp(-((d[:, None] / delay_width) ** 2) - (d[None, :] / doppler_width) ** 2)
-    return ScatteringFunction(L, w / w.sum())
-
-
 def isotropic(L, width=1):
     """The isotropic Gaussian delay-Doppler profile of the given width on the L x L grid."""
     return gaussian_profile(L, width, width)
@@ -1170,6 +1164,34 @@ def deck_cell(L, taps, seed):
     w[0] = rng.uniform(0.3, 1.0)
     w[rng.choice(np.arange(1, L * L), taps, replace=False)] = rng.uniform(0.05, 1.0, taps)
     return ScatteringFunction(L, (w / w.sum()).reshape(L, L))
+
+
+def test_general_command_renders_general_design_on_deck_cells():
+    # The CLI adds nothing to the library call: on every sparse deck cell
+    # its document is general_design's result, key for key and in order.
+    certified = set()
+    for L in range(4, 11):
+        for taps in (2, 3, 4):
+            C = deck_cell(L, taps, 10 * L + taps)
+            cfg = cli.RunConfig(command="general", quad=None, scattering=C, L=L, sigma2=0.1, trials=2,
+                                samples=1, seed=L, output_format="json", output_path=None)
+            design = general_design(C, OptimizerConfig(seed=L))
+            trace = design.trace
+            expected = {
+                "command": "general", "L": L, "seed": L, "scattering": C.weights.tolist(),
+                "lower_bound": design.lower_bound, "upper_bound": design.upper_bound,
+                "certified": design.certified,
+                "alternating": {
+                    "best_value": trace.best_value, "converged": trace.converged,
+                    "restarts": len(trace.restart_values), "half_steps": len(trace.objective_history),
+                    "restart_values": list(trace.restart_values),
+                },
+            }
+            doc = cli.dispatch(cfg)
+            assert list(doc.items()) == list(expected.items())
+            assert list(doc["alternating"]) == list(expected["alternating"])
+            certified.add(design.certified)
+    assert certified == {True, False}
 
 
 @pytest.mark.parametrize("L", range(4, 11))
