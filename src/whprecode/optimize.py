@@ -149,7 +149,8 @@ class OptimizationTrace:
     ``converged`` is true when the best restart's residual is at most the
     configured ``tol``.
     A run that general_design certifies runs no restart: no history, no
-    ``restart_values`` or ``residuals``, and K's coset pair as ``best_pair``.
+    ``restart_values`` or ``residuals``, K's coset pair as ``best_pair`` and
+    its gain, clipped at 1, as ``best_value``.
     """
 
     objective_history: tuple[float, ...]
@@ -845,7 +846,8 @@ def structured_lower_bound(C: ScatteringFunction) -> _LowerBound:
     Each half-step solves its subproblem exactly, so no candidate's
     objective falls, and the value, the largest objective of the last
     receive half-step clipped at 1, is at least K's pair gain and at least
-    1/L.  Nothing is drawn at random.  Read-only, cached on C.
+    1/L.  general_design reads it only where U does not certify K's pair.
+    Nothing is drawn at random.  Read-only, cached on C.
     """
 
     def build():
@@ -1184,7 +1186,12 @@ def ppt_certificate(C: ScatteringFunction, value) -> np.ndarray | None:
 
 @dataclass(frozen=True, eq=False)
 class GeneralDesign:
-    """general_design's bounds on the optimum, whether K's coset pair reaches it, and the trace."""
+    """general_design's bounds on the optimum, whether K's coset pair reaches it, and the trace.
+
+    ``lower_bound`` is a gain that a known pulse pair reaches: the value of
+    structured_lower_bound, or on a run that U certifies the coset pair's
+    gain clipped at 1, which is then ``trace.best_value``.
+    """
 
     lower_bound: float
     upper_bound: float
@@ -1193,17 +1200,27 @@ class GeneralDesign:
 
 
 def general_design(C: ScatteringFunction, cfg: OptimizerConfig) -> GeneralDesign:
-    """The best pulse pair found for C, with structured_lower_bound and an upper bound.
+    """The best pulse pair found for C, with a lower and an upper bound on the optimum.
 
     K's coset pair is optimal, and no restart runs, when its gain reaches U
     less CERTIFY_TOL, or a PPT dual's bound, tried at L <= _PPT_LARGEST_L if
-    the lower bound is not above it.  Else alternating_fidelity_max runs.
+    structured_lower_bound is not above the gain.  Else
+    alternating_fidelity_max runs.  The lower bound is structured_lower_bound,
+    except where U certifies: there it is the pair's gain clipped at 1, and
+    the structured bound, which could not move ``certified``,
+    ``upper_bound`` or ``best_value``, is never computed.  Proof: every pair
+    gains at most U (fidelity_upper_bound) and K's pair gains
+    ``value >= U - CERTIFY_TOL``, so the bound b, a gain that some pair
+    reaches, has ``value - roundoff <= b <= U <= value + CERTIFY_TOL`` (b's
+    candidates include the pair's transmit pulse, and no half-step lowers an
+    objective).  The lower bound thus moves by at most CERTIFY_TOL, and it is
+    still a gain that a known pulse pair reaches.
     """
-    lower = structured_lower_bound(C).value
     upper = fidelity_upper_bound(C)
     pair = coset_bound(C).pair
     value, residual = pair_gain(C, *pair)
     certified = value >= upper - CERTIFY_TOL
+    lower = min(1.0, value) if certified else structured_lower_bound(C).value
     if not certified and lower <= value + CERTIFY_TOL and C.L <= _PPT_LARGEST_L:
         W = ppt_certificate(C, value)
         if W is not None:

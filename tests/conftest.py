@@ -10,8 +10,10 @@ The helpers below serve only the tests; test modules import them with
 
 import numpy as np
 from hypothesis import settings
+from hypothesis import strategies as st
 
 from whprecode import optimize
+from whprecode.bloch import TIE_TOL
 from whprecode.errors import NotUnitNormError
 from whprecode.heisenberg import shift_operator
 from whprecode.wssus import ScatteringFunction
@@ -62,3 +64,52 @@ def explicit_partial_transpose(r: np.ndarray) -> np.ndarray:
     t = [shift_operator(L, mu).conj().T.reshape(-1) for mu in all_shifts(L)]
     rho = sum(w * np.outer(v, v.conj()) for w, v in zip(r.ravel(), t)) / L
     return rho.reshape(L, L, L, L).transpose(0, 3, 2, 1).reshape(L * L, L * L)
+
+
+def _normalized(w):
+    total = sum(w)
+    return [v / total for v in w]
+
+
+def _tied(p0, share, delta, order):
+    # Axes order[0] and order[1] hold share of the off-origin power and
+    # differ in gain by 2 * delta.
+    a = share * (1.0 - p0) / 2.0
+    p = [p0, 0.0, 0.0, 0.0]
+    p[order[0]], p[order[1]], p[order[2]] = a, a + delta, 1.0 - p0 - 2.0 * a - delta
+    return p
+
+
+def _with_tiny(w, tiny, k):
+    # Weight k set to a tiny (often subnormal) value, its mass moved to the largest weight.
+    w = list(w)
+    big = max(range(4), key=w.__getitem__)
+    if big != k:
+        w[big] += w[k] - tiny
+        w[k] = tiny
+    return w
+
+
+_DIRICHLET = st.builds(lambda seed, alpha: list(np.random.default_rng(seed).dirichlet([alpha] * 4)),
+                       st.integers(0, 2**32 - 1), st.sampled_from([0.3, 1.0, 3.0]))
+_NORMALIZED = st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4).filter(
+    lambda w: sum(w) > 0.0).map(_normalized)
+# Gain differences of 0.5 to 2 TIE_TOL, either way round.
+_TIE_DELTAS = [0.0] + [sign * f * TIE_TOL / 2.0
+                       for sign in (1.0, -1.0) for f in (0.5, 0.999, 1.0, 1.001, 2.0)]
+# Quads over the whole simplex: Dirichlet and uniform draws, near-ties of
+# two axes' gains, exact zeros and tiny (often subnormal) weights.
+QUADS = st.one_of(
+    st.just([0.25] * 4),  # every gain exactly zero
+    _DIRICHLET,
+    _NORMALIZED,
+    st.builds(_tied, st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.sampled_from(_TIE_DELTAS),
+              st.permutations([1, 2, 3])).filter(lambda p: min(p) >= 0.0),
+    # Exact zeros, concentrated quads among them.
+    st.builds(lambda w, zeros: _normalized([0.0 if i in zeros else v for i, v in enumerate(w)]),
+              st.lists(st.floats(0.01, 1.0), min_size=4, max_size=4),
+              st.sets(st.integers(0, 3), max_size=3)),
+    st.builds(_with_tiny, _NORMALIZED | _DIRICHLET,
+              st.sampled_from([5e-324, 1e-310, 2.2250738585072014e-308, 1e-300, 0.0]),
+              st.integers(0, 3)).filter(lambda p: min(p) >= 0.0),
+).filter(lambda p: abs(sum(p) - 1.0) <= 1e-10)

@@ -1,15 +1,19 @@
 """Tests for the spreading eigenvalues, the upper bound U, the coset bound K and the PPT certificate."""
 
+import contextlib
+import io
+import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import explicit_partial_transpose, gaussian_profile, unit_vector
+from conftest import QUADS, explicit_partial_transpose, gaussian_profile, unit_vector
 
-from whprecode import optimize
+from whprecode import cli, optimize
 from whprecode.bloch import map_matrix_rep, solve_fidelity
 from whprecode.errors import DimensionMismatchError, WHPrecodeError
 from whprecode.heisenberg import PAULI_SHIFTS, _lagrangian_lines, shift_operator
@@ -22,6 +26,7 @@ from whprecode.optimize import (
     pair_gain,
     ppt_bound,
     ppt_certificate,
+    structured_lower_bound,
 )
 from whprecode.wssus import ScatteringFunction, apply_A, spreading_eigenvalues
 
@@ -393,6 +398,7 @@ def test_general_design_uncertified_returns_the_optimizer_trace(C):
 
 @settings(max_examples=40, deadline=None)
 @given(channels(largest=6), st.integers(0, 2**32 - 1))
+@example(gaussian_profile(4, 0.5, 1.0), 0)
 def test_general_design_bounds_hold_its_best_value(C, seed):
     design = general_design(C, OptimizerConfig(seed=seed))
     best = design.trace.best_value
@@ -400,3 +406,59 @@ def test_general_design_bounds_hold_its_best_value(C, seed):
     assert design.lower_bound <= best + 1e-12
     if design.certified:
         assert best >= design.upper_bound - 1e-12
+    if best >= fidelity_upper_bound(C) - optimize.CERTIFY_TOL:
+        # U certifies, so the structured bound was skipped; had it run, no
+        # candidate of it would beat the certified gain.
+        assert design.lower_bound == best
+        assert structured_lower_bound(C).value <= best + 1e-12
+
+
+def _refuse_structured_bound(C):
+    raise AssertionError("the structured bound ran on a run that U certifies")
+
+
+def test_general_design_certified_by_U_computes_no_structured_bound(monkeypatch):
+    # The elongated L = 4 Gaussian: its pair reaches U, so its lower bound is
+    # the pair's gain and the structured bound never runs.
+    monkeypatch.setattr(optimize, "structured_lower_bound", _refuse_structured_bound)
+    C = gaussian_profile(4, 0.5, 1.0)
+    design = general_design(C, OptimizerConfig())
+    assert design.certified and design.upper_bound == fidelity_upper_bound(C)
+    assert design.lower_bound == design.trace.best_value
+
+
+@pytest.mark.parametrize("C", [
+    # U is far above the pair's gain, and the PPT dual certifies.
+    _grid(7, {(0, 0): 0.315, (0, 2): 0.202, (1, 2): 0.483}),
+    # The relaxation is loose: the dual fails.
+    _grid(4, {(0, 0): 0.365, (2, 1): 0.125, (3, 0): 0.099, (3, 3): 0.411}),
+    # The structured bound beats the pair: no dual is sought.
+    gaussian_profile(4, 1.0, 1.0),
+], ids=["ppt-certified", "dual-fails", "bound-beats-pair"])
+def test_general_design_computes_the_structured_bound_where_U_does_not_certify(monkeypatch, C):
+    bound, calls = optimize.structured_lower_bound, []
+
+    def counted(C):
+        calls.append(C)
+        return bound(C)
+
+    monkeypatch.setattr(optimize, "structured_lower_bound", counted)
+    design = general_design(C, OptimizerConfig(seed=3))
+    assert calls and all(c is C for c in calls)
+    assert design.lower_bound == bound(C).value
+
+
+@settings(max_examples=200, deadline=None)
+@given(QUADS)
+def test_general_at_L2_certifies_the_closed_form_without_the_structured_bound(q):
+    # At L = 2, K's coset pair is the closed form's axis and U the closed
+    # form, so every quad is certified by U.
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(optimize, "structured_lower_bound", _refuse_structured_bound), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["general", "--p", ",".join(repr(float(v)) for v in q)])
+    assert (code, err.getvalue()) == (0, "")
+    doc = json.loads(out.getvalue())
+    best = doc["alternating"]["best_value"]
+    assert doc["L"] == 2 and doc["certified"] is True and doc["lower_bound"] == best
+    assert abs(best - solve_fidelity(q).fidelity) <= 1e-12

@@ -20,6 +20,7 @@ from whprecode.optimize import (
     alternating_fidelity_max,
     brute_force_bloch_oracle,
     coset_bound,
+    fidelity_upper_bound,
     general_design,
     optimal_receiver,
     pair_gain,
@@ -1300,12 +1301,32 @@ def assert_bound_is_the_receive_loop(C):
 # (4, 4) and (5, 4)), the dense deck's six shapes at L = 3..6, and the
 # uniform and one-shift channels.
 _DENSE_SHAPES = [(0.5, 1.0), (1.0, 0.5), (1.0, 1.0), (1.5, 0.7), (0.8, 1.6), (2.0, 2.0)]
-_BOUND_CHANNELS = (
+_DECK_CELLS = (
     [pytest.param(deck_cell(L, k, 10 * L + k), id=f"deck-{L}-{k}") for L in range(4, 11) for k in (2, 3, 4)]
     + [pytest.param(gaussian_profile(L, *w), id=f"dense-{L}-{w}") for L in range(3, 7) for w in _DENSE_SHAPES]
+)
+_BOUND_CHANNELS = (
+    _DECK_CELLS
     + [pytest.param(ScatteringFunction.uniform(L), id=f"uniform-{L}") for L in range(1, 7)]
     + [pytest.param(ScatteringFunction.concentrated(5, (2, 3)), id="concentrated")]
 )
+
+
+def test_structured_bound_is_the_printed_gain_on_deck_cells_that_U_certifies():
+    # general_design computes no structured bound where U certifies and
+    # prints the pair's gain as the lower bound; on every such cell of the
+    # decks the bound, had it run, prints the same 12 digits.
+    certified = []
+    for param in _DECK_CELLS:
+        C = param.values[0]
+        if pair_gain(C, *coset_bound(C).pair)[0] >= fidelity_upper_bound(C) - optimize.CERTIFY_TOL:
+            design = general_design(C, OptimizerConfig())
+            best, bound = design.trace.best_value, structured_lower_bound(C).value
+            assert design.certified and design.lower_bound == best
+            assert bound <= best + 1e-12 and f"{bound:.12g}" == f"{best:.12g}"
+            certified.append(param.id)
+    # Two sparse cells with two taps, and 17 of the 24 dense ones.
+    assert len(certified) == 19 and certified[:2] == ["deck-4-2", "deck-7-2"]
 
 
 @pytest.mark.parametrize("C", _BOUND_CHANNELS)
