@@ -431,7 +431,7 @@ def _cmd_general(cfg: RunConfig) -> dict:
     return {
         "L": cfg.L,
         "seed": cfg.seed,
-        "scattering": [[float(v) for v in row] for row in cfg.scattering.weights],
+        "scattering": cfg.scattering.weights.tolist(),
         "lower_bound": design.lower_bound,
         "upper_bound": design.upper_bound,
         "certified": design.certified,
@@ -482,27 +482,44 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json(value, pad: str) -> str:
-    """``json.dumps(value, sort_keys=True, indent=2)`` at indent pad, its floats canonical.
+def _float_token(value: float) -> str:
+    """The canonical JSON token of a float: ``repr(float(f"{value:.12g}"))``, infinities as strings.
 
-    A float is rounded to 12 significant digits, an infinity becomes the
-    string "inf" or "-inf" as in the CSV and text formats, and NaN raises
-    FloatingPointError.
+    The ``%.12g`` text is the token itself, with ".0" added when it has no
+    ".", unless it has an exponent: a decimal of at most 12 digits
+    round-trips through a double, repr prints the shortest decimal that
+    round-trips, and no other decimal of at most 15 digits reads as the
+    same double, so repr's digits are the text's.  Both formats are
+    positional in ``[1e-4, 1e12)``, where ``%.12g`` has no exponent; an
+    exponent form keeps the repr round trip, which may print it
+    positionally.  NaN raises FloatingPointError.
     """
-    if isinstance(value, float):
-        text = f"{value:.12g}"
-        if text[-1].isdigit():  # not "inf", "-inf" or "nan"
-            return repr(float(text))
+    text = f"{value:.12g}"
+    if text[-1] in "fn":  # "inf", "-inf" or "nan"
         if text == "nan":
             raise FloatingPointError("NaN in the report")
         return f'"{text}"'
+    if "e" in text:
+        return repr(float(text))
+    return text if "." in text else text + ".0"
+
+
+def _json(value, pad: str) -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` at indent pad, its floats canonical.
+
+    A float is rounded to 12 significant digits (_float_token), an infinity
+    becomes the string "inf" or "-inf" as in the CSV and text formats, and
+    NaN raises FloatingPointError.
+    """
+    if isinstance(value, float):
+        return _float_token(value)
     if isinstance(value, str):
         return _json_string(value)
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
         inner = pad + "  "
-        items = [_json(v, inner) for v in value]
+        items = [_float_token(v) if type(v) is float else _json(v, inner) for v in value]
         return f"[\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}]"
     if isinstance(value, dict):
         if not value:

@@ -387,13 +387,6 @@ def _twin_distances(pulses: np.ndarray, reps: np.ndarray) -> np.ndarray:
     return 1.0 - (np.abs(_ambiguity(pulses, reps)) ** 2).max(axis=(-2, -1))
 
 
-def _shifted(pulses: np.ndarray, shift: np.ndarray) -> np.ndarray:
-    """``S_nu v`` for each row v and flat shift ``nu2 * L + nu1``, ``nu = (nu1, nu2)``."""
-    _, lags, phases = _layout(pulses.shape[-1])
-    nu2, nu1 = np.divmod(shift, pulses.shape[-1])
-    return phases[nu2] * np.take_along_axis(pulses, lags[:, nu1].T, axis=-1)
-
-
 def _newton_points(
     receivers: np.ndarray, model: tuple, radius: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -784,21 +777,9 @@ def _coset_sums(C: ScatteringFunction) -> np.ndarray:
     return C._cached("_coset_sums", lambda: (C.weights.ravel()[cosets].sum(axis=-1),))[0]
 
 
-def coset_bound(C: ScatteringFunction) -> CosetBound:
-    """The coset bound K: the largest sum of C over a coset ``nu + Lambda`` of a cyclic Lagrangian line.
-
-    The shifts of a line Lambda commute, and L of them, orthogonal, span the
-    algebra of the generator's shift operator, so its L eigenvalues are
-    distinct and each eigenvector v has ``|<v, S_lambda v>| = 1`` on Lambda.
-    Parseval then leaves ``<v, S_mu v> = 0`` off Lambda, and the pair
-    ``(v, S_nu v)`` gains ``sum_mu C(mu) |<v, S_(mu - nu) v>|^2``, the
-    weight on ``nu + Lambda`` (King & Ruskai, IEEE Trans. Inf. Theory
-    47(1), 2001).  Ties go to the first line in the order of
-    _lagrangian_lines, then to the first coset, the line itself: at L = 2
-    the closed form's axis n_star, and the line itself when its sign is +1.
-    Each coset is summed over one transversal of its line, so the work is
-    the L^2 weights once per line.  Cached on C, the pair read-only:
-    structured_lower_bound and general_design's pair gain read the same object.
+@functools.lru_cache(maxsize=None)
+def _line_pulses(L: int) -> np.ndarray:
+    """Read-only (lines, L) table: row i a unit eigenvector v of line i's generator (_lagrangian_lines).
 
     For the generator ``g = (a, b)``, v is the chirp
     ``v[k a] = w^(a b k (k - n) / 2) / sqrt(n)`` on the orbit ``k < n =
@@ -808,21 +789,43 @@ def coset_bound(C: ScatteringFunction) -> CosetBound:
     and so does the wrap to k = 0, up to ``w^(a b n) = 1``, since L divides
     ``a n``.
     """
+    lines = _lagrangian_lines(L)[0]
+    pulses = np.zeros((len(lines), L), dtype=complex)
+    for v, (a, b) in zip(pulses, lines.tolist()):
+        n = L // math.gcd(a, L)
+        k = np.arange(n)
+        v[k * a % L] = _layout(2 * L)[2][1][a * b * k * (k - n) % (2 * L)] / math.sqrt(n)
+    pulses.setflags(write=False)
+    return pulses
+
+
+def coset_bound(C: ScatteringFunction) -> CosetBound:
+    """The coset bound K: the largest sum of C over a coset ``nu + Lambda`` of a cyclic Lagrangian line.
+
+    The shifts of a line Lambda commute, and L of them, orthogonal, span the
+    algebra of the generator's shift operator, so its L eigenvalues are
+    distinct and each eigenvector v (_line_pulses holds one per line) has
+    ``|<v, S_lambda v>| = 1`` on Lambda.  Parseval then leaves
+    ``<v, S_mu v> = 0`` off Lambda, and the pair ``(v, S_nu v)`` gains
+    ``sum_mu C(mu) |<v, S_(mu - nu) v>|^2``, the weight on ``nu + Lambda``
+    (King & Ruskai, IEEE Trans. Inf. Theory 47(1), 2001).  Ties go to the first line in the order of
+    _lagrangian_lines, then to the first coset, the line itself: at L = 2
+    the closed form's axis n_star, and the line itself when its sign is +1.
+    Each coset is summed over one transversal of its line, so the work is
+    the L^2 weights once per line.  Cached on C, the pair read-only:
+    structured_lower_bound and general_design's pair gain read the same object.
+    """
 
     def build():
         L = C.L
         lines, cosets = _lagrangian_lines(L)
         sums = _coset_sums(C)
-        line, t = np.unravel_index(np.argmax(sums), sums.shape)
-        generator = (int(lines[line, 0]), int(lines[line, 1]))
-        coset = divmod(int(cosets[line, t, 0]), L)
-        a, b = generator
-        n = L // math.gcd(a, L)
-        k = np.arange(n)
-        v = np.zeros(L, dtype=complex)
-        v[k * a % L] = _layout(2 * L)[2][1][a * b * k * (k - n) % (2 * L)] / math.sqrt(n)
-        pair = (v, _shifted(v, coset[1] * L + coset[0]))
-        return pair, CosetBound(float(sums[line, t]), generator, coset, pair)
+        line, t = divmod(int(sums.argmax()), L)
+        nu1, nu2 = coset = divmod(int(cosets[line, t, 0]), L)
+        v = _line_pulses(L)[line]
+        _, lags, phases = _layout(L)
+        pair = (v, phases[nu2] * v[lags[:, nu1]])  # (v, S_nu v), row m of S_nu as in _layout
+        return pair, CosetBound(float(sums[line, t]), tuple(lines[line].tolist()), coset, pair)
 
     return C._cached("_coset_bound", build)[1]
 
@@ -876,12 +879,17 @@ def pair_gain(C: ScatteringFunction, gamma, g) -> tuple[float, float]:
     images ``A*(g g*)``: the gain is ``gamma* A*(g g*) gamma`` and the
     residual ``||A*(g g*) gamma - F gamma||``.
     """
-    gamma, g = (linalg.require_unit_vector(v, name)[None] for v, name in ((gamma, "gamma"), (g, "g")))
-    if gamma.shape[1] != C.L or g.shape[1] != C.L:
+    gamma, g = (linalg.require_unit_vector(v, name) for v, name in ((gamma, "gamma"), (g, "g")))
+    if gamma.shape[0] != C.L or g.shape[0] != C.L:
         raise DimensionMismatchError(
-            f"pulse lengths {gamma.shape[1]}, {g.shape[1]} do not match L={C.L}"
+            f"pulse lengths {gamma.shape[0]}, {g.shape[0]} do not match L={C.L}"
         )
-    value, residual = _rank_one_images(_half_step_operands(C)[1], g).rayleigh(gamma)
+    return _pair_gain(C, gamma, g)
+
+
+def _pair_gain(C: ScatteringFunction, gamma: np.ndarray, g: np.ndarray) -> tuple[float, float]:
+    """pair_gain of unit complex pulses of length L, unchecked: general_design measures K's cached pair."""
+    value, residual = _rank_one_images(_half_step_operands(C)[1], g[None]).rayleigh(gamma[None])
     return float(value[0]), float(residual[0])
 
 
@@ -1218,7 +1226,7 @@ def general_design(C: ScatteringFunction, cfg: OptimizerConfig) -> GeneralDesign
     """
     upper = fidelity_upper_bound(C)
     pair = coset_bound(C).pair
-    value, residual = pair_gain(C, *pair)
+    value, residual = _pair_gain(C, *pair)
     certified = value >= upper - CERTIFY_TOL
     lower = min(1.0, value) if certified else structured_lower_bound(C).value
     if not certified and lower <= value + CERTIFY_TOL and C.L <= _PPT_LARGEST_L:

@@ -65,7 +65,9 @@ class ScatteringFunction:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "L", linalg.require_int(self.L, "dimension", 1))
-        w = np.array(linalg.require_array(self.weights, "weights", float, finite=False))
+        w = linalg.require_array(self.weights, "weights", float, finite=False)
+        if not isinstance(self.weights, (list, tuple)):  # w may share the caller's memory
+            w = w.copy()
         if w.shape != (self.L, self.L):
             raise InvalidWeightsError(
                 f"weights must have shape ({self.L}, {self.L}), got {w.shape}"

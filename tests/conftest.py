@@ -8,6 +8,8 @@ The helpers below serve only the tests; test modules import them with
 ``from conftest import ...``.
 """
 
+from unittest import mock
+
 import numpy as np
 from hypothesis import settings
 from hypothesis import strategies as st
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from whprecode import optimize
 from whprecode.bloch import TIE_TOL
 from whprecode.errors import NotUnitNormError
-from whprecode.heisenberg import shift_operator
+from whprecode.heisenberg import _layout, shift_operator
 from whprecode.wssus import ScatteringFunction
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
@@ -36,6 +38,36 @@ def gaussian_profile(L, delay_width, doppler_width):
     d = np.minimum(np.arange(L), L - np.arange(L))
     w = np.exp(-((d[:, None] / delay_width) ** 2) - (d[None, :] / doppler_width) ** 2)
     return ScatteringFunction(L, w / w.sum())
+
+
+def shifted(pulses: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """``S_nu v`` for each row v and flat shift ``nu2 * L + nu1``, ``nu = (nu1, nu2)``."""
+    _, lags, phases = _layout(pulses.shape[-1])
+    nu2, nu1 = np.divmod(shift, pulses.shape[-1])
+    return phases[nu2] * np.take_along_axis(pulses, lags[:, nu1].T, axis=-1)
+
+
+def assert_design_measures_the_pair_as_pair_gain(C: ScatteringFunction) -> None:
+    """general_design measures K's coset pair once, with the bits of the public pair_gain.
+
+    The measure is read where general_design takes it, from optimize._pair_gain;
+    on a certified run it is also the printed best value and convergence.
+    """
+    measured, measure = [], optimize._pair_gain
+
+    def record(*args):
+        measured.append(measure(*args))
+        return measured[-1]
+
+    cfg = optimize.OptimizerConfig()
+    with mock.patch.object(optimize, "_pair_gain", record):
+        design = optimize.general_design(C, cfg)
+    expected = optimize.pair_gain(C, *optimize.coset_bound(C).pair)
+    assert [[v.hex() for v in pair] for pair in measured] == [[v.hex() for v in expected]]
+    value, residual = expected
+    if design.certified:
+        assert design.trace.best_value == min(1.0, value)
+        assert design.trace.converged == (residual <= cfg.tol)
 
 
 def all_shifts(L: int) -> tuple[tuple[int, int], ...]:

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import QUADS, explicit_partial_transpose, gaussian_profile, unit_vector
+from conftest import (
+    QUADS,
+    assert_design_measures_the_pair_as_pair_gain,
+    explicit_partial_transpose,
+    gaussian_profile,
+    unit_vector,
+)
 
 from whprecode import cli, optimize
 from whprecode.bloch import map_matrix_rep, solve_fidelity
@@ -208,6 +214,36 @@ def test_pair_gain_checks_its_pulses():
         pair_gain(C, np.eye(3) / math.sqrt(3.0), unit)
     with pytest.raises(WHPrecodeError):
         pair_gain(C, unit, 2.0 * unit)
+
+
+_UNIT3 = [1 / math.sqrt(3.0)] * 3
+
+
+@pytest.mark.parametrize(
+    "gamma, g, error, message",
+    [
+        (_UNIT3, [2 / math.sqrt(3.0)] * 3, "NotUnitNormError", "g norm 2.0 is not 1 within 1e-12"),
+        ([1.0, 1.0, 0.0], _UNIT3, "NotUnitNormError", "gamma norm 1.4142135623730951 is not 1 within 1e-12"),
+        (_UNIT3, [0.6, 0.8], "DimensionMismatchError", "pulse lengths 3, 2 do not match L=3"),
+        ([0.5] * 4, _UNIT3, "DimensionMismatchError", "pulse lengths 4, 3 do not match L=3"),
+        (_UNIT3, [True, False, False], "InvalidWeightsError",
+         "g must be an array of numbers, got [True, False, False]"),
+        ("abc", _UNIT3, "InvalidWeightsError", "gamma must be an array of numbers, got 'abc'"),
+    ],
+)
+def test_pair_gain_messages(gamma, g, error, message):
+    # The public pair_gain checks both pulses; general_design measures K's
+    # cached pair through optimize._pair_gain, without the checks.
+    with pytest.raises(WHPrecodeError) as err:
+        pair_gain(ScatteringFunction.uniform(3), gamma, g)
+    assert (type(err.value).__name__, str(err.value)) == (error, message)
+
+
+@settings(max_examples=60)
+@given(channels())
+@example(gaussian_profile(4, 0.5, 1.0))
+def test_general_design_measures_the_coset_pair_as_pair_gain(C):
+    assert_design_measures_the_pair_as_pair_gain(C)
 
 
 def _blocks(r):

@@ -289,6 +289,15 @@ def _canon(value):
     return value
 
 
+class _Float(float):
+    """A float subclass whose repr and str are not float's."""
+
+    def __repr__(self):
+        return "_Float()"
+
+    __str__ = __repr__
+
+
 _JSON_FLOATS = st.one_of(
     st.floats(allow_nan=False),
     st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
@@ -296,6 +305,17 @@ _JSON_FLOATS = st.one_of(
     # A 13-digit decimal ending in 5: it rounds at the 12th digit.
     st.builds(lambda digits, exp: float(f"{digits}5e{exp}"),
               st.integers(10**11, 10**12 - 1), st.integers(-330, 290)),
+    # Where %.12g and repr switch notation: %.12g prints an exponent from
+    # 1e12 up and below 1e-4, repr from 1e16 up and below 1e-4; both round
+    # up to the next power of ten near 1e12 and 1e-4.
+    st.integers(10**11, 10**16).map(float),
+    st.sampled_from([1e11, 999999999999.0, 999999999999.4, 999999999999.5, 1e12, 1e12 + 1, 1e15,
+                     9999999999999998.0, 1e-4, 9.99999999999e-05, 9.999999999995e-05,
+                     0.000100000000000049, 1e-5, 9.99999999999e-06, 1.00000000000049e-05]),
+    st.floats(5e-6, 2e-4) | st.floats(-2e-4, -5e-6),
+    # Float leaves that are not plain floats render by their value alone.
+    st.floats(allow_nan=False).map(np.float64),
+    st.floats(allow_nan=False).map(_Float),
 )
 _JSON_TEXT = st.text(st.sampled_from('az09 "\\/\n\t\x00\x7féß€😀'), max_size=6)
 _JSON_LEAVES = st.one_of(

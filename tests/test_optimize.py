@@ -6,7 +6,13 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from conftest import gaussian_profile, top_eigenpairs, unit_vector
+from conftest import (
+    assert_design_measures_the_pair_as_pair_gain,
+    gaussian_profile,
+    shifted,
+    top_eigenpairs,
+    unit_vector,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -817,7 +823,7 @@ def test_joint_shifts_and_phases_keep_gain_and_residual_and_are_twins(case):
     C, pair, phases = case
     L = C.L
     shifts = np.arange(L * L)
-    copies = np.stack([optimize._shifted(np.repeat(p[None], L * L, axis=0), shifts) for p in pair], 1)
+    copies = np.stack([shifted(np.repeat(p[None], L * L, axis=0), shifts) for p in pair], 1)
     for (gamma, g), nu in zip(copies, shifts):
         op = shift_operator(L, (nu % L, nu // L))
         np.testing.assert_allclose([gamma, g], pair @ op.T, rtol=0, atol=1e-15)
@@ -876,7 +882,7 @@ def trailing_cases(draw):
     gammas /= np.linalg.norm(gammas, axis=1)[:, None]
     for i in range(1, n):
         if rng.random() < 0.7:
-            copy = optimize._shifted(gammas[rng.integers(i)][None], rng.integers(0, L * L, 1))[0]
+            copy = shifted(gammas[rng.integers(i)][None], rng.integers(0, L * L, 1))[0]
             noise = 0.6 * rng.random() * _complex_gaussian(rng, (L,))
             gammas[i] = copy * np.exp(2j * np.pi * rng.random()) + noise
             gammas[i] /= np.linalg.norm(gammas[i])
@@ -964,7 +970,7 @@ def twin_pulses(L, seed):
     rng = np.random.default_rng(seed)
     pulses = _complex_gaussian(rng, (3, L))
     pulses /= np.linalg.norm(pulses, axis=-1)[:, None]
-    pulses[1] = 1j * optimize._shifted(pulses[:1], np.array([L + 1]))[0]
+    pulses[1] = 1j * shifted(pulses[:1], np.array([L + 1]))[0]
     return pulses
 
 
@@ -1329,6 +1335,11 @@ def test_structured_bound_is_the_printed_gain_on_deck_cells_that_U_certifies():
     assert len(certified) == 19 and certified[:2] == ["deck-4-2", "deck-7-2"]
 
 
+@pytest.mark.parametrize("C", _DECK_CELLS)
+def test_general_design_measures_the_coset_pair_as_pair_gain_on_deck_cells(C):
+    assert_design_measures_the_pair_as_pair_gain(C)
+
+
 @pytest.mark.parametrize("C", _BOUND_CHANNELS)
 def test_structured_bound_equals_the_receive_loop_on_fixed_channels(C):
     assert_bound_is_the_receive_loop(C)
@@ -1354,7 +1365,7 @@ def test_coset_bound_is_cached_on_the_channel_with_a_read_only_pair(monkeypatch)
     def refuse(*args, **kwargs):
         raise AssertionError("coset_bound built its pair again")
 
-    monkeypatch.setattr(optimize, "_shifted", refuse)
+    monkeypatch.setattr(optimize, "_lagrangian_lines", refuse)
     again = coset_bound(fresh)
     assert again is coset_bound(fresh)
     assert all(a.tobytes() == b.tobytes() for a, b in zip(again.pair, bound.pair))
