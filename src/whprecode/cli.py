@@ -527,9 +527,15 @@ def _json(value, pad: str) -> str:
         inner = pad + "  "
         items = [f"{_json_string(k)}: {_json(value[k], inner)}" for k in sorted(value)]
         return f"{{\n{inner}" + f",\n{inner}".join(items) + f"\n{pad}}}"
-    if isinstance(value, int) and not isinstance(value, bool):
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    if isinstance(value, int):
         return int.__repr__(value)
-    return json.dumps(value)  # True, False or None; other objects raise TypeError
+    return json.dumps(value)  # other objects raise TypeError
 
 
 def render_json(doc: dict) -> str:

@@ -70,7 +70,7 @@ _TWIN_STATIONARY = 7.5e-2
 # A pulse pair whose measured gain is at least the upper bound U less this
 # is optimal to within it (see fidelity_upper_bound and pair_gain).  On
 # random and Gaussian grids at L = 4..64, U is within 1.2e-15 of U in long
-# double, and a coset pair's measured gain within 5e-16 of its coset sum.
+# double, and a coset pair's measured gain within 2.5e-15 of its coset sum.
 CERTIFY_TOL = 1e-12
 # ppt_certificate: at most this many interior-point iterations; steps go
 # this fraction of the way to the boundary; and a relaxed state whose gain
@@ -214,13 +214,9 @@ class _Images:
 
     def residuals(self, pulses: np.ndarray) -> np.ndarray:
         """``||M v - (v* M v) v||`` for each unit pulse v: zero exactly when v is an eigenvector."""
-        return self.rayleigh(pulses)[1]
-
-    def rayleigh(self, pulses: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``v* M v`` and the residual ``||M v - (v* M v) v||`` for each unit pulse v."""
         image = self.apply(pulses[:, None])[:, 0]
         value = np.einsum("ki,ki->k", pulses.conj(), image).real
-        return value, np.linalg.norm(image - value[:, None] * pulses, axis=1)
+        return np.linalg.norm(image - value[:, None] * pulses, axis=1)
 
     def gap_inverse(self, lam: np.ndarray, u: np.ndarray) -> tuple:
         """``R = sum_j v_j v_j* / (f - lambda_j)`` over the non-top eigenpairs of each M in C^L.
@@ -848,8 +844,9 @@ def structured_lower_bound(C: ScatteringFunction) -> _LowerBound:
     half-steps, without the stationarity residuals its _receive measures.
     Each half-step solves its subproblem exactly, so no candidate's
     objective falls, and the value, the largest objective of the last
-    receive half-step clipped at 1, is at least K's pair gain and at least
-    1/L.  general_design reads it only where U does not certify K's pair.
+    receive half-step clipped at 1, is at least K's pair gain (pair_gain,
+    within roundoff) and at least 1/L.  general_design reads it only where
+    U does not certify K's pair.
     Nothing is drawn at random.  Read-only, cached on C.
     """
 
@@ -875,9 +872,14 @@ def structured_lower_bound(C: ScatteringFunction) -> _LowerBound:
 def pair_gain(C: ScatteringFunction, gamma, g) -> tuple[float, float]:
     """Mean gain ``<g, A(gamma gamma*) g>`` of a unit pulse pair and its stationarity residual.
 
-    Both are measured as alternating_fidelity_max measures them, on the
-    images ``A*(g g*)``: the gain is ``gamma* A*(g g*) gamma`` and the
-    residual ``||A*(g g*) gamma - F gamma||``.
+    Both are read off the cross-ambiguity ``a(mu) = <g, S_mu gamma>``
+    (_ambiguity): the gain is ``F = sum_mu C(mu) |a(mu)|^2`` and the
+    residual ``||A*(g g*) gamma - F gamma||``, with
+    ``A*(g g*) gamma = sum_mu C(mu) a(mu) S_mu* g``.  They agree with
+    alternating_fidelity_max's measure on the images ``A*(g g*)`` within
+    roundoff.  No map operand (diagonal blocks or tap frame) is built:
+    two L x L products with the ``_layout`` phase table and one gather,
+    O(L^3) time and O(L^2) memory.
     """
     gamma, g = (linalg.require_unit_vector(v, name) for v, name in ((gamma, "gamma"), (g, "g")))
     if gamma.shape[0] != C.L or g.shape[0] != C.L:
@@ -889,8 +891,14 @@ def pair_gain(C: ScatteringFunction, gamma, g) -> tuple[float, float]:
 
 def _pair_gain(C: ScatteringFunction, gamma: np.ndarray, g: np.ndarray) -> tuple[float, float]:
     """pair_gain of unit complex pulses of length L, unchecked: general_design measures K's cached pair."""
-    value, residual = _rank_one_images(_half_step_operands(C)[1], g[None]).rayleigh(gamma[None])
-    return float(value[0]), float(residual[0])
+    rows, _, phases = _layout(C.L)
+    amb = _ambiguity(g, gamma).T  # amb[mu1, mu2] = <g, S_mu gamma>
+    coef = C.weights * amb
+    value = float(np.vdot(amb, coef).real)
+    # (S_mu* g)[j] = w^-(mu2 (j + mu1)) g[j + mu1]: sum over mu2 by the phase
+    # table at n = j + mu1, then over mu1 along the cyclic diagonals of rows.
+    image = ((coef @ phases.conj()) * g)[np.arange(C.L)[:, None], rows].sum(axis=0)
+    return value, float(np.linalg.norm(image - value * gamma))
 
 
 @functools.lru_cache(maxsize=None)

@@ -18,7 +18,8 @@ from whprecode import optimize
 from whprecode.bloch import TIE_TOL
 from whprecode.errors import NotUnitNormError
 from whprecode.heisenberg import _layout, shift_operator
-from whprecode.wssus import ScatteringFunction
+from whprecode.linalg import rank_one_projector
+from whprecode.wssus import ScatteringFunction, apply_adjoint_A
 
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
@@ -45,6 +46,12 @@ def shifted(pulses: np.ndarray, shift: np.ndarray) -> np.ndarray:
     _, lags, phases = _layout(pulses.shape[-1])
     nu2, nu1 = np.divmod(shift, pulses.shape[-1])
     return phases[nu2] * np.take_along_axis(pulses, lags[:, nu1].T, axis=-1)
+
+
+def transmit_residual(C, gamma, g):
+    """``||A*(g g*) gamma - F gamma||`` with F the Rayleigh quotient, from the public maps."""
+    image = apply_adjoint_A(C, rank_one_projector(g)) @ gamma
+    return float(np.linalg.norm(image - np.vdot(gamma, image).real * gamma))
 
 
 def assert_design_measures_the_pair_as_pair_gain(C: ScatteringFunction) -> None:

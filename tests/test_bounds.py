@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import math
+import pathlib
 from unittest import mock
 
 import numpy as np
@@ -16,6 +17,7 @@ from conftest import (
     assert_design_measures_the_pair_as_pair_gain,
     explicit_partial_transpose,
     gaussian_profile,
+    transmit_residual,
     unit_vector,
 )
 
@@ -237,6 +239,22 @@ def test_pair_gain_messages(gamma, g, error, message):
     with pytest.raises(WHPrecodeError) as err:
         pair_gain(ScatteringFunction.uniform(3), gamma, g)
     assert (type(err.value).__name__, str(err.value)) == (error, message)
+
+
+@settings(max_examples=100)
+@given(channels(largest=12), st.integers(0, 2**32 - 1))
+@example(gaussian_profile(4, 0.5, 1.0), 0)
+@example(ScatteringFunction.uniform(12), 1)
+def test_pair_gain_is_the_gain_and_residual_of_any_pulse_pair(C, seed):
+    # Random unit pulses, not a coset pair: the gain over the shift
+    # operators themselves, the residual through the public adjoint map.
+    rng = np.random.default_rng(seed)
+    gamma, g = (unit_vector(rng.standard_normal(C.L) + 1j * rng.standard_normal(C.L)) for _ in range(2))
+    value, residual = pair_gain(C, gamma, g)
+    direct = sum(C.weights[mu] * abs(np.vdot(g, shift_operator(C.L, mu) @ gamma)) ** 2
+                 for mu in np.ndindex(C.L, C.L))
+    assert abs(value - direct) <= 1e-14
+    assert abs(residual - transmit_residual(C, gamma, g)) <= 1e-14
 
 
 @settings(max_examples=60)
@@ -461,6 +479,72 @@ def test_general_design_certified_by_U_computes_no_structured_bound(monkeypatch)
     design = general_design(C, OptimizerConfig())
     assert design.certified and design.upper_bound == fidelity_upper_bound(C)
     assert design.lower_bound == design.trace.best_value
+
+
+_GOLDEN = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def _line_grid(L, generator, taps):
+    """The weights ``taps[k]`` on the multiples ``k g`` of a shift g of order L, the rest zero."""
+    return _grid(L, {(k * generator[0] % L, k * generator[1] % L): v for k, v in enumerate(taps)})
+
+
+def _assert_certified_by_U_without_a_map_operand(C):
+    design = general_design(C, OptimizerConfig())
+    assert design.certified and design.upper_bound == fidelity_upper_bound(C)
+    assert design.trace.restart_values == () and design.lower_bound == design.trace.best_value
+    # Neither the diagonal blocks of A and A* nor the tap frame was built.
+    assert not {"_blocks", "_frame"} & set(vars(C))
+    return design
+
+
+def _delay_only(L, width):
+    d = np.minimum(np.arange(L), L - np.arange(L))
+    return _line_grid(L, (1, 0), np.exp(-((d / width) ** 2)))
+
+
+@pytest.mark.parametrize("C", [
+    ScatteringFunction(4, np.array(
+        json.loads((_GOLDEN / "elongated4.config.json").read_text())["scattering"])),
+    _delay_only(128, 4.0),
+    _line_grid(5, (0, 1), [0.4, 0.3, 0.0, 0.2, 0.1]),
+    _line_grid(6, (2, 3), [0.1, 0.2, 0.3, 0.0, 0.25, 0.15]),
+    _line_grid(9, (1, 4), np.arange(1.0, 10.0)),
+], ids=["golden-elongated4", "delay-only-128", "doppler-only-5", "line-2-3-at-6", "line-1-4-at-9"])
+def test_general_design_certified_by_U_builds_no_map_operand(C):
+    _assert_certified_by_U_without_a_map_operand(C)
+
+
+@st.composite
+def line_grids(draw):
+    """Random nonnegative grids on one cyclic Lagrangian line ``{k g}``, ``gcd(g1, g2, L) = 1``, L = 2..24."""
+    L = draw(st.integers(2, 24))
+    generator = draw(st.tuples(st.integers(0, L - 1), st.integers(0, L - 1))
+                     .filter(lambda g: math.gcd(math.gcd(*g), L) == 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    taps = rng.random(L) ** draw(st.sampled_from([1, 4]))
+    taps[rng.random(L) >= draw(st.sampled_from([1.0, 0.5, 0.1]))] = 0.0
+    if not taps.sum() > 0.0:
+        taps[rng.integers(L)] = 1.0
+    return _line_grid(L, generator, taps)
+
+
+@settings(max_examples=60)
+@given(line_grids())
+@example(_delay_only(24, 3.0))
+@example(_line_grid(2, (1, 1), [0.0, 1.0]))
+def test_a_grid_on_one_lagrangian_line_is_certified_by_U(C):
+    """Claim: a grid on one cyclic Lagrangian line is certified by U, with best value and U at 1.
+
+    Proof: the symplectic form ``mu2 nu1 - mu1 nu2`` vanishes on multiples
+    of one g, so every nu on the line has
+    ``lambda(nu) = sum_mu C(mu) = 1``.  The line holds the origin and L - 1
+    other shifts, so ``U = (1 + (L - 1)) / L = 1``, and K, the weight on
+    the line itself, is 1 too: ``U = K = 1``.
+    """
+    design = _assert_certified_by_U_without_a_map_operand(C)
+    assert abs(design.trace.best_value - 1.0) <= 1e-12
+    assert abs(design.upper_bound - 1.0) <= 1e-12
 
 
 @pytest.mark.parametrize("C", [

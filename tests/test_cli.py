@@ -346,6 +346,15 @@ def test_render_json_writes_the_canonical_dump(doc):
     assert render_json(doc) == expected
 
 
+@pytest.mark.parametrize("leaf", [object(), np.bool_(True), np.int64(3), 1 + 2j, {1}],
+                         ids=["object", "numpy-bool", "numpy-int", "complex", "set"])
+def test_render_json_rejects_a_leaf_json_cannot_write(leaf):
+    # True, False and None are written directly; every other object still
+    # goes to json.dumps, which raises.
+    with pytest.raises(TypeError):
+        render_json({"flags": [True, False, None], "leaf": leaf})
+
+
 def _holds_nan(value):
     if isinstance(value, float):
         return math.isnan(value)

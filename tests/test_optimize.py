@@ -11,6 +11,7 @@ from conftest import (
     gaussian_profile,
     shifted,
     top_eigenpairs,
+    transmit_residual,
     unit_vector,
 )
 from hypothesis import example, given, settings
@@ -533,12 +534,6 @@ def test_optimizers_on_the_tap_gram_match_the_kernel_path(monkeypatch, L, taps):
 
 def top_eigenvector(M):
     return np.linalg.eigh((M + M.conj().T) / 2.0)[1][:, -1]
-
-
-def transmit_residual(C, gamma, g):
-    """``||A*(g g*) gamma - F gamma||`` with F the Rayleigh quotient, from the public maps."""
-    image = apply_adjoint_A(C, rank_one_projector(g)) @ gamma
-    return float(np.linalg.norm(image - np.vdot(gamma, image).real * gamma))
 
 
 def plain_alternating_best(C, cfg):
