@@ -27,7 +27,12 @@ from .wssus import (
     coerce_scheme_shifts,
 )
 
+# Trials per moment chunk: _RunningMoments merges each chunk's values at once.
 _CHUNK = 1 << 15
+# Tap draws held at once.  A chunk is drawn and reduced in sub-blocks of at
+# most _TAP_DRAWS // T trials, but never fewer than two trials (see
+# estimate_expectations), so memory is O(L^2 + _TAP_DRAWS) at any L.
+_TAP_DRAWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -102,8 +107,10 @@ def estimate_expectations(
     interference sums ``|<g, H S_nu gamma>|^2`` over the scheme's nonzero
     shifts nu.  Because H enters only through fixed inner products, the
     trials reduce to matrix-vector products against precomputed coupling
-    coefficients and run vectorized in chunks; the result is deterministic
-    given the seed.
+    coefficients.  They run vectorized in sub-blocks of at most
+    ``_TAP_DRAWS`` tap draws, so memory stays O(L^2 + _TAP_DRAWS) at any L
+    and trial count; the result is deterministic given the seed, and the
+    same to the last bit at any sub-block size.
     """
     trials = linalg.require_int(trials, "trials", 2)
     seed = linalg.require_int(seed, "seed", 0)
@@ -116,26 +123,51 @@ def estimate_expectations(
     shifts = coerce_scheme_shifts(scheme, C.L)
     interferers = [mu for mu in shifts if mu != (0, 0)]
 
-    ops = C.kraus_operators()[1]
     # Coupling of each tap, in the order _rayleigh_taps draws, into the
     # reference slot and into the shifted pulses occupying the other slots.
-    gain_coupling = np.array([_inner(g, S @ gamma) for S in ops])
-    interf_coupling = np.empty((len(ops), len(interferers)), dtype=complex)
-    for j, nu in enumerate(interferers):
-        shifted = shift_operator(C.L, nu) @ gamma
-        for i, S in enumerate(ops):
-            interf_coupling[i, j] = _inner(g, S @ shifted)
+    # One shift operator per tap is built and dropped: each equals its row
+    # of C.kraus_operators() bit for bit, so the products round as they
+    # would against that stack, which is never held.
+    mu1, mu2 = C._tap_shifts()
+    shifted = [shift_operator(C.L, nu) @ gamma for nu in interferers]
+    gain_coupling = np.empty(mu1.size, dtype=complex)
+    interf_coupling = np.empty((mu1.size, len(interferers)), dtype=complex)
+    for i, mu in enumerate(zip(mu1.tolist(), mu2.tolist())):
+        S = shift_operator(C.L, mu)
+        gain_coupling[i] = _inner(g, S @ gamma)
+        interf_coupling[i] = [_inner(g, S @ v) for v in shifted]
 
+    # Each chunk of trials is drawn in sub-blocks into one reused buffer.
+    # Successive draws continue one stream, and a row of ``taps @ coupling``
+    # rounds the same whichever rows share the call, except that a lone row
+    # goes to another BLAS kernel: so a sub-block of one trial is only ever
+    # a whole chunk of one, and the chunk's values keep their bits.
+    # The buffer and the chunk's value arrays share one allocation: glibc's
+    # malloc keeps one such block in its heap from call to call, where
+    # three separate ones were trimmed after each call and faulted back in
+    # on the next (about 125 page faults per L = 2 call of 10k-60k trials).
+    taps_per_trial = mu1.size
+    block = max(2, _TAP_DRAWS // taps_per_trial)
+    split = 2 * (block + 1) * taps_per_trial
+    work = np.empty(split + 2 * min(trials, _CHUNK))
+    buffer = work[:split].view(complex).reshape(block + 1, taps_per_trial)
+    gains, interfs = work[split:].reshape(2, -1)
     rng = np.random.default_rng(seed)
     gain_stats = _RunningMoments()
     interf_stats = _RunningMoments()
-    remaining = trials
-    while remaining > 0:
-        m = min(remaining, _CHUNK)
-        taps = _rayleigh_taps(C, rng, (m,))
-        gain_stats.add_chunk(np.abs(taps @ gain_coupling) ** 2)
-        interf_stats.add_chunk(np.sum(np.abs(taps @ interf_coupling) ** 2, axis=1))
-        remaining -= m
+    for start in range(0, trials, _CHUNK):
+        m = min(trials - start, _CHUNK)
+        done = 0
+        while done < m:
+            n = min(block, m - done)
+            if m - done - n == 1:
+                n += 1
+            taps = _rayleigh_taps(C, rng, out=buffer[:n])
+            gains[done : done + n] = np.abs(taps @ gain_coupling) ** 2
+            interfs[done : done + n] = np.sum(np.abs(taps @ interf_coupling) ** 2, axis=1)
+            done += n
+        gain_stats.add_chunk(gains[:m])
+        interf_stats.add_chunk(interfs[:m])
 
     gamma_op = linalg.rank_one_projector(gamma / np.linalg.norm(gamma))
     g_op = linalg.rank_one_projector(g / np.linalg.norm(g))

@@ -716,8 +716,12 @@ def brute_force_bloch_oracle(
     b = np.diag(map_matrix_rep(quad))[1:]
     b2 = b * b
 
+    # Every batch is drawn into this one buffer, so a batch allocates only
+    # its scores, and its time does not hang on what the allocator kept.
+    draws = np.empty((min(n_samples, _BATCH), 2))
+
     def batch_max(rng, m):
-        u = rng.random((m, 2))
+        u = rng.random(out=draws[:m])
         bounds = _bloch_bounds(u, b2)
         i = int(np.argmax(bounds))
         t = _bloch_scores(u[i : i + 1], b2)[0]

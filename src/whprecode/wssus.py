@@ -20,9 +20,10 @@ Each of these maps, ``X -> sum_mu w(mu) S_mu X S_mu*`` for a weight grid
 circulant block, so one kernel on the diagonals serves them all.  On a
 rank-one operand ``v v*`` the map ``A`` is also a sum of T outer products
 ``sqrt(C(mu)) S_mu v``, one per nonzero tap; ``tap_frame()`` indexes them.
-``kraus_operators()`` is the one tap list, row-major; the tap frame, the
-Rayleigh sampler and the Monte Carlo couplings follow its order, and all
-of them are read off the exact tables of ``heisenberg._layout``.
+The nonzero taps are listed once, row-major, by ``_tap_shifts()``; the tap
+frame, the Kraus stack ``kraus_operators()``, the Rayleigh sampler and the
+Monte Carlo couplings all follow that order, and all of them are read off
+the exact tables of ``heisenberg._layout``.
 """
 
 from __future__ import annotations
@@ -153,11 +154,13 @@ class ScatteringFunction:
         return self._cached("_frame", build)
 
     def kraus_operators(self) -> tuple[np.ndarray, np.ndarray]:
-        """The tap list: read-only weights (T,) and shift operators (T, L, L).
+        """The Kraus stack of the tap list: read-only weights (T,) and shift operators (T, L, L).
 
-        One entry per nonzero weight in row-major shift order, each ``S_t``
-        equal to ``shift_operator(L, mu_t)`` bit for bit, so that
-        ``A(X) = sum_t w[t] S_t X S_t*``.
+        One entry per nonzero weight in the row-major order of
+        ``_tap_shifts()``, each ``S_t`` equal to ``shift_operator(L, mu_t)``
+        bit for bit, so that ``A(X) = sum_t w[t] S_t X S_t*``.  It holds
+        T L^2 entries, so no library path builds it: the Monte Carlo builds
+        one shift operator at a time instead.
         """
 
         def build():
@@ -365,29 +368,43 @@ def _sinr_ratio(gain: float, sigma2: float, interference: float) -> float:
     return math.inf if denom <= 0.0 else float(gain / denom)
 
 
-def _complex_gaussian(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+def _complex_gaussian(
+    rng: np.random.Generator, shape: tuple[int, ...], out: np.ndarray | None = None
+) -> np.ndarray:
     """Array of x + iy with x, y independent standard normals: the one complex draw.
 
     A writable complex view of one ``(*shape, 2)`` float draw, pairs read as
     (x, y), so no complex temporary is built and callers may scale it in
     place.  Its bits equal the arithmetic form ``z[..., 0] + 1j * z[..., 1]``,
-    whose added zero parts are exact.
+    whose added zero parts are exact.  Given ``out``, a C-contiguous complex
+    array, the draw fills it in place instead, and ``shape`` is not read:
+    its float view takes the pairs in the same order, so successive draws
+    into one buffer continue the stream that a single larger draw would.
     """
-    return rng.standard_normal((*shape, 2)).view(complex)[..., 0]
+    if out is None:
+        return rng.standard_normal((*shape, 2)).view(complex)[..., 0]
+    rng.standard_normal(out=out.view(float))
+    return out
 
 
-def _rayleigh_taps(C: ScatteringFunction, rng: np.random.Generator, shape=()) -> np.ndarray:
-    """Rayleigh taps  sqrt(C(mu)/2) (x + iy)  over ``C.kraus_operators()``, last axis.
+def _rayleigh_taps(
+    C: ScatteringFunction, rng: np.random.Generator, shape=(), out: np.ndarray | None = None
+) -> np.ndarray:
+    """Rayleigh taps  sqrt(C(mu)/2) (x + iy)  over the tap list ``C._tap_shifts()``, last axis.
 
     Each tap is circularly symmetric complex Gaussian with E|tap|^2 = C(mu),
     independent of the others; zero-power shifts get no tap at all.  The
     draw is deterministic given the generator's state.  Scaling the draw in
     place runs the same complex multiply as the product
-    ``(x + iy) * sqrt(C(mu)/2)``, so the taps equal it bit for bit.
+    ``(x + iy) * sqrt(C(mu)/2)``, so the taps equal it bit for bit, a zero
+    product's sign included.  Given ``out``, a C-contiguous complex
+    ``(*shape, T)`` buffer, the taps are drawn into it (see
+    _complex_gaussian), so a caller that draws in blocks holds one buffer;
+    the scales are cached on C for such a caller's repeated draws.
     """
-    weights = C.kraus_operators()[0]
-    taps = _complex_gaussian(rng, (*shape, weights.size))
-    taps *= np.sqrt(weights / 2.0)
+    scale = C._cached("_rayleigh", lambda: (np.sqrt(C.weights[C._tap_shifts()] / 2.0),))[0]
+    taps = _complex_gaussian(rng, (*shape, scale.size), out)
+    taps *= scale
     return taps
 
 

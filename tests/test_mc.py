@@ -1,8 +1,15 @@
 """Tests for the Monte Carlo estimation harness."""
 
+import dataclasses
+import tracemalloc
+from unittest import mock
+
 import numpy as np
 import pytest
-from conftest import unit_vector
+from conftest import gaussian_profile, unit_vector
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_wssus import scattering_functions
 
 from whprecode import mc
 from whprecode.bloch import optimal_precoder_vector, solve_fidelity, worst_case_fidelity
@@ -219,3 +226,111 @@ def test_moments_equal_the_first_chunk_loop_exactly(trials, interferers, C):
     report = estimate_expectations(C, gamma, g, scheme, sigma2=0.1, trials=trials, seed=77)
     moments = (report.mean_gain, report.mean_interf, report.stderr_gain, report.stderr_interf)
     assert moments == _chunk_loop_moments(C, gamma, g, scheme, trials, seed=77)
+
+
+def _report_bits(report):
+    return [v.hex() if isinstance(v, float) else v for v in dataclasses.astuple(report)]
+
+
+def _random_pulse_pair(rng, L):
+    return tuple(unit_vector(rng.standard_normal(L) + 1j * rng.standard_normal(L)) for _ in range(2))
+
+
+_DENSE_L8 = gaussian_profile(8, 1.5, 1.5)  # all 64 taps nonzero
+
+
+@pytest.mark.parametrize(
+    "C",
+    [
+        pytest.param(_QUAD, id="quad"),
+        pytest.param(_sparse_l5(), id="sparse_l5"),
+        pytest.param(_DENSE_L8, id="dense_l8"),
+    ],
+)
+@pytest.mark.parametrize(
+    "trials", ["2", "block-1", "block+1", "chunk-1", "chunk+1", "2chunk+1"]
+)
+def test_the_sub_block_size_does_not_change_the_report(C, trials):
+    # Sub-blocks of the default size, of one trial (raised to the floor of
+    # two), of a prime number of tap draws, and of one whole chunk: the
+    # reports agree to the last bit.
+    taps = int(np.count_nonzero(C.weights))
+    block = mc._TAP_DRAWS // taps
+    trials = {
+        "2": 2,
+        "block-1": block - 1,
+        "block+1": block + 1,
+        "chunk-1": mc._CHUNK - 1,
+        "chunk+1": mc._CHUNK + 1,
+        "2chunk+1": 2 * mc._CHUNK + 1,
+    }[trials]
+    gamma, g = _random_pulse_pair(np.random.default_rng(trials), C.L)
+    args = (C, gamma, g, [(0, 0), (1, 0), (0, 1)])
+    reference = _report_bits(estimate_expectations(*args, sigma2=0.1, trials=trials, seed=5))
+    for draws in (taps, 1021, mc._CHUNK * taps):
+        with mock.patch.object(mc, "_TAP_DRAWS", draws):
+            report = estimate_expectations(*args, sigma2=0.1, trials=trials, seed=5)
+        assert _report_bits(report) == reference
+
+
+@pytest.mark.parametrize("C", [_QUAD, _sparse_l5(), _DENSE_L8], ids=["quad", "sparse_l5", "dense_l8"])
+def test_a_trial_left_over_joins_the_sub_block_before_it(C):
+    # Sub-blocks of two trials leave one trial over at odd counts.  Drawn
+    # alone, its row of ``taps @ coupling`` would round differently from
+    # the same row in a larger product, and the moments would move.
+    taps = int(np.count_nonzero(C.weights))
+    for trials in (3, 5, 7):
+        for seed in range(3):
+            gamma, g = _random_pulse_pair(np.random.default_rng(seed), C.L)
+            scheme = [(0, 0), (1, 0)]
+            with mock.patch.object(mc, "_TAP_DRAWS", taps):
+                report = estimate_expectations(C, gamma, g, scheme, sigma2=0.1, trials=trials, seed=seed)
+            moments = (report.mean_gain, report.mean_interf, report.stderr_gain, report.stderr_interf)
+            assert moments == _chunk_loop_moments(C, gamma, g, scheme, trials, seed)
+
+
+def test_dense_l8_moments_equal_the_first_chunk_loop_exactly():
+    gamma, g = _random_pulse_pair(np.random.default_rng(8), 8)
+    scheme = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    report = estimate_expectations(_DENSE_L8, gamma, g, scheme, sigma2=0.1, trials=mc._CHUNK + 3, seed=9)
+    moments = (report.mean_gain, report.mean_interf, report.stderr_gain, report.stderr_interf)
+    assert moments == _chunk_loop_moments(_DENSE_L8, gamma, g, scheme, mc._CHUNK + 3, seed=9)
+
+
+@settings(max_examples=60)
+@given(
+    scattering_functions(),
+    st.integers(0, 3),
+    st.integers(2, 150),
+    st.integers(2, 40),
+    st.integers(1, 400),
+    st.integers(0, 2**32 - 1),
+)
+def test_sub_blocks_keep_the_first_chunk_loop_moments(C, interferers, trials, chunk, draws, seed):
+    # Small chunks and tap budgets put chunk and sub-block boundaries
+    # everywhere, chunks of a single trial included.
+    gamma, g = _random_pulse_pair(np.random.default_rng(seed), C.L)
+    scheme = [(0, 0), (1, 0), (0, 1), (1, 1)][: interferers + 1]
+    with mock.patch.object(mc, "_CHUNK", chunk), mock.patch.object(mc, "_TAP_DRAWS", draws):
+        report = estimate_expectations(C, gamma, g, scheme, sigma2=0.1, trials=trials, seed=seed)
+        expected = _chunk_loop_moments(C, gamma, g, scheme, trials, seed)
+    assert (report.mean_gain, report.mean_interf, report.stderr_gain, report.stderr_interf) == expected
+
+
+# Traced peak of 2,000 trials on the dense L = 32 grid: 3.3 MiB, against
+# 50.0 MiB when a 2,000 x 1,024 chunk of taps and the Kraus stack were held.
+MC_L32_PEAK_CAP = 8 * 2**20
+
+
+def test_monte_carlo_memory_stays_bounded_on_a_dense_l32_grid():
+    C = gaussian_profile(32, 1, 1)
+    assert np.count_nonzero(C.weights) == 32 * 32
+    x = np.full(32, 32**-0.5, dtype=complex)
+    tracemalloc.start()
+    try:
+        estimate_expectations(C, x, x, [(0, 0), (0, 1)], sigma2=0.1, trials=2000, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < MC_L32_PEAK_CAP
+    assert "_kraus" not in C.__dict__

@@ -451,8 +451,11 @@ def test_sampled_max_does_not_depend_on_the_batch_size(draw, n_samples):
 
 
 class _ZeroDraws:
-    def random(self, shape):
-        return np.zeros(shape)
+    def random(self, shape=None, out=None):
+        if out is None:
+            return np.zeros(shape)
+        out[...] = 0.0
+        return out
 
 
 def test_all_zero_draws_score_the_first_axis_without_warnings(monkeypatch):

@@ -540,6 +540,28 @@ def test_complex_draws_keep_the_arithmetic_form_bits(C, batch, seed):
     assert rng.bit_generator.state == state == rng_taps.bit_generator.state
 
 
+@settings(max_examples=100)
+@given(
+    scattering_functions(min_L=1, max_L=6),
+    st.lists(st.integers(1, 9), min_size=1, max_size=4),
+    st.integers(0, 2**32 - 1),
+)
+@example(ScatteringFunction.from_quad(1.0, 5e-324, 0.0, 0.0), [7, 1, 3], 0)
+def test_taps_drawn_into_one_buffer_continue_one_draw(C, rows, seed):
+    # Successive draws of a few trials each into slices of one buffer give
+    # the bits of one draw of all the trials, and leave the generator in
+    # the same state.
+    T = int(np.count_nonzero(C.weights))
+    whole = _rayleigh_taps(C, np.random.default_rng(seed), (sum(rows),))
+    rng = np.random.default_rng(seed)
+    buffer = np.empty((max(rows), T), dtype=complex)
+    parts = [_rayleigh_taps(C, rng, out=buffer[:n]).copy() for n in rows]
+    assert np.array_equal(_bits(np.concatenate(parts)), _bits(whole))
+    reference = np.random.default_rng(seed)
+    reference.standard_normal(2 * sum(rows) * T)
+    assert rng.bit_generator.state == reference.bit_generator.state
+
+
 _Q = (0.4, 0.3, 0.2, 0.1)
 _C2 = ScatteringFunction.from_quad(*_Q)
 _X = unit_vector([1.0, 1.0])
