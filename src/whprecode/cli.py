@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import io
 import json
 import os
@@ -34,9 +35,7 @@ from .bloch import (
 )
 from .errors import InvalidConfigError, WHPrecodeError
 from .linalg import require_array, require_int, require_real
-from .mc import estimate_expectations, sweep_p0
 from .multiplex import select_schemes
-from .optimize import OptimizerConfig, brute_force_bloch_oracle, general_design
 from .wssus import ScatteringFunction
 
 # The scalars a flag or the config file may set, and their defaults.
@@ -365,9 +364,27 @@ def _cmd_classify(cfg: RunConfig) -> dict:
     }
 
 
+@functools.cache
+def _numerical():
+    """The Monte Carlo and optimizer layers, ``(mc, optimize)``, imported together.
+
+    ``solve`` and ``classify`` call neither, so a process that runs only
+    them never compiles or runs these modules.  Each numerical command
+    calls this first, before its first draw, and loads both: a process
+    whose first numerical job is ``simulate`` has ``optimize`` in place
+    before the Monte Carlo heap grows, for a later ``oracle`` job.  The
+    cache spares each later job the import statement's lookups.
+    """
+    from . import mc, optimize
+
+    return mc, optimize
+
+
 def _cmd_oracle(cfg: RunConfig) -> dict:
+    _, optimize = _numerical()
     closed = solve_fidelity(cfg.quad).fidelity
-    random_only = brute_force_bloch_oracle(cfg.quad, cfg.samples, include_axes=False, seed=cfg.seed)
+    random_only = optimize.brute_force_bloch_oracle(
+        cfg.quad, cfg.samples, include_axes=False, seed=cfg.seed)
     # include_axes=True adds one candidate, 1/2 + max_k |b_k|, to the same
     # samples, and that candidate is the closed form to the last bit.
     with_axes = max(closed, random_only)
@@ -383,9 +400,10 @@ def _cmd_oracle(cfg: RunConfig) -> dict:
 
 
 def _cmd_simulate(cfg: RunConfig) -> dict:
+    mc, _ = _numerical()
     solution = solve_fidelity(cfg.quad)
     scheme = select_schemes(solution.n_star)[0]
-    report = estimate_expectations(
+    report = mc.estimate_expectations(
         cfg.quad.to_scattering_function(),
         solution.precoder,
         solution.equalizer,
@@ -415,8 +433,9 @@ def _cmd_simulate(cfg: RunConfig) -> dict:
 
 
 def _cmd_sweep(cfg: RunConfig) -> dict:
+    mc, _ = _numerical()
     grid = [i / 100.0 for i in range(101)]
-    rows = sweep_p0(grid, trials=cfg.trials, seed=cfg.seed)
+    rows = mc.sweep_p0(grid, trials=cfg.trials, seed=cfg.seed)
     return {
         "trials": cfg.trials,
         "seed": cfg.seed,
@@ -426,7 +445,8 @@ def _cmd_sweep(cfg: RunConfig) -> dict:
 
 
 def _cmd_general(cfg: RunConfig) -> dict:
-    design = general_design(cfg.scattering, OptimizerConfig(seed=cfg.seed))
+    _, optimize = _numerical()
+    design = optimize.general_design(cfg.scattering, optimize.OptimizerConfig(seed=cfg.seed))
     trace = design.trace
     return {
         "L": cfg.L,

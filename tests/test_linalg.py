@@ -356,12 +356,12 @@ def test_dimensions_and_shifts_are_stored_as_python_ints(make):
 
 # The input contract over the whole public API.  Exception classes and the
 # ChannelClass enum are left out: an exception stores any arguments, and
-# calling an enum looks a member up by value.
+# calling an enum looks a member up by value.  Names resolve through the
+# lazy package namespace, whose vars() holds only the names already read.
 _PUBLIC = {
     name: obj
-    for name, obj in vars(whprecode).items()
-    if name in whprecode.__all__
-    and not (isinstance(obj, type) and issubclass(obj, (BaseException, enum.Enum)))
+    for name, obj in ((name, getattr(whprecode, name)) for name in whprecode.__all__)
+    if not (isinstance(obj, type) and issubclass(obj, (BaseException, enum.Enum)))
 }
 _SCALARS = (
     st.integers(-3, 64)
@@ -386,6 +386,11 @@ def _public_calls(draw):
     name = draw(st.sampled_from(sorted(_PUBLIC)))
     parameters = inspect.signature(_PUBLIC[name]).parameters
     return name, [draw(_HANDLES.get(p, _JUNK)) for p in parameters]
+
+
+def test_the_public_contract_covers_every_public_callable():
+    assert len(_PUBLIC) == 46
+    assert all(callable(obj) for obj in _PUBLIC.values())
 
 
 @settings(max_examples=600, deadline=None)
